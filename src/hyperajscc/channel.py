@@ -8,7 +8,7 @@ noise variance sigma^2 = 10^(-omega/10), i.e. sigma^2/2 per real component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,6 @@ class ChannelSymbols:
 
     values: Tensor  # [B, 2d]
     d: int
-
-
-@dataclass
-class ChannelDraw:
-    """One realized channel condition."""
-
-    omega_db: float
-    sigma2: float = field(init=False)
-
-    def __post_init__(self):
-        self.sigma2 = snr_to_sigma2(self.omega_db)
 
 
 def snr_to_sigma2(omega_db):
@@ -117,7 +106,3 @@ class SnrPrior:
         idx = rng.choice(len(self.values), size=size, p=np.asarray(self.weights))
         vals = np.asarray(self.values, dtype=np.float64)
         return float(vals[idx]) if size is None else vals[idx]
-
-
-def sample_snr(prior: SnrPrior, rng: np.random.Generator) -> float:
-    return prior.sample(rng)

@@ -20,7 +20,7 @@ from .checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
-from .config import ConfigError, load_datasets, parse_run_config, parse_snr_grid
+from .config import ConfigError, load_datasets, parse_run_config, parse_seeds, parse_snr_grid
 from .gradcheck import run_suite
 from .metrics import snr_sweep, sweep_chart_svg
 from .models import build_model, compression_ratio, count_params
@@ -76,8 +76,8 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     model, cfg = load_model(args.checkpoint)
-    grid = parse_snr_grid(args.snr_grid) if args.snr_grid else cfg.snr_grid
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else cfg.eval_seeds
+    grid = parse_snr_grid(args.snr_grid) if args.snr_grid is not None else cfg.snr_grid
+    seeds = parse_seeds(args.seeds) if args.seeds is not None else cfg.eval_seeds
     _, val_ds = load_datasets(cfg)
     report = snr_sweep(model, val_ds, grid, seeds, config_digest=cfg.digest)
     csv_path = args.csv or os.path.splitext(args.checkpoint)[0] + "_sweep.csv"

@@ -8,6 +8,7 @@ typos fail loudly instead of silently using a default.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .channel import SnrPrior
@@ -137,18 +138,37 @@ def _parse_prior(value: str) -> SnrPrior:
 
 
 def parse_snr_grid(value: str) -> tuple[float, ...]:
-    """'0:20:2' (inclusive range) or a comma list '1,4,7'."""
+    """'0:20:2' (inclusive range) or a strictly increasing comma list '1,4,7'."""
     value = value.strip()
-    if ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
+    is_range = ":" in value
+    try:
+        nums = [float(p) for p in value.split(":" if is_range else ",")]
+    except ValueError:
+        raise ConfigError(f"bad snr grid {value!r}, expected LO:HI:STEP or a comma list of dB values") from None
+    if not all(map(math.isfinite, nums)):
+        raise ConfigError(f"bad snr grid {value!r}: SNRs must be finite")
+    if is_range:
+        if len(nums) != 3:
             raise ConfigError(f"bad snr grid {value!r}, expected LO:HI:STEP")
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = nums
         if step <= 0 or hi < lo:
             raise ConfigError(f"bad snr grid {value!r}")
         n = int(round((hi - lo) / step))
         return tuple(lo + i * step for i in range(n + 1))
-    return tuple(float(p) for p in value.split(","))
+    if any(b <= a for a, b in zip(nums, nums[1:])):
+        raise ConfigError(f"bad snr grid {value!r}: SNRs must be strictly increasing")
+    return tuple(nums)
+
+
+def parse_seeds(value: str) -> tuple[int, ...]:
+    """Comma list of non-negative integer noise seeds, e.g. '0,1'."""
+    try:
+        seeds = tuple(int(p) for p in value.split(","))
+    except ValueError:
+        raise ConfigError(f"bad seeds {value!r}, expected a comma list of integers") from None
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"bad seeds {value!r}: seeds must be non-negative")
+    return seeds
 
 
 def _get(sec: dict, key: str, cast, default):
@@ -176,18 +196,19 @@ def parse_run_config(text: str) -> RunConfig:
         omega_hi_db=_get(m, "omega_hi_db", float, 20.0),
     )
     t = sections.get("train", {})
+    dt = TrainConfig()
     train = TrainConfig(
-        epochs=_get(t, "epochs", int, 10),
-        batch_size=_get(t, "batch_size", int, 32),
-        lr=_get(t, "lr", float, 1e-3),
-        beta1=_get(t, "beta1", float, 0.9),
-        beta2=_get(t, "beta2", float, 0.999),
-        eps=_get(t, "eps", float, 1e-8),
+        epochs=_get(t, "epochs", int, dt.epochs),
+        batch_size=_get(t, "batch_size", int, dt.batch_size),
+        lr=_get(t, "lr", float, dt.lr),
+        beta1=_get(t, "beta1", float, dt.beta1),
+        beta2=_get(t, "beta2", float, dt.beta2),
+        eps=_get(t, "eps", float, dt.eps),
         loss=_get(t, "loss", str, "mse" if model.task == "reconstruction" else "cross_entropy"),
-        prior=_get(t, "prior", _parse_prior, SnrPrior("uniform", 0.0, 20.0)),
-        seed=_get(t, "seed", int, 0),
-        val_grid=_get(t, "val_grid", parse_snr_grid, (1.0, 4.0, 7.0, 10.0, 13.0, 16.0, 19.0)),
-        val_every=_get(t, "val_every", int, 0),
+        prior=_get(t, "prior", _parse_prior, dt.prior),
+        seed=_get(t, "seed", int, dt.seed),
+        val_grid=_get(t, "val_grid", parse_snr_grid, dt.val_grid),
+        val_every=_get(t, "val_every", int, dt.val_every),
     )
     d = sections.get("data", {})
     e = sections.get("eval", {})
@@ -200,7 +221,7 @@ def parse_run_config(text: str) -> RunConfig:
         data_seed=_get(d, "seed", int, 0),
         cifar_dir=_get(d, "cifar_dir", str, ""),
         snr_grid=_get(e, "snr_grid", parse_snr_grid, tuple(float(s) for s in range(0, 21, 2))),
-        eval_seeds=_get(e, "seeds", lambda v: tuple(int(s) for s in v.split(",")), (0,)),
+        eval_seeds=_get(e, "seeds", parse_seeds, (0,)),
         text=text,
     )
     if cfg.data_kind not in ("synthetic-recon", "synthetic-class", "cifar10"):

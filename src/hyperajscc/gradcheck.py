@@ -63,10 +63,9 @@ def _checks(rng: np.random.Generator, cases: int):
         yield "mul_rowvec", (lambda p=p, rv=rv: T.tsum(T.tanh(T.mul_rowvec(p, rv)))), [p, rv]
 
         xc = _param(rng, 2, 3, 4, 4)
-        sc = _param(rng, 3)
         sb = _param(rng, 2, 3)
-        yield "scale_channels", (lambda xc=xc, sc=sc: T.tsum(T.tanh(T.scale_channels(xc, sc)))), [xc, sc]
-        yield "scale_channels_batch", (lambda xc=xc, sb=sb: T.tsum(T.tanh(T.scale_channels(xc, sb)))), [xc, sb]
+        yield "scale_channels_2d", (lambda p=p, sb=sb: T.tsum(T.tanh(T.scale_channels(p, sb)))), [p, sb]
+        yield "scale_channels_4d", (lambda xc=xc, sb=sb: T.tsum(T.tanh(T.scale_channels(xc, sb)))), [xc, sb]
 
         om = rng.uniform(-1, 1, size=4)
         nu = _param(rng, 3)

@@ -1,10 +1,11 @@
 """Neural layers with channel-conditioned element-wise scaling.
 
 Each adaptive layer is a plain base layer (weights W0/b0 or kernels C0/b0)
-plus a per-output-channel scale s = omega_t * nu + c, applied to the
-pre-activation output.  For convolutions, scaling output channels is
-mathematically identical to row-scaling the kernels and commutes with the
-convolution, so we scale the cheaper side.
+plus a per-sample, per-output-channel scale s[b] = omega_t[b] * nu + c,
+applied to the pre-activation output (a FiLM-style gain without shift).
+For convolutions, scaling output channels is mathematically identical to
+row-scaling the kernels and commutes with the convolution, so we scale the
+cheaper side.
 
 omega_t is the raw channel SNR in dB mapped affinely (gain, offset) into
 [-1, 1] over the configured training range; the map travels with the
@@ -42,11 +43,8 @@ class HyperScale:
         return self.omega_gain * np.asarray(omega_db, dtype=np.float64) + self.omega_offset
 
     def vector(self, omega_db) -> Tensor:
-        """Scale vector for a scalar omega ([D]) or per-sample omegas ([B,D])."""
-        om = self.map_omega(omega_db)
-        if om.ndim == 0:
-            return T.add(T.scale(self.nu, float(om)), self.c)
-        return T.affine_outer(om, self.nu, self.c)
+        """Per-sample scales [B,D] for per-sample omegas [B]."""
+        return T.affine_outer(self.map_omega(omega_db), self.nu, self.c)
 
 
 class DenseLayer:
@@ -118,17 +116,17 @@ class HyperLayer:
         return self.base.out_channels
 
     def forward(self, f: Tensor, omega_db) -> Tensor:
+        """omega_db is one SNR for the whole batch or one per sample."""
         base = self.base
         if isinstance(base, DenseLayer):
             y = T.linear(f, base.w0, base.b0)
-            if self.scale is not None:
-                s = self.scale.vector(omega_db)
-                y = T.mul(y, s) if s.data.ndim == 2 else T.mul_rowvec(y, s)
         else:
             x = T.upsample_zero(f, base.upsample) if base.upsample > 1 else f
             y = T.conv2d(x, base.c0, base.b0, base.stride, base.padding)
-            if self.scale is not None:
-                y = T.scale_channels(y, self.scale.vector(omega_db))
+        if self.scale is not None:
+            if np.ndim(omega_db) == 0:
+                omega_db = np.full(y.shape[0], omega_db, dtype=np.float64)
+            y = T.scale_channels(y, self.scale.vector(omega_db))
         return T.activation(base.act, y)
 
     def param_counts(self) -> tuple[int, int]:

@@ -26,10 +26,7 @@ def psnr(x, x_hat, max_value: float = 1.0) -> float:
         raise ShapeError(f"psnr: shapes differ: {x.shape} vs {x_hat.shape}")
     if max_value <= 0:
         raise ContractError("psnr: max_value must be positive")
-    mse = float(((x - x_hat) ** 2).mean())
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return min(10.0 * np.log10(max_value**2 / mse), PSNR_CAP_DB)
+    return psnr_from_mse(float(((x - x_hat) ** 2).mean()), max_value)
 
 
 def psnr_from_mse(mse: float, max_value: float = 1.0) -> float:

@@ -145,9 +145,6 @@ class HyperAJSCCModel:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def trainable_layers(self):
-        return list(self.encoder) + list(self.decoder)
-
 
 def _build_stack(shape, specs: list[LayerSpec], cfg: ModelConfig, rng, half: str):
     built = []

@@ -16,9 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# When True every op asserts its output is finite. Enabled by tests.
-check_finite = False
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -50,8 +47,6 @@ class Tensor:
         self._parents = parents
         self._backward_fn = backward_fn
         self._track = requires_grad or bool(parents)
-        if check_finite and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in tensor of shape {self.shape}")
 
     @property
     def shape(self) -> tuple:
@@ -223,20 +218,11 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 
 def scale_channels(x: Tensor, s: Tensor) -> Tensor:
-    """Scale channel c of x [B,C,H,W] by s[c] (shared) or s[b,c] (per sample)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"scale_channels expects 4-d input, got {x.shape}")
-    B, C = x.shape[0], x.shape[1]
-    if s.data.ndim == 1:
-        if s.shape[0] != C:
-            raise ShapeError(f"scale_channels: {s.shape} vs {C} channels")
-        sr = s.data.reshape(1, C, 1, 1)
-    elif s.data.ndim == 2:
-        if s.shape != (B, C):
-            raise ShapeError(f"scale_channels: {s.shape} vs batch/channels ({B},{C})")
-        sr = s.data.reshape(B, C, 1, 1)
-    else:
-        raise ShapeError(f"scale_channels: scale must be 1-d or 2-d, got {s.shape}")
+    """Scale channel c of sample b in x [B,C,...] by s[b,c] (FiLM-style gain)."""
+    if x.data.ndim < 2 or s.shape != x.shape[:2]:
+        raise ShapeError(f"scale_channels: scale {s.shape} vs batch/channels of {x.shape}")
+    trailing = tuple(range(2, x.data.ndim))
+    sr = s.data.reshape(s.shape + (1,) * len(trailing))
     out = x.data * sr
 
     def backward(g):
@@ -244,10 +230,8 @@ def scale_channels(x: Tensor, s: Tensor) -> Tensor:
         if x._track:
             grads.append((x, g * sr))
         if s._track:
-            if s.data.ndim == 1:
-                grads.append((s, (g * x.data).sum(axis=(0, 2, 3))))
-            else:
-                grads.append((s, (g * x.data).sum(axis=(2, 3))))
+            gs = g * x.data
+            grads.append((s, gs.sum(axis=trailing) if trailing else gs))
         return grads
 
     return _make(out, (x, s), backward)

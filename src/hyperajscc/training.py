@@ -16,6 +16,7 @@ import numpy as np
 from . import tensor as T
 from .channel import SnrPrior
 from .data import Dataset, batches
+from .metrics import snr_sweep
 from .models import HyperAJSCCModel, forward_pipeline
 from .tensor import ContractError, ShapeError, Tensor
 
@@ -96,7 +97,7 @@ class TrainConfig:
     loss: str = "mse"  # mse | cross_entropy
     seed: int = 0
     val_grid: tuple = (1.0, 4.0, 7.0, 10.0, 13.0, 16.0, 19.0)
-    val_every: int = 1  # 0 disables validation
+    val_every: int = 0  # validate every N epochs; 0 disables validation
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -109,7 +110,11 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    """One row per epoch: mean loss, validation metric per grid SNR, wall time."""
+    """One row per epoch: mean loss, sweep metric per validation SNR, wall time.
+
+    The validation metric is the one `snr_sweep` reports: PSNR in dB over
+    [0, 1] pixels for reconstruction, top-1 accuracy for classification.
+    """
 
     seed: int
     config_digest: str
@@ -144,27 +149,6 @@ def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optim
     return float(loss.data)
 
 
-def evaluate(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng, chunk: int = 64):
-    """Full-dataset metric at one test condition: MSE (reconstruction) or accuracy."""
-    total_se = 0.0
-    n_el = 0
-    correct = 0
-    n_items = dataset.samples.shape[0]
-    for start in range(0, n_items, chunk):
-        xb = dataset.samples[start : start + chunk]
-        x = Tensor(xb)
-        out, _, _ = forward_pipeline(model, x, omega_db, rng)
-        if model.config.task == "reconstruction":
-            total_se += float(((out.data - xb) ** 2).sum())
-            n_el += xb.size
-        else:
-            pred = out.data.argmax(axis=1)
-            correct += int((pred == np.asarray(dataset.labels[start : start + chunk])).sum())
-    if model.config.task == "reconstruction":
-        return total_se / n_el  # MSE in [-1,1] units
-    return correct / n_items
-
-
 def train(
     model: HyperAJSCCModel,
     dataset: Dataset,
@@ -177,7 +161,7 @@ def train(
     if dataset.samples.shape[0] == 0:
         raise ContractError("dataset is empty")
     ss = np.random.SeedSequence(config.seed)
-    s_prior, s_noise, s_val = ss.spawn(3)
+    s_prior, s_noise = ss.spawn(2)
     rng_prior = np.random.default_rng(s_prior)
     rng_noise = np.random.default_rng(s_noise)
 
@@ -199,8 +183,7 @@ def train(
             epoch_losses.append(loss)
         val = {}
         if val_dataset is not None and config.val_every and epoch % config.val_every == 0:
-            rng_v = np.random.default_rng(np.random.SeedSequence((config.seed, 7, epoch)))
-            for g in config.val_grid:
-                val[g] = evaluate(model, val_dataset, g, rng_v)
+            report = snr_sweep(model, val_dataset, config.val_grid, seeds=(config.seed,))
+            val = {snr: mean for snr, mean, _, _ in report.rows}
         log.epochs.append((epoch, float(np.mean(epoch_losses)), val, time.perf_counter() - t0))
     return model, log

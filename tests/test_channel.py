@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from hyperajscc.channel import (
-    ChannelDraw,
     DegenerateInputError,
     SnrPrior,
     awgn_transmit,
     power_normalize,
-    sample_snr,
     snr_to_sigma2,
 )
 from hyperajscc.tensor import Tensor, finite_diff_check
@@ -58,10 +56,6 @@ class TestSnrToSigma2:
         assert snr_to_sigma2(40.0) == 0.0
         assert snr_to_sigma2(100.0) == 0.0
 
-    def test_channel_draw_invariant(self):
-        draw = ChannelDraw(omega_db=7.0)
-        assert abs(draw.sigma2 - 10 ** (-0.7)) < 1e-15
-
 
 class TestAwgnTransmit:
     def test_noiseless_at_cap(self):
@@ -106,7 +100,7 @@ class TestSnrPrior:
     def test_fixed(self):
         prior = SnrPrior("fixed", value_db=7.0)
         rng = np.random.default_rng(0)
-        assert all(sample_snr(prior, rng) == 7.0 for _ in range(10))
+        assert all(prior.sample(rng) == 7.0 for _ in range(10))
 
     def test_uniform_bounds_and_mean(self):
         prior = SnrPrior("uniform", 0.0, 20.0)

@@ -107,6 +107,18 @@ class TestSweepCommand:
         assert main(["sweep", ckpt, "--csv", str(tmp_path / "s.csv"), "--svg", svg]) == EXIT_OK
         assert "<svg" in open(svg).read()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--snr-grid", "a,b"), ("--snr-grid", "0:x:2"), ("--snr-grid", ""), ("--snr-grid", "10,5"),
+         ("--seeds", "x"), ("--seeds", "")],
+    )
+    def test_bad_grid_or_seeds_exit_code(self, cfg_path, tmp_path, capsys, flag, value):
+        ckpt = os.path.join(train_once(cfg_path, tmp_path), "checkpoint.haj")
+        csv = str(tmp_path / "s.csv")
+        assert main(["sweep", ckpt, flag, value, "--csv", csv]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(csv)
+
     def test_corrupt_checkpoint_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.haj"
         path.write_bytes(b"HAJ1" + b"\xff" * 20)

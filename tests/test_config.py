@@ -4,8 +4,10 @@ from hyperajscc.config import (
     ConfigError,
     load_datasets,
     parse_run_config,
+    parse_seeds,
     parse_snr_grid,
 )
+from hyperajscc.training import TrainConfig
 
 GOOD = """\
 [model]
@@ -109,6 +111,30 @@ class TestParseSnrGrid:
     def test_reversed_range(self):
         with pytest.raises(ConfigError):
             parse_snr_grid("20:0:2")
+
+    @pytest.mark.parametrize("value", ["a,b", "0:x:2", "", "1,,2", "0:20", "10,5", "1,1", "nan,1", "0:inf:2"])
+    def test_malformed_or_non_increasing_rejected(self, value):
+        with pytest.raises(ConfigError):
+            parse_snr_grid(value)
+
+    def test_non_increasing_val_grid_fails_at_parse_time(self):
+        with pytest.raises(ConfigError, match="val_grid"):
+            parse_run_config(GOOD.replace("seed = 1\n", "seed = 1\nval_grid = 10,5\n"))
+
+
+class TestParseSeeds:
+    def test_comma_list(self):
+        assert parse_seeds("0,1,7") == (0, 1, 7)
+
+    @pytest.mark.parametrize("value", ["x", "", "1,", "1.5", "-1"])
+    def test_malformed_rejected(self, value):
+        with pytest.raises(ConfigError):
+            parse_seeds(value)
+
+
+def test_val_every_default_comes_from_train_config():
+    assert TrainConfig().val_every == 0
+    assert parse_run_config(GOOD).train.val_every == TrainConfig().val_every
 
 
 class TestLoadDatasets:

@@ -26,17 +26,16 @@ def scale_from(nu, c, gain=1.0, offset=0.0):
 class TestHyperScale:
     def test_identity_configuration(self):
         s = HyperScale.identity(4)
-        for om in (0.0, 7.3, 20.0):
-            np.testing.assert_array_equal(s.vector(om).data, np.ones(4))
+        np.testing.assert_array_equal(s.vector(np.array([0.0, 7.3, 20.0])).data, np.ones((3, 4)))
 
     def test_arithmetic(self):
         # mapped omega = 2 with a unit map
         s = scale_from([1, -1], [0, 3])
-        np.testing.assert_array_equal(s.vector(2.0).data, [2, 1])
+        np.testing.assert_array_equal(s.vector(np.array([2.0])).data, [[2, 1]])
 
     def test_gradient_wrt_nu_is_mapped_omega(self):
         s = scale_from([0.5, 0.5], [1, 1])
-        T.tsum(s.vector(2.0)).backward()
+        T.tsum(s.vector(np.array([2.0]))).backward()
         np.testing.assert_array_equal(s.nu.grad, [2, 2])
 
     def test_per_sample_vector(self):
@@ -101,8 +100,25 @@ class TestConvForward:
         b = Tensor(rng.standard_normal(3))
         s = Tensor(rng.uniform(0.5, 2.0, 3))
         via_kernels = T.conv2d(x, T.scale_rowwise(k, s), Tensor(s.data * b.data), 1, 1)
-        via_channels = T.scale_channels(T.conv2d(x, k, b, 1, 1), s)
+        via_channels = T.scale_channels(T.conv2d(x, k, b, 1, 1), Tensor(s.data[None, :]))
         np.testing.assert_allclose(via_kernels.data, via_channels.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_scalar_omega_is_bit_equal_to_per_sample_omega(kind):
+    rng = np.random.default_rng(10)
+    if kind == "dense":
+        layer = make_dense(4, 3, "tanh", True, rng)
+        x = rng.standard_normal((5, 4))
+    else:
+        layer = make_conv(2, 3, 3, 1, 1, 2, "tanh", True, rng)
+        x = rng.standard_normal((5, 2, 4, 4))
+    layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
+    layer.scale.c.data = rng.uniform(0.5, 1.5, 3)
+    for om in (0.0, 7.3, 20.0):
+        scalar = layer.forward(Tensor(x), om)
+        per_sample = layer.forward(Tensor(x), np.full(5, om))
+        assert np.array_equal(scalar.data, per_sample.data)
 
 
 class TestParamCounts:

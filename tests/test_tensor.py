@@ -52,6 +52,24 @@ class TestElementwise:
         out = T.scale_rowwise(t([[1, 2], [3, 4]]), t([2, 0]))
         np.testing.assert_array_equal(out.data, [[2, 4], [0, 0]])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4, 5)])
+    def test_scale_channels_per_sample(self, shape):
+        rng = np.random.default_rng(4)
+        x = t(rng.standard_normal(shape), grad=True)
+        s = t(rng.standard_normal(shape[:2]), grad=True)
+        out = T.scale_channels(x, s)
+        sr = s.data.reshape(shape[:2] + (1,) * (len(shape) - 2))
+        np.testing.assert_array_equal(out.data, x.data * sr)
+        T.tsum(out).backward()
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(sr, shape))
+        np.testing.assert_allclose(s.grad, x.data.reshape(shape[:2] + (-1,)).sum(axis=2), rtol=1e-15)
+
+    def test_scale_channels_rejects_shared_scale(self):
+        with pytest.raises(ShapeError):
+            T.scale_channels(t(np.ones((2, 3, 4, 4))), t([1, 2, 3]))
+        with pytest.raises(ShapeError):
+            T.scale_channels(t(np.ones((2, 3))), t([1, 2, 3]))
+
     def test_mul_backward_is_product_rule(self):
         a = t([1.0, 1.0], grad=True)
         b = t([5.0, 7.0])

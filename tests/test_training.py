@@ -187,6 +187,19 @@ class TestTrain:
         after = snr_sweep(model, val, [10.0]).mean_at(10.0)
         assert after > before + 5.0
 
+    def test_validation_log_is_the_sweep_metric(self):
+        from hyperajscc.metrics import snr_sweep
+
+        ds = synthetic_dataset("gaussian-blobs-images", 32, (1, 8, 8), seed=0)
+        val = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=1)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=3, val_every=1, val_grid=(2.0, 12.0))
+        model, log = train(build_model(toy_dense_config(), 3), ds, cfg, val)
+        report = snr_sweep(model, val, cfg.val_grid, seeds=(cfg.seed,))
+        assert report.metric == "psnr_db"
+        epoch, _, logged, _ = log.epochs[-1]
+        assert epoch == 2
+        assert logged == {g: report.mean_at(g) for g in cfg.val_grid}
+
     def test_fixed_prior_reduction(self):
         # point-mass prior + hyper off behaves as a fixed-SNR run: every
         # sampled condition equals the point mass
