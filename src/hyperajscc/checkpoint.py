@@ -5,7 +5,7 @@ Layout (little-endian):
     u16            format version (1)
     u32            config text length, then UTF-8 bytes
     32s            sha256 digest of the config text
-    f64, f64       omega map (gain, offset)
+    f64, f64       omega map (gain, offset); load_model checks it against the config
     u32            tensor count
     per tensor:    u16 name length, name bytes, u8 rank, u32 dims..., f32 values
 
@@ -109,10 +109,15 @@ def load_model(path: str, expected_config_text: str | None = None, force: bool =
     from .config import parse_run_config
     from .models import build_model
 
-    config_text, _, tensors = read_checkpoint(path)
+    config_text, omega_map, tensors = read_checkpoint(path)
     if expected_config_text is not None and expected_config_text != config_text and not force:
         raise DigestMismatchError(f"{path}: config digest differs from the provided config")
     run_cfg = parse_run_config(config_text)
+    expected_map = (run_cfg.model.omega_gain, run_cfg.model.omega_offset)
+    if omega_map != expected_map:
+        raise CorruptCheckpointError(
+            f"{path}: stored omega map {omega_map} differs from the config's {expected_map}"
+        )
     model = build_model(run_cfg.model, seed=run_cfg.train.seed)
     named = dict(model.named_parameters())
     if set(named) != set(tensors):

@@ -1,7 +1,9 @@
 """Command-line surface: train, sweep, count-params, gradcheck.
 
-Exit codes: 0 ok, 2 config error, 3 numeric abort (NaN loss),
-4 corrupt artifact, 5 gradient check failure.
+Exit codes: 0 ok, 2 config error (including an unreadable path),
+3 numeric abort (NaN loss, or an all-zero symbol row that cannot be
+power-normalized), 4 corrupt artifact (checkpoint or dataset file),
+5 gradient check failure.
 """
 
 from __future__ import annotations
@@ -11,16 +13,16 @@ import os
 import sys
 import time
 
-import numpy as np
-
+from .channel import DegenerateInputError
 from .checkpoint import (
+    MAGIC,
     CorruptCheckpointError,
     DigestMismatchError,
     load_model,
-    read_checkpoint,
     save_checkpoint,
 )
 from .config import ConfigError, load_datasets, parse_run_config, parse_seeds, parse_snr_grid
+from .data import FormatError
 from .gradcheck import run_suite
 from .metrics import snr_sweep, sweep_chart_svg
 from .models import build_model, compression_ratio, count_params
@@ -47,7 +49,8 @@ def cmd_train(args) -> int:
     text, cfg = _read_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
-        # keep the digest honest: the seed is part of the run identity
+        # the seed is part of the run identity, so the stored config text
+        # (and the checkpoint's hash of it) records the override
         text += f"\n# seed override: {args.seed}\n"
         cfg.text = text
     out_dir = args.out
@@ -56,7 +59,7 @@ def cmd_train(args) -> int:
     train_ds, val_ds = load_datasets(cfg)
     model = build_model(cfg.model, seed=cfg.train.seed)
     t0 = time.perf_counter()
-    model, log = train(model, train_ds, cfg.train, val_ds if cfg.train.val_every else None, cfg.digest)
+    model, log = train(model, train_ds, cfg.train, val_ds if cfg.train.val_every else None)
     wall = time.perf_counter() - t0
 
     ckpt_path = os.path.join(out_dir, "checkpoint.haj")
@@ -79,7 +82,7 @@ def cmd_sweep(args) -> int:
     grid = parse_snr_grid(args.snr_grid) if args.snr_grid is not None else cfg.snr_grid
     seeds = parse_seeds(args.seeds) if args.seeds is not None else cfg.eval_seeds
     _, val_ds = load_datasets(cfg)
-    report = snr_sweep(model, val_ds, grid, seeds, config_digest=cfg.digest)
+    report = snr_sweep(model, val_ds, grid, seeds)
     csv_path = args.csv or os.path.splitext(args.checkpoint)[0] + "_sweep.csv"
     with open(csv_path, "w") as fh:
         fh.write(report.to_csv())
@@ -96,7 +99,7 @@ def cmd_count_params(args) -> int:
     path = args.path
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == b"HAJ1":
+    if head == MAGIC:
         model, _ = load_model(path)
     else:
         _, cfg = _read_config(path)
@@ -167,13 +170,13 @@ def main(argv=None) -> int:
     except (ConfigError, ConfigurationError, ContractError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, DegenerateInputError) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorruptCheckpointError, DigestMismatchError) as exc:
+    except (CorruptCheckpointError, DigestMismatchError, FormatError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

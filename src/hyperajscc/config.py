@@ -7,9 +7,8 @@ typos fail loudly instead of silently using a default.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import SnrPrior
 from .models import LayerSpec, ModelConfig
@@ -47,10 +46,6 @@ class RunConfig:
     snr_grid: tuple = tuple(float(s) for s in range(0, 21, 2))
     eval_seeds: tuple = (0,)
     text: str = ""
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.text.encode()).hexdigest()
 
 
 def _raw_sections(text: str) -> dict[str, dict[str, str]]:
@@ -176,6 +171,8 @@ def _get(sec: dict, key: str, cast, default):
         return default
     try:
         return cast(sec[key])
+    except ConfigError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from None  # keep the parser's own reason
     except (ValueError, TypeError):
         raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from None
 

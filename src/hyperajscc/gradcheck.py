@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .channel import power_normalize
-from .layers import HyperScale, make_conv, make_dense, make_resblock
+from .layers import make_conv, make_dense, make_resblock
 from .models import build_model, forward_pipeline
 from .tensor import Tensor, finite_diff_check
 from .training import cross_entropy_loss, mse_loss
@@ -102,7 +102,8 @@ def _layer_checks(rng: np.random.Generator, cases: int):
         dense = make_dense(4, 3, "tanh", True, rng)
         dense.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
         xd = Tensor(rng.uniform(-1, 1, (2, 4)))
-        om = float(rng.uniform(0, 20))
+        # a 0..20 dB SNR mapped to [-1, 1], one per sample
+        om = np.full(2, 0.1 * float(rng.uniform(0, 20)) - 1.0)
         params = [t for _, t in dense.named_params()]
         yield "dense_hyper_layer", (lambda dense=dense, xd=xd, om=om: T.tsum(dense.forward(xd, om))), params
 

@@ -7,10 +7,10 @@ For convolutions, scaling output channels is mathematically identical to
 row-scaling the kernels and commutes with the convolution, so we scale the
 cheaper side.
 
-omega_t is the raw channel SNR in dB mapped affinely (gain, offset) into
-[-1, 1] over the configured training range; the map travels with the
-checkpoint so inference matches training.  With nu = 0 and c = 1 every
-layer is bit-identical to its unscaled base.
+omega_t is the channel SNR mapped affinely into [-1, 1] over the configured
+training range; the model maps it once per pass (models.encode/decode), so
+layers receive omega_t [B] and know nothing of dB.  With nu = 0 and c = 1
+every layer is bit-identical to its unscaled base.
 """
 
 from __future__ import annotations
@@ -22,29 +22,24 @@ from .tensor import ConfigurationError, ShapeError, Tensor
 
 
 class HyperScale:
-    """Per-output-channel affine condition scale: s = (gain*omega+offset)*nu + c."""
+    """Per-output-channel affine condition scale: s = omega_t*nu + c."""
 
-    def __init__(self, nu: Tensor, c: Tensor, omega_gain: float = 0.1, omega_offset: float = -1.0):
+    def __init__(self, nu: Tensor, c: Tensor):
         if nu.shape != c.shape or nu.data.ndim != 1:
             raise ShapeError(f"HyperScale: nu {nu.shape} vs c {c.shape}")
         self.nu = nu
         self.c = c
-        self.omega_gain = float(omega_gain)
-        self.omega_offset = float(omega_offset)
 
     @classmethod
-    def identity(cls, n_out: int, omega_gain: float = 0.1, omega_offset: float = -1.0) -> "HyperScale":
+    def identity(cls, n_out: int) -> "HyperScale":
         """nu=0, c=1: starts as an exact no-op for every omega."""
         nu = Tensor(np.zeros(n_out), requires_grad=True)
         c = Tensor(np.ones(n_out), requires_grad=True)
-        return cls(nu, c, omega_gain, omega_offset)
+        return cls(nu, c)
 
-    def map_omega(self, omega_db):
-        return self.omega_gain * np.asarray(omega_db, dtype=np.float64) + self.omega_offset
-
-    def vector(self, omega_db) -> Tensor:
-        """Per-sample scales [B,D] for per-sample omegas [B]."""
-        return T.affine_outer(self.map_omega(omega_db), self.nu, self.c)
+    def vector(self, omega_t) -> Tensor:
+        """Per-sample scales [B,D] for per-sample mapped conditions omega_t [B]."""
+        return T.affine_outer(omega_t, self.nu, self.c)
 
 
 class DenseLayer:
@@ -58,9 +53,6 @@ class DenseLayer:
     @property
     def out_channels(self) -> int:
         return self.w0.shape[0]
-
-    def param_count(self) -> int:
-        return self.w0.size + self.b0.size
 
     def named_params(self):
         return [("W0", self.w0), ("b0", self.b0)]
@@ -93,9 +85,6 @@ class Conv2dLayer:
     def out_channels(self) -> int:
         return self.c0.shape[0]
 
-    def param_count(self) -> int:
-        return self.c0.size + self.b0.size
-
     def named_params(self):
         return [("C0", self.c0), ("b0", self.b0)]
 
@@ -115,8 +104,8 @@ class HyperLayer:
     def out_channels(self) -> int:
         return self.base.out_channels
 
-    def forward(self, f: Tensor, omega_db) -> Tensor:
-        """omega_db is one SNR for the whole batch or one per sample."""
+    def forward(self, f: Tensor, omega_t) -> Tensor:
+        """omega_t [B] is the mapped condition, one per sample."""
         base = self.base
         if isinstance(base, DenseLayer):
             y = T.linear(f, base.w0, base.b0)
@@ -124,15 +113,8 @@ class HyperLayer:
             x = T.upsample_zero(f, base.upsample) if base.upsample > 1 else f
             y = T.conv2d(x, base.c0, base.b0, base.stride, base.padding)
         if self.scale is not None:
-            if np.ndim(omega_db) == 0:
-                omega_db = np.full(y.shape[0], omega_db, dtype=np.float64)
-            y = T.scale_channels(y, self.scale.vector(omega_db))
+            y = T.scale_channels(y, self.scale.vector(omega_t))
         return T.activation(base.act, y)
-
-    def param_counts(self) -> tuple[int, int]:
-        """(base parameter count, introduced parameter count)."""
-        introduced = 2 * self.out_channels if self.scale is not None else 0
-        return self.base.param_count(), introduced
 
     def named_params(self):
         out = list(self.base.named_params())
@@ -157,17 +139,11 @@ class ResNetBlock:
     def out_channels(self) -> int:
         return self.conv2.out_channels
 
-    def forward(self, f: Tensor, omega_db) -> Tensor:
-        h = self.conv1.forward(f, omega_db)
-        h = self.conv2.forward(h, omega_db)
-        sk = self.skip.forward(f, omega_db) if self.skip is not None else f
+    def forward(self, f: Tensor, omega_t) -> Tensor:
+        h = self.conv1.forward(f, omega_t)
+        h = self.conv2.forward(h, omega_t)
+        sk = self.skip.forward(f, omega_t) if self.skip is not None else f
         return T.activation(self.act, T.add(h, sk))
-
-    def param_counts(self) -> tuple[int, int]:
-        parts = [self.conv1, self.conv2] + ([self.skip] if self.skip else [])
-        base = sum(p.param_counts()[0] for p in parts)
-        introduced = sum(p.param_counts()[1] for p in parts)
-        return base, introduced
 
     def named_params(self):
         out = [(f"conv1.{n}", t) for n, t in self.conv1.named_params()]
@@ -177,30 +153,14 @@ class ResNetBlock:
         return out
 
 
-class Flatten:
-    """Structural layer: [B,C,H,W] -> [B, C*H*W]."""
-
-    def forward(self, f: Tensor, omega_db) -> Tensor:
-        return T.reshape(f, (f.shape[0], f.size // f.shape[0]))
-
-    def param_counts(self) -> tuple[int, int]:
-        return 0, 0
-
-    def named_params(self):
-        return []
-
-
 class Reshape:
-    """Structural layer: [B, prod(shape)] -> [B, *shape]."""
+    """Structural layer: [B, ...] -> [B, *shape]; flatten is Reshape((C*H*W,))."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
 
-    def forward(self, f: Tensor, omega_db) -> Tensor:
+    def forward(self, f: Tensor, omega_t) -> Tensor:
         return T.reshape(f, (f.shape[0],) + self.shape)
-
-    def param_counts(self) -> tuple[int, int]:
-        return 0, 0
 
     def named_params(self):
         return []
@@ -217,12 +177,10 @@ def make_dense(
     act: str,
     hyper: bool,
     rng: np.random.Generator,
-    omega_gain: float = 0.1,
-    omega_offset: float = -1.0,
 ) -> HyperLayer:
     w0 = Tensor(he_uniform((d_out, d_in), d_in, rng), requires_grad=True)
     b0 = Tensor(np.zeros(d_out), requires_grad=True)
-    scale = HyperScale.identity(d_out, omega_gain, omega_offset) if hyper else None
+    scale = HyperScale.identity(d_out) if hyper else None
     return HyperLayer(DenseLayer(w0, b0, act), scale)
 
 
@@ -236,13 +194,11 @@ def make_conv(
     act: str,
     hyper: bool,
     rng: np.random.Generator,
-    omega_gain: float = 0.1,
-    omega_offset: float = -1.0,
 ) -> HyperLayer:
     fan_in = c_in * kernel * kernel
     c0 = Tensor(he_uniform((c_out, c_in, kernel, kernel), fan_in, rng), requires_grad=True)
     b0 = Tensor(np.zeros(c_out), requires_grad=True)
-    scale = HyperScale.identity(c_out, omega_gain, omega_offset) if hyper else None
+    scale = HyperScale.identity(c_out) if hyper else None
     return HyperLayer(Conv2dLayer(c0, b0, stride, padding, upsample, act), scale)
 
 
@@ -253,13 +209,11 @@ def make_resblock(
     act: str,
     hyper: bool,
     rng: np.random.Generator,
-    omega_gain: float = 0.1,
-    omega_offset: float = -1.0,
 ) -> ResNetBlock:
     pad = kernel // 2
-    conv1 = make_conv(c_in, c_out, kernel, 1, pad, 1, act, hyper, rng, omega_gain, omega_offset)
-    conv2 = make_conv(c_out, c_out, kernel, 1, pad, 1, "linear", hyper, rng, omega_gain, omega_offset)
+    conv1 = make_conv(c_in, c_out, kernel, 1, pad, 1, act, hyper, rng)
+    conv2 = make_conv(c_out, c_out, kernel, 1, pad, 1, "linear", hyper, rng)
     skip = None
     if c_in != c_out:
-        skip = make_conv(c_in, c_out, 1, 1, 0, 1, "linear", hyper, rng, omega_gain, omega_offset)
+        skip = make_conv(c_in, c_out, 1, 1, 0, 1, "linear", hyper, rng)
     return ResNetBlock(conv1, conv2, skip, act)

@@ -48,12 +48,10 @@ def top1_accuracy(probs, labels) -> float:
 
 @dataclass
 class SweepReport:
-    """(test SNR -> metric) table with run metadata; one row per grid point."""
+    """(test SNR -> metric) table; one row per grid point."""
 
     metric: str  # psnr_db | top1_accuracy
     rows: list = field(default_factory=list)  # (snr_db, mean, std, n_samples)
-    model_digest: str = ""
-    config_digest: str = ""
 
     def mean_at(self, snr_db: float) -> float:
         for s, mean, _, _ in self.rows:
@@ -87,14 +85,7 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng, c
     return correct / n_items
 
 
-def snr_sweep(
-    model: HyperAJSCCModel,
-    dataset: Dataset,
-    snr_grid,
-    seeds=(0,),
-    model_digest: str = "",
-    config_digest: str = "",
-) -> SweepReport:
+def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) -> SweepReport:
     """Full-dataset metric at each grid SNR, aggregated over noise seeds."""
     grid = [float(s) for s in snr_grid]
     if not grid:
@@ -102,7 +93,7 @@ def snr_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ContractError("snr_sweep: grid SNRs must be strictly increasing")
     metric = "psnr_db" if model.config.task == "reconstruction" else "top1_accuracy"
-    report = SweepReport(metric=metric, model_digest=model_digest, config_digest=config_digest)
+    report = SweepReport(metric=metric)
     for gi, snr in enumerate(grid):
         vals = []
         for seed in seeds:

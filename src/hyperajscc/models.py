@@ -4,6 +4,10 @@ A ModelConfig describes both halves as ordered layer descriptors; widths
 are inferred by shape propagation at build time.  With every hyper flag
 off, the built model is a plain fixed-condition codec whose outputs do not
 depend on omega at all.
+
+The channel SNR in dB is mapped to the layer condition
+omega_t = omega_gain * snr + omega_offset ([-1, 1] over the configured
+training range) once per encode/decode pass; every layer receives omega_t.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import layers as L
 from .channel import ChannelSymbols, awgn_transmit, power_normalize
-from .layers import Conv2dLayer, DenseLayer, Flatten, HyperLayer, Reshape, ResNetBlock
+from .layers import Reshape
 from .tensor import ConfigurationError, ShapeError, Tensor
 from . import tensor as T
 
@@ -146,23 +150,21 @@ class HyperAJSCCModel:
         return [t for _, t in self.named_parameters()]
 
 
-def _build_stack(shape, specs: list[LayerSpec], cfg: ModelConfig, rng, half: str):
+def _build_stack(shape, specs: list[LayerSpec], rng, half: str):
     built = []
     cur = tuple(shape)
-    for i, s in enumerate(specs):
-        g, o = cfg.omega_gain, cfg.omega_offset
+    for s in specs:
+        nxt = _propagate(cur, [s], half)
         if s.kind == "dense":
-            built.append(L.make_dense(cur[0], s.out, s.act, s.hyper, rng, g, o))
+            built.append(L.make_dense(cur[0], s.out, s.act, s.hyper, rng))
         elif s.kind in ("conv", "deconv"):
             up = s.upsample if s.kind == "deconv" else 1
-            built.append(L.make_conv(cur[0], s.out, s.kernel, s.stride, s.padding, up, s.act, s.hyper, rng, g, o))
+            built.append(L.make_conv(cur[0], s.out, s.kernel, s.stride, s.padding, up, s.act, s.hyper, rng))
         elif s.kind == "resblock":
-            built.append(L.make_resblock(cur[0], s.out, s.kernel, s.act, s.hyper, rng, g, o))
-        elif s.kind == "flatten":
-            built.append(Flatten())
-        elif s.kind == "reshape":
-            built.append(Reshape(s.shape))
-        cur = _propagate(cur, [s], half)
+            built.append(L.make_resblock(cur[0], s.out, s.kernel, s.act, s.hyper, rng))
+        else:  # flatten | reshape
+            built.append(Reshape(nxt))
+        cur = nxt
     return built
 
 
@@ -170,9 +172,15 @@ def build_model(config: ModelConfig, seed: int | np.random.Generator = 0) -> Hyp
     """Initialize a model: He-uniform weights, zero biases, nu=0, c=1."""
     config.validate()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    encoder = _build_stack(config.input_shape, config.encoder, config, rng, "encoder")
-    decoder = _build_stack((2 * config.bandwidth,), config.decoder, config, rng, "decoder")
+    encoder = _build_stack(config.input_shape, config.encoder, rng, "encoder")
+    decoder = _build_stack((2 * config.bandwidth,), config.decoder, rng, "decoder")
     return HyperAJSCCModel(encoder, decoder, config)
+
+
+def _omega_t(cfg: ModelConfig, omega_db, batch: int) -> np.ndarray:
+    """SNR in dB (scalar or one per sample) -> mapped condition omega_t [B]."""
+    om = cfg.omega_gain * np.asarray(omega_db, dtype=np.float64) + cfg.omega_offset
+    return np.full(batch, om) if om.ndim == 0 else om
 
 
 def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
@@ -181,9 +189,10 @@ def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
     expected = (x.shape[0],) + tuple(cfg.input_shape)
     if x.shape != expected:
         raise ShapeError(f"encode: input {x.shape}, expected {expected}")
+    omega_t = _omega_t(cfg, omega_db, x.shape[0])
     f = x
     for layer in model.encoder:
-        f = layer.forward(f, omega_db)
+        f = layer.forward(f, omega_t)
     if f.data.ndim > 2:
         f = T.reshape(f, (f.shape[0], f.size // f.shape[0]))
     if f.shape[1] != 2 * cfg.bandwidth:
@@ -195,9 +204,10 @@ def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
     cfg = model.config
     if z_hat.data.ndim != 2 or z_hat.shape[1] != 2 * cfg.bandwidth:
         raise ShapeError(f"decode: input {z_hat.shape}, expected [batch, {2 * cfg.bandwidth}]")
+    omega_t = _omega_t(cfg, omega_db, z_hat.shape[0])
     f = z_hat
     for layer in model.decoder:
-        f = layer.forward(f, omega_db)
+        f = layer.forward(f, omega_t)
     if cfg.task == "reconstruction" and f.data.ndim == 2:
         f = T.reshape(f, (f.shape[0],) + tuple(cfg.input_shape))
     return f
@@ -212,12 +222,20 @@ def forward_pipeline(model: HyperAJSCCModel, x: Tensor, omega_db, rng: np.random
 
 
 def count_params(model: HyperAJSCCModel) -> dict:
-    """Parameter accounting: base vs introduced counts and 32-bit storage."""
+    """Parameter accounting: base vs introduced counts and 32-bit storage.
+
+    The scale vectors (parameters named nu and c) are the introduced ones.
+    """
     per_layer = []
     total_base = total_intro = 0
     for half, layers_ in (("enc", model.encoder), ("dec", model.decoder)):
         for i, layer in enumerate(layers_):
-            base, intro = layer.param_counts()
+            base = intro = 0
+            for name, t in layer.named_params():
+                if name.rsplit(".", 1)[-1] in ("nu", "c"):
+                    intro += t.size
+                else:
+                    base += t.size
             per_layer.append((f"{half}.{i}", type(layer).__name__, base, intro))
             total_base += base
             total_intro += intro

@@ -116,8 +116,6 @@ class TrainLog:
     [0, 1] pixels for reconstruction, top-1 accuracy for classification.
     """
 
-    seed: int
-    config_digest: str
     epochs: list = field(default_factory=list)  # (epoch, loss, {snr: metric}, wall_s)
 
     def to_csv(self, val_grid) -> str:
@@ -154,7 +152,6 @@ def train(
     dataset: Dataset,
     config: TrainConfig,
     val_dataset: Dataset | None = None,
-    config_digest: str = "",
 ) -> tuple[HyperAJSCCModel, TrainLog]:
     """Epochs of shuffled mini-batches with per-sample condition draws."""
     config.validate()
@@ -167,7 +164,7 @@ def train(
 
     params = model.parameters()
     opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
-    log = TrainLog(seed=config.seed, config_digest=config_digest)
+    log = TrainLog()
     step = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()

@@ -19,7 +19,6 @@ from hyperajscc.checkpoint import load_model, save_checkpoint
 from hyperajscc.cli import EXIT_OK, main
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.gradcheck import _checks, _layer_checks, run_suite
-from hyperajscc.layers import make_conv, make_dense
 from hyperajscc.metrics import compare_adaptive_vs_fixed, psnr_from_mse, snr_sweep
 from hyperajscc.models import (
     build_model,
@@ -27,7 +26,6 @@ from hyperajscc.models import (
     default_classification_config,
     default_reconstruction_config,
     encode,
-    forward_pipeline,
 )
 from hyperajscc.models import LayerSpec, ModelConfig
 from hyperajscc.tensor import Tensor

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ from test_config import GOOD
 def make_model():
     cfg = parse_run_config(GOOD)
     return build_model(cfg.model, seed=cfg.train.seed), cfg
+
+
+def overwrite_omega_map(path, gain, offset):
+    """Replace the stored (gain, offset) that follows the config text and its digest."""
+    blob = bytearray(open(path, "rb").read())
+    (cfg_len,) = struct.unpack_from("<I", blob, 6)
+    struct.pack_into("<dd", blob, 10 + cfg_len + 32, gain, offset)
+    open(path, "wb").write(bytes(blob))
 
 
 class TestRoundTrip:
@@ -79,6 +89,15 @@ class TestCorruption:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CorruptCheckpointError, match="digest"):
             read_checkpoint(path)
+
+    def test_omega_map_mismatch_refused(self, tmp_path):
+        model, cfg = make_model()
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, cfg.text)
+        overwrite_omega_map(path, 7.0, 3.0)
+        assert read_checkpoint(path)[1] == (7.0, 3.0)
+        with pytest.raises(CorruptCheckpointError, match="omega map"):
+            load_model(path)
 
     def test_config_mismatch_refused_without_force(self, tmp_path):
         model, cfg = make_model()

@@ -12,6 +12,7 @@ from hyperajscc.cli import (
     main,
 )
 
+from test_checkpoint import overwrite_omega_map
 from test_config import GOOD
 
 
@@ -124,6 +125,51 @@ class TestSweepCommand:
         path.write_bytes(b"HAJ1" + b"\xff" * 20)
         assert main(["sweep", str(path)]) == EXIT_CORRUPT
         assert "artifact error" in capsys.readouterr().err
+
+
+def _malformed_cifar(tmp_path):
+    cifar = tmp_path / "cifar"
+    cifar.mkdir()
+    (cifar / "data_batch_1.bin").write_bytes(bytes(3000))  # not a 3073-byte record
+    path = tmp_path / "cifar.cfg"
+    path.write_text(GOOD.replace("kind = synthetic-recon", f"kind = cifar10\ncifar_dir = {cifar}"))
+    return ["train", str(path), "--out", str(tmp_path / "out")]
+
+
+def _all_zero_symbols(tmp_path):
+    # one complex symbol from a relu layer: some row is all zero in the first epoch
+    path = tmp_path / "zero.cfg"
+    path.write_text(
+        GOOD.replace("bandwidth = 4", "bandwidth = 1").replace("dense o8 linear hyper", "dense o2 relu hyper")
+    )
+    return ["train", str(path), "--out", str(tmp_path / "out")]
+
+
+def _omega_map_mismatch(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(GOOD)
+    ckpt = os.path.join(train_once(str(path), tmp_path), "checkpoint.haj")
+    overwrite_omega_map(ckpt, 7.0, 3.0)
+    return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
+
+
+@pytest.mark.parametrize(
+    "make_argv,code,prefix",
+    [
+        (lambda tmp_path: ["sweep", str(tmp_path)], EXIT_CONFIG, "config error"),
+        (lambda tmp_path: ["count-params", str(tmp_path)], EXIT_CONFIG, "config error"),
+        (_malformed_cifar, EXIT_CORRUPT, "artifact error"),
+        (_all_zero_symbols, EXIT_NUMERIC, "numeric abort"),
+        (_omega_map_mismatch, EXIT_CORRUPT, "artifact error"),
+    ],
+    ids=["sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch"],
+)
+def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err
 
 
 class TestCountParamsCommand:

@@ -48,12 +48,6 @@ class TestParseRunConfig:
         assert cfg.snr_grid == (0.0, 10.0, 20.0)
         assert cfg.eval_seeds == (0, 1)
 
-    def test_digest_is_sha256_of_text(self):
-        import hashlib
-
-        cfg = parse_run_config(GOOD)
-        assert cfg.digest == hashlib.sha256(GOOD.encode()).hexdigest()
-
     def test_unknown_section_names_line(self):
         bad = GOOD + "\n[plotting]\ncolor = red\n"
         with pytest.raises(ConfigError, match=r"line \d+: unknown section"):
@@ -92,6 +86,19 @@ class TestParseRunConfig:
         bad = GOOD.replace("uniform 0 20", "uniform 20")
         with pytest.raises(ConfigError, match="prior"):
             parse_run_config(bad)
+
+    @pytest.mark.parametrize(
+        "old,new,reason",
+        [
+            ("seed = 1\n", "seed = 1\nval_grid = 10,5\n", "'val_grid': .*strictly increasing"),
+            ("seeds = 0,1", "seeds = -1", "'seeds': .*non-negative"),
+            ("uniform 0 20", "uniform 20", "'prior': .*expected 'uniform LO HI', 'fixed V' or 'discrete v:w ...'"),
+        ],
+        ids=["val_grid", "seeds", "prior"],
+    )
+    def test_value_parser_reason_is_reported(self, old, new, reason):
+        with pytest.raises(ConfigError, match=reason):
+            parse_run_config(GOOD.replace(old, new))
 
 
 class TestParseSnrGrid:

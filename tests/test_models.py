@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hyperajscc.channel import ChannelSymbols
 from hyperajscc.models import (
     LayerSpec,
     ModelConfig,
@@ -47,6 +46,7 @@ class TestBuildModel:
         # dense base: 64*32+32, 32*8+8, 8*32+32, 32*64+64
         assert report["total_base"] == (64 * 32 + 32) + (32 * 8 + 8) + (8 * 32 + 32) + (32 * 64 + 64)
         assert report["total_introduced"] == 2 * (32 + 8 + 32 + 64)
+        assert report["per_layer"][0] == ("enc.0", "Reshape", 0, 0)  # the flatten layer
 
     def test_same_seed_bit_identical(self):
         a = build_model(toy_dense_config(), 5)
@@ -202,3 +202,40 @@ class TestIdentityInitEquivalence:
         ref = encode(model, x, 0.0).values.data
         for om in (5.0, 10.0, 15.0, 20.0):
             assert np.array_equal(encode(model, x, om).values.data, ref)
+
+
+def excite_scales(model, rng):
+    """Move every layer's (nu, c) away from the identity init."""
+    for layer in list(model.encoder) + list(model.decoder):
+        if getattr(layer, "scale", None) is not None:
+            n = layer.out_channels
+            layer.scale.nu.data = rng.uniform(-0.3, 0.3, n)
+            layer.scale.c.data = rng.uniform(0.5, 1.5, n)
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_scalar_omega_is_bit_equal_to_per_sample_omega(kind):
+    cfg = toy_dense_config() if kind == "dense" else default_reconstruction_config()
+    model = build_model(cfg, 10)
+    excite_scales(model, np.random.default_rng(10))
+    x = rand_x(cfg, batch=5)
+    z = Tensor(np.random.default_rng(11).standard_normal((5, 2 * cfg.bandwidth)))
+    for om in (0.0, 7.3, 20.0):
+        per_sample = np.full(5, om)
+        assert np.array_equal(encode(model, x, om).values.data, encode(model, x, per_sample).values.data)
+        assert np.array_equal(decode(model, z, om).data, decode(model, z, per_sample).data)
+
+
+def test_range_midpoint_maps_to_zero_omega():
+    # over 10..30 dB, 20 dB maps to omega_t = 0, so s = c whatever nu is
+    cfg = toy_dense_config()
+    cfg.omega_lo_db, cfg.omega_hi_db = 10.0, 30.0
+    model = build_model(cfg, 4)
+    excite_scales(model, np.random.default_rng(4))
+    x = rand_x(cfg)
+    excited = encode(model, x, 20.0).values.data
+    assert not np.array_equal(encode(model, x, 10.0).values.data, excited)  # nu matters elsewhere
+    for layer in model.encoder:
+        if getattr(layer, "scale", None) is not None:
+            layer.scale.nu.data = np.zeros(layer.out_channels)
+    assert np.array_equal(encode(model, x, 20.0).values.data, excited)
