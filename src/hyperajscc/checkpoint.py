@@ -10,7 +10,10 @@ Layout (little-endian):
     per tensor:    u16 name length, name bytes, u8 rank, u32 dims..., f32 values
 
 Parameters are stored as float32 (4 bytes each) even though compute is
-float64; load() widens back.  save -> load -> save is byte-identical.
+float64; load_model widens them back.  So a reloaded model is the trained
+model with every parameter rounded to float32: its outputs (and a sweep of
+it) equal those of the trained model after that rounding, bit for bit, not
+those of the float64 original.  save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import struct
 
 import numpy as np
 
-from .models import HyperAJSCCModel
+from .config import ConfigError, parse_run_config
+from .models import HyperAJSCCModel, build_model
 
 MAGIC = b"HAJ1"
 VERSION = 1
@@ -104,15 +108,15 @@ def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.n
     return cfg_bytes.decode(), (gain, offset), tensors
 
 
-def load_model(path: str, expected_config_text: str | None = None, force: bool = False):
+def load_model(path: str, expected_config_text: str | None = None):
     """Rebuild a model from a checkpoint; returns (model, run_config)."""
-    from .config import parse_run_config
-    from .models import build_model
-
     config_text, omega_map, tensors = read_checkpoint(path)
-    if expected_config_text is not None and expected_config_text != config_text and not force:
+    if expected_config_text is not None and expected_config_text != config_text:
         raise DigestMismatchError(f"{path}: config digest differs from the provided config")
-    run_cfg = parse_run_config(config_text)
+    try:
+        run_cfg = parse_run_config(config_text)
+    except ConfigError as exc:
+        raise CorruptCheckpointError(f"{path}: embedded config does not parse ({exc})") from None
     expected_map = (run_cfg.model.omega_gain, run_cfg.model.omega_offset)
     if omega_map != expected_map:
         raise CorruptCheckpointError(

@@ -41,7 +41,7 @@ def _read_config(path: str):
         with open(path) as fh:
             text = fh.read()
         return text, parse_run_config(text)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc)) from None
 
 

@@ -2,15 +2,18 @@
 
 Plain sectioned text: `[section]` headers, `key = value` lines, `#`
 comments.  Unknown sections or keys are rejected with the line number, so
-typos fail loudly instead of silently using a default.
+typos fail loudly instead of silently using a default.  A key that is left
+out keeps the default of the dataclass field it sets; [model] task,
+input_shape, bandwidth, encoder and decoder have none and are required.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .channel import SnrPrior
+from .data import load_cifar10, synthetic_dataset
 from .models import LayerSpec, ModelConfig
 from .tensor import ACTIVATIONS
 from .training import TrainConfig
@@ -20,25 +23,11 @@ class ConfigError(ValueError):
     """Config text failed to parse or validate."""
 
 
-_KNOWN = {
-    "model": {
-        "task", "input_shape", "bandwidth", "num_classes",
-        "omega_lo_db", "omega_hi_db", "encoder", "decoder",
-    },
-    "data": {"kind", "n_train", "n_val", "seed", "cifar_dir"},
-    "train": {
-        "epochs", "batch_size", "lr", "beta1", "beta2", "eps",
-        "loss", "prior", "seed", "val_grid", "val_every",
-    },
-    "eval": {"snr_grid", "seeds"},
-}
-
-
 @dataclass
 class RunConfig:
     model: ModelConfig
     train: TrainConfig
-    data_kind: str = "synthetic-recon"
+    data_kind: str  # synthetic-recon | synthetic-class | cifar10
     n_train: int = 256
     n_val: int = 64
     data_seed: int = 0
@@ -57,14 +46,14 @@ def _raw_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN:
+            if current not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line or current is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN[current]:
+        if key not in _KEYS[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -74,38 +63,45 @@ def _raw_sections(text: str) -> dict[str, dict[str, str]]:
 
 def _parse_shape(value: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in value.lower().split("x"))
+        shape = tuple(int(p) for p in value.lower().split("x"))
     except ValueError:
         raise ConfigError(f"bad shape {value!r}, expected like 3x8x8") from None
+    if any(dim < 1 for dim in shape):
+        raise ConfigError(f"bad shape {value!r}: sizes must be positive")
+    return shape
+
+
+# the numeric tokens each layer kind reads; every other one is an error
+_LAYER_NUMBERS = {"dense": "o", "conv": "oksp", "deconv": "oksup", "resblock": "ok"}
+_NUMBER_FIELDS = {"o": "out", "k": "kernel", "s": "stride", "p": "padding", "u": "upsample"}
 
 
 def _parse_layer(item: str) -> LayerSpec:
-    tokens = item.split()
-    if not tokens:
-        raise ConfigError("empty layer descriptor")
-    kind = tokens[0]
+    kind, *tokens = item.split()
     if kind == "flatten":
+        if tokens:
+            raise ConfigError(f"flatten takes no tokens, got {item!r}")
         return LayerSpec("flatten")
     if kind == "reshape":
-        if len(tokens) != 2:
+        if len(tokens) != 1:
             raise ConfigError(f"reshape needs a shape, got {item!r}")
-        return LayerSpec("reshape", shape=_parse_shape(tokens[1]))
-    if kind not in ("dense", "conv", "deconv", "resblock"):
+        return LayerSpec("reshape", shape=_parse_shape(tokens[0]))
+    if kind not in _LAYER_NUMBERS:
         raise ConfigError(f"unknown layer kind {kind!r}")
     spec = LayerSpec(kind)
-    for tok in tokens[1:]:
+    for tok in tokens:
         if tok == "hyper":
             spec.hyper = True
         elif tok in ACTIVATIONS:
             spec.act = tok
-        elif tok[0] in "oksup" and tok[1:].isdigit():
-            val = int(tok[1:])
-            attr = {"o": "out", "k": "kernel", "s": "stride", "p": "padding", "u": "upsample"}[tok[0]]
-            setattr(spec, attr, val)
+        elif tok[0] in _LAYER_NUMBERS[kind] and tok[1:].isdecimal():
+            setattr(spec, _NUMBER_FIELDS[tok[0]], int(tok[1:]))
         else:
             raise ConfigError(f"bad layer token {tok!r} in {item!r}")
     if spec.out < 1:
         raise ConfigError(f"layer {item!r} needs an output width (oN)")
+    if min(spec.kernel, spec.stride, spec.upsample) < 1:
+        raise ConfigError(f"layer {item!r}: k, s and u must be positive")
     return spec
 
 
@@ -166,75 +162,73 @@ def parse_seeds(value: str) -> tuple[int, ...]:
     return seeds
 
 
-def _get(sec: dict, key: str, cast, default):
-    if key not in sec:
-        return default
-    try:
-        return cast(sec[key])
-    except ConfigError as exc:
-        raise ConfigError(f"{key!r}: {exc}") from None  # keep the parser's own reason
-    except (ValueError, TypeError):
-        raise ConfigError(f"bad value for {key!r}: {sec[key]!r}") from None
+# [section] -> key -> (field it sets, value parser).  A key left out keeps
+# its field's dataclass default: ModelConfig for [model], TrainConfig for
+# [train], RunConfig for [data] and [eval].
+_KEYS = {
+    "model": {
+        "task": ("task", str), "input_shape": ("input_shape", _parse_shape), "bandwidth": ("bandwidth", int),
+        "num_classes": ("num_classes", int), "omega_lo_db": ("omega_lo_db", float),
+        "omega_hi_db": ("omega_hi_db", float), "encoder": ("encoder", _parse_layers),
+        "decoder": ("decoder", _parse_layers),
+    },
+    "data": {
+        "kind": ("data_kind", str), "n_train": ("n_train", int), "n_val": ("n_val", int),
+        "seed": ("data_seed", int), "cifar_dir": ("cifar_dir", str),
+    },
+    "train": {
+        "epochs": ("epochs", int), "batch_size": ("batch_size", int), "lr": ("lr", float),
+        "prior": ("prior", _parse_prior), "seed": ("seed", int), "val_grid": ("val_grid", parse_snr_grid),
+        "val_every": ("val_every", int),
+    },
+    "eval": {"snr_grid": ("snr_grid", parse_snr_grid), "seeds": ("eval_seeds", parse_seeds)},
+}
+
+_SYNTHETIC_KIND = {"reconstruction": "synthetic-recon", "classification": "synthetic-class"}
+
+
+def _section(sections: dict, name: str) -> dict:
+    """Field name -> parsed value for the keys one section sets."""
+    out = {}
+    for key, value in sections.get(name, {}).items():
+        field_name, parse = _KEYS[name][key]
+        try:
+            out[field_name] = parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{key!r}: {exc}") from None  # keep the parser's own reason
+        except (ValueError, TypeError):
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+    return out
 
 
 def parse_run_config(text: str) -> RunConfig:
     sections = _raw_sections(text)
-    m = sections.get("model", {})
-    if "encoder" not in m or "decoder" not in m:
-        raise ConfigError("section [model] must define encoder and decoder")
-    model = ModelConfig(
-        task=_get(m, "task", str, "reconstruction"),
-        input_shape=_get(m, "input_shape", _parse_shape, (3, 8, 8)),
-        bandwidth=_get(m, "bandwidth", int, 8),
-        encoder=_parse_layers(m["encoder"]),
-        decoder=_parse_layers(m["decoder"]),
-        num_classes=_get(m, "num_classes", int, 0),
-        omega_lo_db=_get(m, "omega_lo_db", float, 0.0),
-        omega_hi_db=_get(m, "omega_hi_db", float, 20.0),
-    )
-    t = sections.get("train", {})
-    dt = TrainConfig()
-    train = TrainConfig(
-        epochs=_get(t, "epochs", int, dt.epochs),
-        batch_size=_get(t, "batch_size", int, dt.batch_size),
-        lr=_get(t, "lr", float, dt.lr),
-        beta1=_get(t, "beta1", float, dt.beta1),
-        beta2=_get(t, "beta2", float, dt.beta2),
-        eps=_get(t, "eps", float, dt.eps),
-        loss=_get(t, "loss", str, "mse" if model.task == "reconstruction" else "cross_entropy"),
-        prior=_get(t, "prior", _parse_prior, dt.prior),
-        seed=_get(t, "seed", int, dt.seed),
-        val_grid=_get(t, "val_grid", parse_snr_grid, dt.val_grid),
-        val_every=_get(t, "val_every", int, dt.val_every),
-    )
-    d = sections.get("data", {})
-    e = sections.get("eval", {})
-    cfg = RunConfig(
-        model=model,
-        train=train,
-        data_kind=_get(d, "kind", str, "synthetic-recon" if model.task == "reconstruction" else "synthetic-class"),
-        n_train=_get(d, "n_train", int, 256),
-        n_val=_get(d, "n_val", int, 64),
-        data_seed=_get(d, "seed", int, 0),
-        cifar_dir=_get(d, "cifar_dir", str, ""),
-        snr_grid=_get(e, "snr_grid", parse_snr_grid, tuple(float(s) for s in range(0, 21, 2))),
-        eval_seeds=_get(e, "seeds", parse_seeds, (0,)),
-        text=text,
-    )
-    if cfg.data_kind not in ("synthetic-recon", "synthetic-class", "cifar10"):
-        raise ConfigError(f"unknown data kind {cfg.data_kind!r}")
+    m = _section(sections, "model")
+    # [model] keys are named after their fields
+    missing = [
+        f.name for f in fields(ModelConfig)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in m
+    ]
+    if missing:
+        raise ConfigError(f"section [model] must define {', '.join(missing)}")
+    model = ModelConfig(**m)
+    train = TrainConfig(**_section(sections, "train"))
     try:
         model.validate()
         train.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    run = {"data_kind": _SYNTHETIC_KIND[model.task], **_section(sections, "data"), **_section(sections, "eval")}
+    cfg = RunConfig(model=model, train=train, text=text, **run)
+    if cfg.data_kind not in ("cifar10", _SYNTHETIC_KIND[model.task]):
+        raise ConfigError(
+            f"data kind {cfg.data_kind!r}: expected cifar10 or {_SYNTHETIC_KIND[model.task]} for task {model.task!r}"
+        )
     return cfg
 
 
 def load_datasets(cfg: RunConfig):
     """(train, val) datasets for a run config."""
-    from .data import load_cifar10, synthetic_dataset
-
     if cfg.data_kind == "cifar10":
         return load_cifar10(cfg.cifar_dir)
     kind = "gaussian-blobs-images" if cfg.data_kind == "synthetic-recon" else "pattern-classes"

@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .channel import power_normalize
 from .layers import make_conv, make_dense, make_resblock
-from .models import build_model, forward_pipeline
+from .models import LayerSpec, ModelConfig, build_model, forward_pipeline
 from .tensor import Tensor, finite_diff_check
 from .training import cross_entropy_loss, mse_loss
 
@@ -120,8 +120,6 @@ def _layer_checks(rng: np.random.Generator, cases: int):
 
 def tiny_model_config():
     """A <200 parameter model: small enough for exhaustive finite differences."""
-    from .models import LayerSpec, ModelConfig
-
     return ModelConfig(
         task="reconstruction",
         input_shape=(1, 2, 2),

@@ -12,7 +12,7 @@ training range) once per encode/decode pass; every layer receives omega_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class ModelConfig:
     task: str  # reconstruction | classification
     input_shape: tuple[int, int, int]  # (C, H, W)
     bandwidth: int  # d complex symbols
-    encoder: list[LayerSpec] = field(default_factory=list)
-    decoder: list[LayerSpec] = field(default_factory=list)
+    encoder: list[LayerSpec]
+    decoder: list[LayerSpec]
     num_classes: int = 0
     omega_lo_db: float = 0.0
     omega_hi_db: float = 20.0
@@ -59,13 +59,11 @@ class ModelConfig:
 
     @property
     def omega_gain(self) -> float:
-        span = self.omega_hi_db - self.omega_lo_db
-        return 2.0 / span if span else 0.0
+        return 2.0 / (self.omega_hi_db - self.omega_lo_db)
 
     @property
     def omega_offset(self) -> float:
-        span = self.omega_hi_db - self.omega_lo_db
-        return -(self.omega_hi_db + self.omega_lo_db) / span if span else 0.0
+        return -(self.omega_hi_db + self.omega_lo_db) / (self.omega_hi_db - self.omega_lo_db)
 
     def validate(self) -> None:
         if self.task not in ("reconstruction", "classification"):
@@ -74,6 +72,10 @@ class ModelConfig:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.task == "classification" and self.num_classes < 2:
             raise ConfigurationError(f"classification needs num_classes >= 2, got {self.num_classes}")
+        if not -np.inf < self.omega_lo_db < self.omega_hi_db < np.inf:
+            raise ConfigurationError(
+                f"omega range must be finite with lo < hi, got {self.omega_lo_db} .. {self.omega_hi_db} dB"
+            )
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
         if int(np.prod(enc_out)) != 2 * self.bandwidth:
             raise ConfigurationError(
@@ -253,55 +255,3 @@ def compression_ratio(config: ModelConfig) -> float:
     if config.n <= 0:
         raise ConfigurationError("source dimension must be positive")
     return config.bandwidth / config.n
-
-
-# ---------------------------------------------------------------------------
-# desk-scale default architectures
-
-
-def default_reconstruction_config(hyper: bool = True, bandwidth: int = 8) -> ModelConfig:
-    """All-conv codec for 3x8x8 images; the bandwidth layer is a conv, not a wide dense."""
-    cb = (2 * bandwidth) // 4  # bottleneck channels over a 2x2 spatial grid
-    if cb * 4 != 2 * bandwidth:
-        raise ConfigurationError(f"default reconstruction config needs 2*d divisible by 4, got d={bandwidth}")
-    enc = [
-        LayerSpec("conv", out=16, kernel=4, stride=2, padding=1, act="relu", hyper=hyper),
-        LayerSpec("conv", out=32, kernel=4, stride=2, padding=1, act="relu", hyper=hyper),
-        LayerSpec("conv", out=cb, kernel=3, stride=1, padding=1, act="linear", hyper=hyper),
-    ]
-    dec = [
-        LayerSpec("reshape", shape=(cb, 2, 2)),
-        LayerSpec("conv", out=32, kernel=3, stride=1, padding=1, act="relu", hyper=hyper),
-        LayerSpec("deconv", out=16, kernel=3, upsample=2, padding=1, act="relu", hyper=hyper),
-        LayerSpec("deconv", out=3, kernel=3, upsample=2, padding=1, act="tanh", hyper=hyper),
-    ]
-    return ModelConfig(
-        task="reconstruction",
-        input_shape=(3, 8, 8),
-        bandwidth=bandwidth,
-        encoder=enc,
-        decoder=dec,
-    )
-
-
-def default_classification_config(hyper: bool = True, bandwidth: int = 4, num_classes: int = 2) -> ModelConfig:
-    """Small conv + resblock encoder with a dense classification head."""
-    enc = [
-        LayerSpec("conv", out=8, kernel=4, stride=2, padding=1, act="relu", hyper=hyper),
-        LayerSpec("conv", out=16, kernel=4, stride=2, padding=1, act="relu", hyper=hyper),
-        LayerSpec("resblock", out=16, kernel=3, act="relu", hyper=hyper),
-        LayerSpec("flatten"),
-        LayerSpec("dense", out=2 * bandwidth, act="linear", hyper=hyper),
-    ]
-    dec = [
-        LayerSpec("dense", out=32, act="relu", hyper=hyper),
-        LayerSpec("dense", out=num_classes, act="softmax", hyper=hyper),
-    ]
-    return ModelConfig(
-        task="classification",
-        input_shape=(3, 8, 8),
-        bandwidth=bandwidth,
-        encoder=enc,
-        decoder=dec,
-        num_classes=num_classes,
-    )

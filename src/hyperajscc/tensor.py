@@ -59,9 +59,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Reverse-topological gradient sweep from a scalar loss."""
         if self.data.size != 1:

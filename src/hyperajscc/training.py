@@ -3,7 +3,9 @@
 Each mini-batch draws one channel condition per sample from the prior, so
 one gradient step optimizes the Monte-Carlo average of the per-condition
 losses over the whole trainable set (base weights plus scale vectors).
-A NaN loss aborts immediately with the offending epoch/step.
+The loss follows the model's task: MSE for reconstruction, cross-entropy
+for classification.  A NaN loss aborts immediately with the offending
+epoch/step.
 """
 
 from __future__ import annotations
@@ -58,14 +60,18 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction; update is -lr * m_hat / sqrt(v_hat + eps)."""
+    """Adam with bias correction; update is -lr * m_hat / sqrt(v_hat + eps).
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 are fixed; only lr is a setting.
+    """
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -90,11 +96,7 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     prior: SnrPrior = field(default_factory=lambda: SnrPrior("uniform", 0.0, 20.0))
-    loss: str = "mse"  # mse | cross_entropy
     seed: int = 0
     val_grid: tuple = (1.0, 4.0, 7.0, 10.0, 13.0, 16.0, 19.0)
     val_every: int = 0  # validate every N epochs; 0 disables validation
@@ -104,8 +106,6 @@ class TrainConfig:
             raise ContractError("epochs and batch_size must be positive")
         if self.lr <= 0:
             raise ContractError("learning rate must be positive")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ContractError(f"unknown loss kind: {self.loss!r}")
 
 
 @dataclass
@@ -162,8 +162,8 @@ def train(
     rng_prior = np.random.default_rng(s_prior)
     rng_noise = np.random.default_rng(s_noise)
 
-    params = model.parameters()
-    opt = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+    opt = Adam(model.parameters(), config.lr)
+    loss_kind = "mse" if model.config.task == "reconstruction" else "cross_entropy"
     log = TrainLog()
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -173,7 +173,7 @@ def train(
             xb = dataset.samples[idx]
             labels = [dataset.labels[i] for i in idx] if dataset.labels is not None else None
             omegas = config.prior.sample(rng_prior, size=len(idx))
-            loss = train_step(model, xb, labels, omegas, config.loss, opt, rng_noise)
+            loss = train_step(model, xb, labels, omegas, loss_kind, opt, rng_noise)
             step += 1
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step}")

@@ -20,18 +20,12 @@ from hyperajscc.cli import EXIT_OK, main
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.gradcheck import _checks, _layer_checks, run_suite
 from hyperajscc.metrics import compare_adaptive_vs_fixed, psnr_from_mse, snr_sweep
-from hyperajscc.models import (
-    build_model,
-    count_params,
-    default_classification_config,
-    default_reconstruction_config,
-    encode,
-)
-from hyperajscc.models import LayerSpec, ModelConfig
+from hyperajscc.models import LayerSpec, ModelConfig, build_model, count_params, encode
 from hyperajscc.tensor import Tensor
 from hyperajscc.training import TrainConfig, train
 
 from test_config import GOOD
+from test_models import shipped_model_config
 
 
 def report(capsys, name, passed, detail):
@@ -57,20 +51,20 @@ def recon_experiment():
     test_ds = synthetic_dataset("gaussian-blobs-images", 128, (3, 8, 8), seed=1)
     grid = sorted(set(MATCHED_SNRS + FULL_GRID))
 
-    model = build_model(default_reconstruction_config(hyper=True), 0)
+    model = build_model(shipped_model_config("default_recon"), 0)
     cfg = TrainConfig(
         epochs=RECON_EPOCHS, batch_size=32, prior=SnrPrior("uniform", 0, 20),
-        loss="mse", seed=0, val_every=0,
+        seed=0, val_every=0,
     )
     model, _ = train(model, train_ds, cfg)
     adaptive = snr_sweep(model, test_ds, grid, seeds=(0, 1))
 
     fixed = {}
     for snr in MATCHED_SNRS:
-        mf = build_model(default_reconstruction_config(hyper=False), 0)
+        mf = build_model(shipped_model_config("default_recon", hyper=False), 0)
         cf = TrainConfig(
             epochs=RECON_EPOCHS, batch_size=32, prior=SnrPrior("fixed", value_db=snr),
-            loss="mse", seed=0, val_every=0,
+            seed=0, val_every=0,
         )
         mf, _ = train(mf, train_ds, cf)
         fixed[snr] = snr_sweep(mf, test_ds, grid, seeds=(0, 1))
@@ -91,10 +85,10 @@ def class_experiment():
             ("fixed1", False, SnrPrior("fixed", value_db=1.0)),
             ("fixed19", False, SnrPrior("fixed", value_db=19.0)),
         ]:
-            m = build_model(default_classification_config(num_classes=2, hyper=hyper), seed)
+            m = build_model(shipped_model_config("default_class", hyper), seed)
             cfg = TrainConfig(
                 epochs=CLASS_EPOCHS, batch_size=32, prior=prior,
-                loss="cross_entropy", seed=seed, val_every=0,
+                seed=seed, val_every=0,
             )
             m, _ = train(m, train_ds, cfg)
             rep = snr_sweep(m, test_ds, [1.0, 19.0], seeds=(0,))
@@ -126,8 +120,8 @@ def test_p1_gradient_oracle(capsys):
 
 
 def test_p2_identity_recovery(capsys):
-    hyper = build_model(default_reconstruction_config(hyper=True), 0)
-    plain = build_model(default_reconstruction_config(hyper=False), 0)
+    hyper = build_model(shipped_model_config("default_recon"), 0)
+    plain = build_model(shipped_model_config("default_recon", hyper=False), 0)
     x = Tensor(np.random.default_rng(0).uniform(-0.9, 0.9, (4, 3, 8, 8)))
     bit_identical = all(
         np.array_equal(encode(hyper, x, om).values.data, encode(plain, x, om).values.data)
@@ -190,8 +184,8 @@ def test_p4_parameter_accounting(capsys):
         # hand-count oracle: 2 per output channel of each hyper-enabled layer
         expected = 2 * sum(w for w, h in zip(widths + [2 * d], hyper_flags) if h)
         ok = ok and count_params(model)["total_introduced"] == expected
-    plain = count_params(build_model(default_reconstruction_config(hyper=False), 0))
-    default = count_params(build_model(default_reconstruction_config(hyper=True), 0))
+    plain = count_params(build_model(shipped_model_config("default_recon", hyper=False), 0))
+    default = count_params(build_model(shipped_model_config("default_recon"), 0))
     ratio = default["total_introduced"] / default["total_base"]
     ok = ok and plain["total_introduced"] == 0 and ratio < 0.02
     report(

@@ -10,7 +10,8 @@ from hyperajscc.checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
-from hyperajscc.config import parse_run_config
+from hyperajscc.config import load_datasets, parse_run_config
+from hyperajscc.metrics import snr_sweep
 from hyperajscc.models import build_model
 
 from test_config import GOOD
@@ -45,6 +46,20 @@ class TestRoundTrip:
         loaded, _ = load_model(path)
         for (name, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(b.data, a.data.astype("<f4").astype(np.float64))
+
+    def test_reload_is_the_model_rounded_to_float32(self, tmp_path):
+        # the float32 contract: a model rounded through float32 sweeps
+        # bit-equal to its saved-and-reloaded copy
+        model, cfg = make_model()
+        rng = np.random.default_rng(2)
+        for _, t in model.named_parameters():
+            t.data = (t.data + rng.normal(0.0, 0.1, t.shape)).astype(np.float32).astype(np.float64)
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, cfg.text)
+        loaded, _ = load_model(path)
+        val = load_datasets(cfg)[1]
+        grid = (0.0, 7.0, 20.0)
+        assert snr_sweep(loaded, val, grid, seeds=(0, 1)).rows == snr_sweep(model, val, grid, seeds=(0, 1)).rows
 
     def test_config_text_embedded_verbatim(self, tmp_path):
         model, cfg = make_model()
@@ -99,11 +114,17 @@ class TestCorruption:
         with pytest.raises(CorruptCheckpointError, match="omega map"):
             load_model(path)
 
-    def test_config_mismatch_refused_without_force(self, tmp_path):
+    def test_config_mismatch_refused(self, tmp_path):
         model, cfg = make_model()
         path = str(tmp_path / "m.haj")
         save_checkpoint(path, model, cfg.text)
         with pytest.raises(DigestMismatchError):
             load_model(path, expected_config_text=cfg.text + "# changed\n")
-        loaded, _ = load_model(path, expected_config_text=cfg.text + "# changed\n", force=True)
-        assert loaded is not None
+
+    def test_unparsable_embedded_config_is_corrupt(self, tmp_path):
+        # the tensors fit GOOD, but the stored text fails validation (2*d != 8)
+        model, cfg = make_model()
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, GOOD.replace("bandwidth = 4", "bandwidth = 5"))
+        with pytest.raises(CorruptCheckpointError, match="embedded config"):
+            load_model(path)

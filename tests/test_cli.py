@@ -12,8 +12,12 @@ from hyperajscc.cli import (
     main,
 )
 
+from hyperajscc.checkpoint import save_checkpoint
+from hyperajscc.config import parse_run_config
+from hyperajscc.models import build_model
+
 from test_checkpoint import overwrite_omega_map
-from test_config import GOOD
+from test_config import CONFIGS, GOOD
 
 
 @pytest.fixture
@@ -153,6 +157,33 @@ def _omega_map_mismatch(tmp_path):
     return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
 
 
+def _classification_on_recon_data(tmp_path):
+    with open(os.path.join(CONFIGS, "default_class.cfg")) as fh:
+        text = fh.read()
+    path = tmp_path / "class.cfg"
+    path.write_text(text.replace("kind = synthetic-class", "kind = synthetic-recon"))
+    return ["train", str(path), "--out", str(tmp_path / "out")]
+
+
+def _unparsable_embedded_config(tmp_path):
+    cfg = parse_run_config(GOOD)
+    ckpt = str(tmp_path / "m.haj")
+    save_checkpoint(ckpt, build_model(cfg.model, seed=0), GOOD.replace("bandwidth = 4", "bandwidth = 5"))
+    return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
+
+
+def _empty_omega_range(tmp_path):
+    path = tmp_path / "omega.cfg"
+    path.write_text(GOOD.replace("bandwidth = 4", "bandwidth = 4\nomega_lo_db = 10\nomega_hi_db = 10"))
+    return ["train", str(path), "--out", str(tmp_path / "out")]
+
+
+def _binary_config(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    return ["count-params", str(path)]
+
+
 @pytest.mark.parametrize(
     "make_argv,code,prefix",
     [
@@ -161,8 +192,15 @@ def _omega_map_mismatch(tmp_path):
         (_malformed_cifar, EXIT_CORRUPT, "artifact error"),
         (_all_zero_symbols, EXIT_NUMERIC, "numeric abort"),
         (_omega_map_mismatch, EXIT_CORRUPT, "artifact error"),
+        (_classification_on_recon_data, EXIT_CONFIG, "config error"),
+        (_unparsable_embedded_config, EXIT_CORRUPT, "artifact error"),
+        (_empty_omega_range, EXIT_CONFIG, "config error"),
+        (_binary_config, EXIT_CONFIG, "config error"),
     ],
-    ids=["sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch"],
+    ids=[
+        "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
+        "classification-on-recon-data", "unparsable-embedded-config", "empty-omega-range", "binary-config",
+    ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):
     argv = make_argv(tmp_path)

@@ -1,13 +1,20 @@
+import os
+from dataclasses import MISSING, fields
+
 import pytest
 
 from hyperajscc.config import (
     ConfigError,
+    RunConfig,
     load_datasets,
     parse_run_config,
     parse_seeds,
     parse_snr_grid,
 )
+from hyperajscc.models import ModelConfig
 from hyperajscc.training import TrainConfig
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 GOOD = """\
 [model]
@@ -68,10 +75,75 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="encoder"):
             parse_run_config(bad)
 
-    def test_bad_layer_token(self):
-        bad = GOOD.replace("dense o32 relu", "dense o32 q7 relu")
-        with pytest.raises(ConfigError, match="q7"):
+    @pytest.mark.parametrize(
+        "layer,token",
+        [
+            ("dense o32 q7 relu hyper", "q7"),
+            ("dense o32 k5 relu hyper", "k5"),
+            ("dense o32 s3 relu hyper", "s3"),
+            ("dense o32 p2 relu hyper", "p2"),
+            ("dense o32 u4 relu hyper", "u4"),
+            ("reshape 32x1x1 | conv o32 k1 s1 p0 u2 relu hyper | flatten", "u2"),
+            ("reshape 32x1x1 | resblock o32 k1 s1 relu hyper | flatten", "s1"),
+            ("reshape 32x1x1 | resblock o32 k1 p0 relu hyper | flatten", "p0"),
+            ("reshape 32x1x1 | resblock o32 k1 u1 relu hyper | flatten", "u1"),
+            ("flatten relu", "relu"),
+        ],
+        ids=["dense-q7", "dense-k5", "dense-s3", "dense-p2", "dense-u4", "conv-u2",
+             "resblock-s1", "resblock-p0", "resblock-u1", "flatten-relu"],
+    )
+    def test_bad_layer_token(self, layer, token):
+        bad = GOOD.replace("dense o32 relu hyper", layer, 1)
+        with pytest.raises(ConfigError, match=token):
             parse_run_config(bad)
+
+    @pytest.mark.parametrize("token", ["k0", "s0", "u0"])
+    def test_non_positive_layer_number_rejected(self, token):
+        layer = f"reshape 32x1x1 | {'deconv' if token == 'u0' else 'conv'} o32 k1 {token} relu hyper | flatten"
+        with pytest.raises(ConfigError, match="must be positive"):
+            parse_run_config(GOOD.replace("dense o32 relu hyper", layer, 1))
+
+    @pytest.mark.parametrize("shape", ["0x8x8", "1x-8x8", "-1x-8x8"])
+    def test_non_positive_input_shape_rejected(self, shape):
+        with pytest.raises(ConfigError, match="positive"):
+            parse_run_config(GOOD.replace("input_shape = 1x8x8", f"input_shape = {shape}"))
+
+    @pytest.mark.parametrize("key", ["task", "input_shape", "bandwidth", "decoder"])
+    def test_missing_required_model_key_named(self, key):
+        text = "\n".join(line for line in GOOD.splitlines() if not line.startswith(key + " ="))
+        with pytest.raises(ConfigError, match=f"must define {key}"):
+            parse_run_config(text)
+
+    @pytest.mark.parametrize("line", ["loss = mse", "beta1 = 0.9", "beta2 = 0.999", "eps = 1e-8"])
+    def test_fixed_training_constants_are_not_keys(self, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_run_config(GOOD.replace("seed = 1\n", f"seed = 1\n{line}\n"))
+
+    def test_left_out_keys_keep_dataclass_defaults(self):
+        model_only = GOOD.split("[data]")[0]
+        cfg = parse_run_config(model_only)
+        assert cfg.train == TrainConfig()
+        for obj, cls in ((cfg, RunConfig), (cfg.model, ModelConfig)):
+            for f in fields(cls):
+                if f.default is not MISSING and f.name != "text":
+                    assert getattr(obj, f.name) == f.default, f.name
+
+    def test_data_kind_follows_task(self):
+        assert parse_run_config(GOOD.replace("kind = synthetic-recon\n", "")).data_kind == "synthetic-recon"
+        with open(os.path.join(CONFIGS, "default_class.cfg")) as fh:
+            text = fh.read()
+        assert parse_run_config(text.replace("kind = synthetic-class\n", "")).data_kind == "synthetic-class"
+
+    @pytest.mark.parametrize("kind", ["synthetic-class", "synthetic", "imagenet"])
+    def test_data_kind_must_fit_task(self, kind):
+        with pytest.raises(ConfigError, match="data kind"):
+            parse_run_config(GOOD.replace("kind = synthetic-recon", f"kind = {kind}"))
+
+    @pytest.mark.parametrize("lo,hi", [("10", "10"), ("20", "0"), ("nan", "20"), ("-inf", "20")])
+    def test_empty_or_reversed_omega_range_rejected(self, lo, hi):
+        text = GOOD.replace("bandwidth = 4", f"bandwidth = 4\nomega_lo_db = {lo}\nomega_hi_db = {hi}")
+        with pytest.raises(ConfigError, match="omega range"):
+            parse_run_config(text)
 
     def test_width_mismatch_fails_validation(self):
         bad = GOOD.replace("dense o8 linear", "dense o9 linear")

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from hyperajscc.config import parse_run_config
 from hyperajscc.models import (
     LayerSpec,
     ModelConfig,
@@ -8,12 +11,19 @@ from hyperajscc.models import (
     compression_ratio,
     count_params,
     decode,
-    default_classification_config,
-    default_reconstruction_config,
     encode,
     forward_pipeline,
 )
 from hyperajscc.tensor import ConfigurationError, Tensor
+
+from test_config import CONFIGS
+
+
+def shipped_model_config(name, hyper=True):
+    """[model] of configs/<name>.cfg; hyper=False drops every ` hyper` token (the fixed-SNR baseline)."""
+    with open(os.path.join(CONFIGS, name + ".cfg")) as fh:
+        text = fh.read()
+    return parse_run_config(text if hyper else text.replace(" hyper", "")).model
 
 
 def toy_dense_config(hyper=True):
@@ -55,7 +65,7 @@ class TestBuildModel:
             assert na == nb and np.array_equal(ta.data, tb.data)
 
     def test_classification_head_width_enforced(self):
-        cfg = default_classification_config(num_classes=2)
+        cfg = shipped_model_config("default_class")
         cfg.decoder[-1].out = 5
         with pytest.raises(ConfigurationError, match="num_classes"):
             build_model(cfg, 0)
@@ -93,13 +103,13 @@ class TestEncode:
 
 class TestDecode:
     def test_classification_rows_sum_to_one(self):
-        model = build_model(default_classification_config(), 0)
+        model = build_model(shipped_model_config("default_class"), 0)
         z_hat = Tensor(np.random.default_rng(0).standard_normal((6, 2 * model.config.bandwidth)))
         out = decode(model, z_hat, 10.0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_reconstruction_range_is_tanh(self):
-        model = build_model(default_reconstruction_config(), 0)
+        model = build_model(shipped_model_config("default_recon"), 0)
         z_hat = Tensor(np.random.default_rng(0).standard_normal((3, 2 * model.config.bandwidth)))
         out = decode(model, z_hat, 10.0)
         assert out.shape == (3,) + model.config.input_shape
@@ -108,7 +118,7 @@ class TestDecode:
     def test_untrained_classifier_ce_near_ln_k(self):
         from hyperajscc.training import cross_entropy_loss
 
-        model = build_model(default_classification_config(num_classes=2), 0)
+        model = build_model(shipped_model_config("default_class"), 0)
         x = rand_x(model.config, batch=32)
         out, _, _ = forward_pipeline(model, x, 10.0, np.random.default_rng(0))
         labels = np.zeros(32, dtype=int)
@@ -156,7 +166,7 @@ class TestForwardPipeline:
 
 class TestAccounting:
     def test_hyper_off_introduces_nothing(self):
-        model = build_model(default_reconstruction_config(hyper=False), 0)
+        model = build_model(shipped_model_config("default_recon", hyper=False), 0)
         assert count_params(model)["total_introduced"] == 0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -188,16 +198,16 @@ class TestCompressionRatio:
     def test_common_operating_points(self):
         cfg = toy_dense_config()
         cfg.input_shape = (3, 32, 32)
-        assert compression_ratio(ModelConfig("reconstruction", (3, 32, 32), 256)) == pytest.approx(1 / 12)
-        assert compression_ratio(ModelConfig("reconstruction", (3, 32, 32), 512)) == pytest.approx(1 / 6)
+        assert compression_ratio(ModelConfig("reconstruction", (3, 32, 32), 256, [], [])) == pytest.approx(1 / 12)
+        assert compression_ratio(ModelConfig("reconstruction", (3, 32, 32), 512, [], [])) == pytest.approx(1 / 6)
 
     def test_full_bandwidth(self):
-        assert compression_ratio(ModelConfig("reconstruction", (1, 4, 4), 16)) == 1.0
+        assert compression_ratio(ModelConfig("reconstruction", (1, 4, 4), 16, [], [])) == 1.0
 
 
 class TestIdentityInitEquivalence:
     def test_fresh_hyper_model_is_omega_invariant(self):
-        model = build_model(default_reconstruction_config(hyper=True), 3)
+        model = build_model(shipped_model_config("default_recon"), 3)
         x = rand_x(model.config, batch=2, seed=1)
         ref = encode(model, x, 0.0).values.data
         for om in (5.0, 10.0, 15.0, 20.0):
@@ -215,7 +225,7 @@ def excite_scales(model, rng):
 
 @pytest.mark.parametrize("kind", ["dense", "conv"])
 def test_scalar_omega_is_bit_equal_to_per_sample_omega(kind):
-    cfg = toy_dense_config() if kind == "dense" else default_reconstruction_config()
+    cfg = toy_dense_config() if kind == "dense" else shipped_model_config("default_recon")
     model = build_model(cfg, 10)
     excite_scales(model, np.random.default_rng(10))
     x = rand_x(cfg, batch=5)

@@ -15,7 +15,7 @@ from hyperajscc.training import (
     train_step,
 )
 
-from test_models import toy_dense_config
+from test_models import shipped_model_config, toy_dense_config
 
 
 class TestMseLoss:
@@ -199,6 +199,27 @@ class TestTrain:
         epoch, _, logged, _ = log.epochs[-1]
         assert epoch == 2
         assert logged == {g: report.mean_at(g) for g in cfg.val_grid}
+
+    @pytest.mark.parametrize("task,loss_kind", [("reconstruction", "mse"), ("classification", "cross_entropy")])
+    def test_loss_follows_the_task(self, task, loss_kind, monkeypatch):
+        from hyperajscc import training
+
+        if task == "reconstruction":
+            model = build_model(toy_dense_config(), 0)
+            ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
+        else:
+            model = build_model(shipped_model_config("default_class"), 0)
+            ds = synthetic_dataset("pattern-classes", 16, (3, 8, 8), num_classes=2, seed=0)
+        kinds = []
+        real_step = training.train_step
+
+        def recording_step(*args):
+            kinds.append(args[4])
+            return real_step(*args)
+
+        monkeypatch.setattr(training, "train_step", recording_step)
+        train(model, ds, TrainConfig(epochs=1, batch_size=8, val_every=0))
+        assert kinds == [loss_kind, loss_kind]
 
     def test_fixed_prior_reduction(self):
         # point-mass prior + hyper off behaves as a fixed-SNR run: every
