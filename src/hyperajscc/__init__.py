@@ -1,6 +1,6 @@
 """Desk-scale laboratory for channel-adaptive joint source-channel coding."""
 
-from .channel import ChannelSymbols, SnrPrior, awgn_transmit, power_normalize, snr_to_sigma2
+from .channel import ChannelSymbols, awgn_transmit, power_normalize, snr_to_sigma2
 from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, ResNetBlock
 from .metrics import SweepReport, compare_adaptive_vs_fixed, psnr, snr_sweep, top1_accuracy
 from .models import (

@@ -1,4 +1,4 @@
-"""Complex AWGN channel: power normalization, SNR priors, noisy transmission.
+"""Complex AWGN channel: power normalization and noisy transmission.
 
 Symbols live as interleaved real pairs: a [B, 2d] row holds d complex
 symbols (re0, im0, re1, im1, ...).  After normalization each row has unit
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, _make
+from .tensor import ShapeError, Tensor, _make
 
 # Above this SNR the channel is treated as exactly noiseless.
 SNR_CAP_DB = 40.0
@@ -74,35 +74,3 @@ def awgn_transmit(symbols: ChannelSymbols, omega_db, rng: np.random.Generator) -
     noise = rng.standard_normal(z.shape) * np.sqrt(sigma2 / 2.0)[:, None]
     return _make(z.data + noise, (z,), lambda g: [(z, g)])
 
-
-@dataclass
-class SnrPrior:
-    """Distribution of channel conditions p(omega), in dB."""
-
-    kind: str  # uniform | fixed | discrete
-    lo_db: float = 0.0
-    hi_db: float = 20.0
-    value_db: float = 10.0
-    values: tuple = ()
-    weights: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "fixed", "discrete"):
-            raise ContractError(f"unknown SNR prior kind: {self.kind!r}")
-        if self.kind == "uniform" and self.lo_db > self.hi_db:
-            raise ContractError(f"uniform prior: lo {self.lo_db} > hi {self.hi_db}")
-        if self.kind == "discrete":
-            if len(self.values) != len(self.weights) or not self.values:
-                raise ContractError("discrete prior needs matching values and weights")
-            if abs(sum(self.weights) - 1.0) > 1e-9:
-                raise ContractError("discrete prior weights must sum to 1")
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if self.kind == "fixed":
-            return self.value_db if size is None else np.full(size, self.value_db)
-        if self.kind == "uniform":
-            draw = rng.uniform(self.lo_db, self.hi_db, size=size)
-            return float(draw) if size is None else draw
-        idx = rng.choice(len(self.values), size=size, p=np.asarray(self.weights))
-        vals = np.asarray(self.values, dtype=np.float64)
-        return float(vals[idx]) if size is None else vals[idx]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from .channel import SnrPrior
 from .data import load_cifar10, synthetic_dataset
 from .models import LayerSpec, ModelConfig
 from .tensor import ACTIVATIONS
@@ -109,23 +108,21 @@ def _parse_layers(value: str) -> list[LayerSpec]:
     return [_parse_layer(item.strip()) for item in value.split("|") if item.strip()]
 
 
-def _parse_prior(value: str) -> SnrPrior:
+def _parse_prior(value: str) -> tuple[float, float]:
+    """'uniform LO HI' -> (LO, HI); 'fixed V' -> (V, V), a range of width zero."""
     parts = value.split()
     try:
         if parts[0] == "uniform" and len(parts) == 3:
-            return SnrPrior("uniform", lo_db=float(parts[1]), hi_db=float(parts[2]))
+            return float(parts[1]), float(parts[2])
         if parts[0] == "fixed" and len(parts) == 2:
-            return SnrPrior("fixed", value_db=float(parts[1]))
-        if parts[0] == "discrete" and len(parts) > 1:
-            pairs = [p.split(":") for p in parts[1:]]
-            return SnrPrior(
-                "discrete",
-                values=tuple(float(v) for v, _ in pairs),
-                weights=tuple(float(w) for _, w in pairs),
-            )
+            return float(parts[1]), float(parts[1])
     except (ValueError, IndexError):
         pass
-    raise ConfigError(f"bad prior {value!r}; expected 'uniform LO HI', 'fixed V' or 'discrete v:w ...'")
+    raise ConfigError(f"bad prior {value!r}; expected 'uniform LO HI' or 'fixed V'")
+
+
+# the largest grid a sweep or validation accepts; the grids in use have 11 points
+MAX_SNR_POINTS = 1000
 
 
 def parse_snr_grid(value: str) -> tuple[float, ...]:
@@ -144,22 +141,32 @@ def parse_snr_grid(value: str) -> tuple[float, ...]:
         lo, hi, step = nums
         if step <= 0 or hi < lo:
             raise ConfigError(f"bad snr grid {value!r}")
-        n = int(round((hi - lo) / step))
-        return tuple(lo + i * step for i in range(n + 1))
+        steps = (hi - lo) / step  # may be inf, so checked before the grid is built
+        if steps >= MAX_SNR_POINTS:
+            raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
+        nums = [lo + i * step for i in range(int(round(steps)) + 1)]
+    if len(nums) > MAX_SNR_POINTS:
+        raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
+    # a range too fine for its magnitude rounds to repeated values
     if any(b <= a for a, b in zip(nums, nums[1:])):
         raise ConfigError(f"bad snr grid {value!r}: SNRs must be strictly increasing")
     return tuple(nums)
 
 
+def parse_seed(value: str) -> int:
+    """One non-negative integer seed, e.g. '7'."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ConfigError(f"bad seed {value!r}, expected a non-negative integer") from None
+    if seed < 0:
+        raise ConfigError(f"bad seed {value!r}: seeds must be non-negative")
+    return seed
+
+
 def parse_seeds(value: str) -> tuple[int, ...]:
     """Comma list of non-negative integer noise seeds, e.g. '0,1'."""
-    try:
-        seeds = tuple(int(p) for p in value.split(","))
-    except ValueError:
-        raise ConfigError(f"bad seeds {value!r}, expected a comma list of integers") from None
-    if any(seed < 0 for seed in seeds):
-        raise ConfigError(f"bad seeds {value!r}: seeds must be non-negative")
-    return seeds
+    return tuple(parse_seed(p) for p in value.split(","))
 
 
 # [section] -> key -> (field it sets, value parser).  A key left out keeps
@@ -174,11 +181,11 @@ _KEYS = {
     },
     "data": {
         "kind": ("data_kind", str), "n_train": ("n_train", int), "n_val": ("n_val", int),
-        "seed": ("data_seed", int), "cifar_dir": ("cifar_dir", str),
+        "seed": ("data_seed", parse_seed), "cifar_dir": ("cifar_dir", str),
     },
     "train": {
         "epochs": ("epochs", int), "batch_size": ("batch_size", int), "lr": ("lr", float),
-        "prior": ("prior", _parse_prior), "seed": ("seed", int), "val_grid": ("val_grid", parse_snr_grid),
+        "prior": ("prior", _parse_prior), "seed": ("seed", parse_seed), "val_grid": ("val_grid", parse_snr_grid),
         "val_every": ("val_every", int),
     },
     "eval": {"snr_grid": ("snr_grid", parse_snr_grid), "seeds": ("eval_seeds", parse_seeds)},

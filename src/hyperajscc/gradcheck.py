@@ -153,7 +153,7 @@ def objective_check(rng: np.random.Generator) -> CheckResult:
         return mse_loss(xt, out)
 
     params = model.parameters()
-    err = finite_diff_check(loss, params, h=1e-5)
+    err = finite_diff_check(loss, params)
     return CheckResult("end_to_end_objective", err, DEFAULT_TOL)
 
 

@@ -16,23 +16,22 @@ from .models import HyperAJSCCModel, forward_pipeline
 from .tensor import ContractError, ShapeError, Tensor
 
 PSNR_CAP_DB = 100.0
+EVAL_CHUNK = 64  # images per forward pass in a sweep
 
 
-def psnr(x, x_hat, max_value: float = 1.0) -> float:
-    """10*log10(max_value^2 / MSE), capped at 100 dB."""
+def psnr(x, x_hat) -> float:
+    """10*log10(1 / MSE), capped at 100 dB."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ShapeError(f"psnr: shapes differ: {x.shape} vs {x_hat.shape}")
-    if max_value <= 0:
-        raise ContractError("psnr: max_value must be positive")
-    return psnr_from_mse(float(((x - x_hat) ** 2).mean()), max_value)
+    return psnr_from_mse(float(((x - x_hat) ** 2).mean()))
 
 
-def psnr_from_mse(mse: float, max_value: float = 1.0) -> float:
+def psnr_from_mse(mse: float) -> float:
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(10.0 * np.log10(max_value**2 / mse), PSNR_CAP_DB)
+    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
 def top1_accuracy(probs, labels) -> float:
@@ -66,23 +65,18 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng, chunk: int = 64) -> float:
-    n_items = dataset.samples.shape[0]
-    if model.config.task == "reconstruction":
-        total_se = 0.0
-        for start in range(0, n_items, chunk):
-            xb = dataset.samples[start : start + chunk]
-            out, _, _ = forward_pipeline(model, Tensor(xb), omega_db, rng)
-            x01 = (xb + 1.0) / 2.0
-            xh01 = (out.data + 1.0) / 2.0
-            total_se += float(((x01 - xh01) ** 2).sum())
-        return psnr_from_mse(total_se / dataset.samples.size)
-    correct = 0
-    for start in range(0, n_items, chunk):
-        xb = dataset.samples[start : start + chunk]
-        out, _, _ = forward_pipeline(model, Tensor(xb), omega_db, rng)
-        correct += int((out.data.argmax(axis=1) == np.asarray(dataset.labels[start : start + chunk])).sum())
-    return correct / n_items
+def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -> float:
+    """The sweep metric of one noisy pass over the dataset, in chunks of EVAL_CHUNK."""
+    recon = model.config.task == "reconstruction"
+    total = 0.0  # summed squared error over [0, 1] pixels, or correct count
+    for start in range(0, dataset.samples.shape[0], EVAL_CHUNK):
+        xb = dataset.samples[start : start + EVAL_CHUNK]
+        out = forward_pipeline(model, Tensor(xb), omega_db, rng)[0].data
+        if recon:
+            total += float((((xb + 1.0) / 2.0 - (out + 1.0) / 2.0) ** 2).sum())
+        else:
+            total += int((out.argmax(axis=1) == np.asarray(dataset.labels[start : start + EVAL_CHUNK])).sum())
+    return psnr_from_mse(total / dataset.samples.size) if recon else total / dataset.samples.shape[0]
 
 
 def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) -> SweepReport:
@@ -125,9 +119,9 @@ def compare_adaptive_vs_fixed(adaptive: SweepReport, fixed: dict[float, SweepRep
 # dependency-free SVG line chart
 
 
-def sweep_chart_svg(series: dict[str, SweepReport], ylabel: str, width: int = 640, height: int = 420) -> str:
-    """One polyline per report, x axis in dB."""
-    pad = 60
+def sweep_chart_svg(series: dict[str, SweepReport], ylabel: str) -> str:
+    """One polyline per report, x axis in dB, on a 640 x 420 canvas."""
+    width, height, pad = 640, 420, 60
     xs = sorted({s for rep in series.values() for s, *_ in rep.rows})
     ys = [mean for rep in series.values() for _, mean, _, _ in rep.rows]
     if not xs or not ys:

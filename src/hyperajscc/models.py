@@ -107,9 +107,7 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
         elif s.kind in ("conv", "deconv"):
             if len(cur) != 3:
                 raise ConfigurationError(f"{where}: conv needs [C,H,W] input, got {cur}")
-            c, h, w = cur
-            if s.kind == "deconv":
-                h, w = h * s.upsample, w * s.upsample
+            h, w = cur[1] * s.upsample, cur[2] * s.upsample  # 1 unless deconv
             if (h + 2 * s.padding - s.kernel) % s.stride or (w + 2 * s.padding - s.kernel) % s.stride:
                 raise ConfigurationError(f"{where}: non-integral output size from {cur}")
             ho = (h + 2 * s.padding - s.kernel) // s.stride + 1
@@ -160,8 +158,7 @@ def _build_stack(shape, specs: list[LayerSpec], rng, half: str):
         if s.kind == "dense":
             built.append(L.make_dense(cur[0], s.out, s.act, s.hyper, rng))
         elif s.kind in ("conv", "deconv"):
-            up = s.upsample if s.kind == "deconv" else 1
-            built.append(L.make_conv(cur[0], s.out, s.kernel, s.stride, s.padding, up, s.act, s.hyper, rng))
+            built.append(L.make_conv(cur[0], s.out, s.kernel, s.stride, s.padding, s.upsample, s.act, s.hyper, rng))
         elif s.kind == "resblock":
             built.append(L.make_resblock(cur[0], s.out, s.kernel, s.act, s.hyper, rng))
         else:  # flatten | reshape

@@ -405,12 +405,8 @@ def upsample_zero(x: Tensor, factor: int) -> Tensor:
 # gradient oracle
 
 
-def finite_diff_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between tape gradients and central differences.
+def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
+    """Max relative error between tape gradients and central differences (step 1e-5).
 
     `f` must rebuild the forward pass from scratch on every call and be
     deterministic (freeze any RNG before calling).
@@ -421,6 +417,7 @@ def finite_diff_check(
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
+    h = 1e-5
     max_err = 0.0
     for p, a in zip(params, analytic):
         flat = p.data.reshape(-1)

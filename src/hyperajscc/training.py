@@ -1,7 +1,8 @@
 """Losses, Adam, and the single-round condition-adaptive training loop.
 
-Each mini-batch draws one channel condition per sample from the prior, so
-one gradient step optimizes the Monte-Carlo average of the per-condition
+Each mini-batch draws one channel condition per sample, uniformly from the
+prior range [lo, hi] dB (a fixed-SNR run is the range [v, v]), so one
+gradient step optimizes the Monte-Carlo average of the per-condition
 losses over the whole trainable set (base weights plus scale vectors).
 The loss follows the model's task: MSE for reconstruction, cross-entropy
 for classification.  A NaN loss aborts immediately with the offending
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .channel import SnrPrior
 from .data import Dataset, batches
 from .metrics import snr_sweep
 from .models import HyperAJSCCModel, forward_pipeline
@@ -96,7 +96,7 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-3
-    prior: SnrPrior = field(default_factory=lambda: SnrPrior("uniform", 0.0, 20.0))
+    prior: tuple = (0.0, 20.0)  # (lo_db, hi_db) of the uniform training SNR draw
     seed: int = 0
     val_grid: tuple = (1.0, 4.0, 7.0, 10.0, 13.0, 16.0, 19.0)
     val_every: int = 0  # validate every N epochs; 0 disables validation
@@ -104,8 +104,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be positive")
-        if self.lr <= 0:
-            raise ContractError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ContractError(f"learning rate {self.lr} must be positive and finite")
+        lo, hi = self.prior
+        if not -np.inf < lo <= hi < np.inf:
+            raise ContractError(f"SNR prior [{lo}, {hi}] dB must be finite with lo <= hi")
 
 
 @dataclass
@@ -161,6 +164,7 @@ def train(
     s_prior, s_noise = ss.spawn(2)
     rng_prior = np.random.default_rng(s_prior)
     rng_noise = np.random.default_rng(s_noise)
+    lo, hi = config.prior
 
     opt = Adam(model.parameters(), config.lr)
     loss_kind = "mse" if model.config.task == "reconstruction" else "cross_entropy"
@@ -172,7 +176,7 @@ def train(
         for idx in batches(dataset, config.batch_size, config.seed, epoch):
             xb = dataset.samples[idx]
             labels = [dataset.labels[i] for i in idx] if dataset.labels is not None else None
-            omegas = config.prior.sample(rng_prior, size=len(idx))
+            omegas = rng_prior.uniform(lo, hi, size=len(idx))
             loss = train_step(model, xb, labels, omegas, loss_kind, opt, rng_noise)
             step += 1
             if not np.isfinite(loss):

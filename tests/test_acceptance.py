@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hyperajscc import tensor as T
-from hyperajscc.channel import SnrPrior, awgn_transmit, power_normalize
+from hyperajscc.channel import awgn_transmit, power_normalize
 from hyperajscc.checkpoint import load_model, save_checkpoint
 from hyperajscc.cli import EXIT_OK, main
 from hyperajscc.data import synthetic_dataset
@@ -53,7 +53,7 @@ def recon_experiment():
 
     model = build_model(shipped_model_config("default_recon"), 0)
     cfg = TrainConfig(
-        epochs=RECON_EPOCHS, batch_size=32, prior=SnrPrior("uniform", 0, 20),
+        epochs=RECON_EPOCHS, batch_size=32, prior=(0.0, 20.0),
         seed=0, val_every=0,
     )
     model, _ = train(model, train_ds, cfg)
@@ -63,7 +63,7 @@ def recon_experiment():
     for snr in MATCHED_SNRS:
         mf = build_model(shipped_model_config("default_recon", hyper=False), 0)
         cf = TrainConfig(
-            epochs=RECON_EPOCHS, batch_size=32, prior=SnrPrior("fixed", value_db=snr),
+            epochs=RECON_EPOCHS, batch_size=32, prior=(snr, snr),
             seed=0, val_every=0,
         )
         mf, _ = train(mf, train_ds, cf)
@@ -81,9 +81,9 @@ def class_experiment():
     for seed in (0, 1, 2):
         accs = {}
         for name, hyper, prior in [
-            ("adaptive", True, SnrPrior("uniform", 0, 20)),
-            ("fixed1", False, SnrPrior("fixed", value_db=1.0)),
-            ("fixed19", False, SnrPrior("fixed", value_db=19.0)),
+            ("adaptive", True, (0.0, 20.0)),
+            ("fixed1", False, (1.0, 1.0)),
+            ("fixed19", False, (19.0, 19.0)),
         ]:
             m = build_model(shipped_model_config("default_class", hyper), seed)
             cfg = TrainConfig(

@@ -3,13 +3,14 @@ import pytest
 
 from hyperajscc.channel import (
     DegenerateInputError,
-    SnrPrior,
     awgn_transmit,
     power_normalize,
     snr_to_sigma2,
 )
 from hyperajscc.tensor import Tensor, finite_diff_check
 from hyperajscc import tensor as T
+
+from test_training import drawn_snrs
 
 
 class TestPowerNormalize:
@@ -97,27 +98,10 @@ class TestAwgnTransmit:
 
 
 class TestSnrPrior:
-    def test_fixed(self):
-        prior = SnrPrior("fixed", value_db=7.0)
-        rng = np.random.default_rng(0)
-        assert all(prior.sample(rng) == 7.0 for _ in range(10))
+    """The SNR prior is the (lo_db, hi_db) range `train` draws channel conditions from."""
 
-    def test_uniform_bounds_and_mean(self):
-        prior = SnrPrior("uniform", 0.0, 20.0)
-        draws = prior.sample(np.random.default_rng(1), size=10_000)
-        assert draws.min() >= 0.0 and draws.max() <= 20.0
-        assert abs(draws.mean() - 10.0) < 0.5
-
-    def test_discrete_frequencies(self):
-        prior = SnrPrior("discrete", values=(1.0, 19.0), weights=(0.5, 0.5))
-        draws = prior.sample(np.random.default_rng(2), size=1000)
-        freq = (draws == 1.0).mean()
-        assert abs(freq - 0.5) < 0.03
-
-    def test_invalid_priors(self):
-        with pytest.raises(ValueError):
-            SnrPrior("uniform", 5.0, 1.0)
-        with pytest.raises(ValueError):
-            SnrPrior("discrete", values=(1.0,), weights=(0.7,))
-        with pytest.raises(ValueError):
-            SnrPrior("triangular")
+    def test_fixed(self, monkeypatch):
+        # a zero-width range is a fixed SNR: every draw equals the point
+        draws = drawn_snrs((7.0, 7.0), monkeypatch)
+        assert draws.dtype == np.float64
+        assert np.array_equal(draws, np.full(draws.size, 7.0))

@@ -52,14 +52,19 @@ class TestTrainCommand:
         strip = lambda p: [line.rsplit(",", 1)[0] for line in open(p).read().splitlines()]
         assert strip(os.path.join(a, "train_log.csv")) == strip(os.path.join(b, "train_log.csv"))
 
-    def test_seed_override_changes_artifact(self, cfg_path, tmp_path):
-        out1 = str(tmp_path / "s1")
-        out2 = str(tmp_path / "s2")
-        assert main(["train", cfg_path, "--out", out1, "--seed", "5"]) == EXIT_OK
-        assert main(["train", cfg_path, "--out", out2, "--seed", "6"]) == EXIT_OK
-        a = open(os.path.join(out1, "checkpoint.haj"), "rb").read()
-        b = open(os.path.join(out2, "checkpoint.haj"), "rb").read()
-        assert a != b
+    def test_seed_override_changes_artifact(self, tmp_path):
+        # [train] seed is the one seed source; train has no --seed option
+        ckpts = []
+        for seed in ("5", "6"):
+            path = tmp_path / f"seed{seed}.cfg"
+            path.write_text(GOOD.replace("seed = 1\n", f"seed = {seed}\n"))
+            out = train_once(str(path), tmp_path, f"s{seed}")
+            ckpts.append(open(os.path.join(out, "checkpoint.haj"), "rb").read())
+        assert ckpts[0] != ckpts[1]
+
+    def test_train_has_no_seed_option(self, cfg_path, tmp_path, capsys):
+        assert main(["train", cfg_path, "--out", str(tmp_path / "out"), "--seed", "5"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
@@ -178,6 +183,18 @@ def _empty_omega_range(tmp_path):
     return ["train", str(path), "--out", str(tmp_path / "out")]
 
 
+def _edited_good(old, new):
+    """argv that trains GOOD with `old` replaced by `new`."""
+    assert old in GOOD
+
+    def make_argv(tmp_path):
+        path = tmp_path / "edited.cfg"
+        path.write_text(GOOD.replace(old, new))
+        return ["train", str(path), "--out", str(tmp_path / "out")]
+
+    return make_argv
+
+
 def _binary_config(tmp_path):
     path = tmp_path / "binary.cfg"
     path.write_bytes(b"\xff\xfe\x00 not text")
@@ -196,10 +213,17 @@ def _binary_config(tmp_path):
         (_unparsable_embedded_config, EXIT_CORRUPT, "artifact error"),
         (_empty_omega_range, EXIT_CONFIG, "config error"),
         (_binary_config, EXIT_CONFIG, "config error"),
+        (_edited_good("seed = 0\n", "seed = -1\n"), EXIT_CONFIG, "config error"),
+        (_edited_good("seed = 1\n", "seed = -1\n"), EXIT_CONFIG, "config error"),
+        (lambda tmp_path: ["gradcheck", "--seed", "-1"], EXIT_CONFIG, "config error"),
+        (_edited_good("lr = 0.002", "lr = nan"), EXIT_CONFIG, "config error"),
+        (_edited_good("lr = 0.002", "lr = inf"), EXIT_CONFIG, "config error"),
+        (_edited_good("uniform 0 20", "fixed nan"), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
         "classification-on-recon-data", "unparsable-embedded-config", "empty-omega-range", "binary-config",
+        "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

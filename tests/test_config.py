@@ -51,7 +51,7 @@ class TestParseRunConfig:
         assert [l.kind for l in cfg.model.encoder] == ["flatten", "dense", "dense"]
         assert cfg.model.encoder[1].out == 32 and cfg.model.encoder[1].hyper
         assert cfg.train.epochs == 2 and cfg.train.lr == 0.002
-        assert cfg.train.prior.kind == "uniform"
+        assert cfg.train.prior == (0.0, 20.0)
         assert cfg.snr_grid == (0.0, 10.0, 20.0)
         assert cfg.eval_seeds == (0, 1)
 
@@ -159,14 +159,27 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="prior"):
             parse_run_config(bad)
 
+    @pytest.mark.parametrize("value,pair", [("uniform 4 9", (4.0, 9.0)), ("fixed 13", (13.0, 13.0))])
+    def test_prior_is_a_range(self, value, pair):
+        assert parse_run_config(GOOD.replace("uniform 0 20", value)).train.prior == pair
+
+    @pytest.mark.parametrize(
+        "value", ["discrete 5:0.5 10:0.5", "discrete 5:-1 10:2", "fixed nan", "uniform 20 0", "uniform 0 inf", "fixed"]
+    )
+    def test_unusable_prior_rejected(self, value):
+        with pytest.raises(ConfigError, match="prior"):
+            parse_run_config(GOOD.replace("uniform 0 20", value))
+
     @pytest.mark.parametrize(
         "old,new,reason",
         [
             ("seed = 1\n", "seed = 1\nval_grid = 10,5\n", "'val_grid': .*strictly increasing"),
             ("seeds = 0,1", "seeds = -1", "'seeds': .*non-negative"),
-            ("uniform 0 20", "uniform 20", "'prior': .*expected 'uniform LO HI', 'fixed V' or 'discrete v:w ...'"),
+            ("seed = 0\n", "seed = -1\n", "'seed': .*non-negative"),
+            ("seed = 1\n", "seed = -1\n", "'seed': .*non-negative"),
+            ("uniform 0 20", "uniform 20", "'prior': .*expected 'uniform LO HI' or 'fixed V'$"),
         ],
-        ids=["val_grid", "seeds", "prior"],
+        ids=["val_grid", "seeds", "data-seed", "train-seed", "prior"],
     )
     def test_value_parser_reason_is_reported(self, old, new, reason):
         with pytest.raises(ConfigError, match=reason):
@@ -191,10 +204,20 @@ class TestParseSnrGrid:
         with pytest.raises(ConfigError):
             parse_snr_grid("20:0:2")
 
-    @pytest.mark.parametrize("value", ["a,b", "0:x:2", "", "1,,2", "0:20", "10,5", "1,1", "nan,1", "0:inf:2"])
+    @pytest.mark.parametrize(
+        "value", ["a,b", "0:x:2", "", "1,,2", "0:20", "10,5", "1,1", "nan,1", "0:inf:2", "1e16:1.0000000000000002e16:1"]
+    )
     def test_malformed_or_non_increasing_rejected(self, value):
         with pytest.raises(ConfigError):
             parse_snr_grid(value)
+
+    @pytest.mark.parametrize("value", ["0:1000:1", "0:999.6:1", "0:1e308:1e-308", ",".join(map(str, range(1001)))])
+    def test_more_than_1000_points_rejected(self, value):
+        with pytest.raises(ConfigError, match="more than 1000 points"):
+            parse_snr_grid(value)
+
+    def test_1000_points_accepted(self):
+        assert len(parse_snr_grid("0:999:1")) == len(parse_snr_grid(",".join(map(str, range(1000))))) == 1000
 
     def test_non_increasing_val_grid_fails_at_parse_time(self):
         with pytest.raises(ConfigError, match="val_grid"):

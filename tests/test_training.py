@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hyperajscc import tensor as T
-from hyperajscc.channel import SnrPrior
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.models import build_model, forward_pipeline
 from hyperajscc.tensor import ContractError, ShapeError, Tensor, finite_diff_check
@@ -163,6 +162,20 @@ class TestTrainStep:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+def drawn_snrs(prior, monkeypatch):
+    """Every per-sample SNR `train` draws from `prior` over 100 epochs of 64 samples.
+
+    train_step is replaced by a recorder, so no model is actually trained.
+    """
+    from hyperajscc import training
+
+    draws = []
+    monkeypatch.setattr(training, "train_step", lambda *args: draws.append(args[3]) or 0.0)
+    ds = synthetic_dataset("gaussian-blobs-images", 64, (1, 8, 8), seed=0)
+    train(build_model(toy_dense_config(), 1), ds, TrainConfig(epochs=100, batch_size=64, prior=prior))
+    return np.concatenate(draws)
+
+
 class TestTrain:
     def test_determinism_bit_identical_parameters(self):
         ds = synthetic_dataset("gaussian-blobs-images", 32, (1, 8, 8), seed=0)
@@ -222,13 +235,24 @@ class TestTrain:
         assert kinds == [loss_kind, loss_kind]
 
     def test_fixed_prior_reduction(self):
-        # point-mass prior + hyper off behaves as a fixed-SNR run: every
-        # sampled condition equals the point mass
+        # zero-width prior + hyper off behaves as a fixed-SNR run
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=1, val_every=0, prior=SnrPrior("fixed", value_db=13.0))
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=1, val_every=0, prior=(13.0, 13.0))
         model = build_model(toy_dense_config(hyper=False), 1)
         model, log = train(model, ds, cfg)
         assert len(log.epochs) == 2
+
+    def test_uniform_prior_draws_in_range(self, monkeypatch):
+        draws = drawn_snrs((4.0, 9.0), monkeypatch)
+        assert draws.min() >= 4.0 and draws.max() <= 9.0
+        assert abs(draws.mean() - 6.5) < 0.1
+        assert len(np.unique(draws)) == draws.size
+
+    def test_invalid_prior_rejected(self):
+        ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
+        for prior in [(5.0, 1.0), (np.nan, 20.0), (0.0, np.inf), (-np.inf, 0.0)]:
+            with pytest.raises(ContractError, match="SNR prior"):
+                train(build_model(toy_dense_config(), 0), ds, TrainConfig(epochs=1, batch_size=8, prior=prior))
 
     def test_nan_aborts_with_location(self):
         from hyperajscc.training import TrainingDivergedError
@@ -246,13 +270,12 @@ class TestObjectiveStatistics:
         # standard error of the batch-loss estimator shrinks ~ 1/sqrt(L)
         model = build_model(toy_dense_config(), 0)
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
-        prior = SnrPrior("uniform", 0.0, 20.0)
         rng = np.random.default_rng(0)
 
         def estimate(n_draws):
             vals = []
             for _ in range(n_draws):
-                omegas = prior.sample(rng, size=16)
+                omegas = rng.uniform(0.0, 20.0, size=16)
                 out, _, _ = forward_pipeline(model, Tensor(ds.samples), omegas, rng)
                 vals.append(float(mse_loss(Tensor(ds.samples), out).data))
             return np.asarray(vals)
