@@ -16,6 +16,9 @@ from .tensor import ShapeError, Tensor, _make
 
 # Above this SNR the channel is treated as exactly noiseless.
 SNR_CAP_DB = 40.0
+# The lowest SNR a run or sweep accepts: noise power 10^10 times the signal's.
+# Far below it (about -3080 dB) sigma^2 overflows to inf.
+SNR_FLOOR_DB = -100.0
 
 
 class DegenerateInputError(ValueError):

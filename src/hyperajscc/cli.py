@@ -155,9 +155,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse reads a value that starts with '-' and is not a plain number
+# (-4:10:2, -5,0) as an option, so these flags take the next word whole
+_SIGNED_VALUE_FLAGS = ("--snr-grid", "--seeds")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """['--snr-grid', '-4:10:2'] -> ['--snr-grid=-4:10:2'], the form argparse reads as one value."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_signed_values(argv))
     except SystemExit as exc:  # argparse has printed a usage error (2) or --help (0)
         return exc.code
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
+from .channel import SNR_FLOOR_DB
 from .data import load_cifar10, synthetic_dataset
 from .models import LayerSpec, ModelConfig
 from .tensor import ACTIVATIONS
@@ -113,12 +114,16 @@ def _parse_prior(value: str) -> tuple[float, float]:
     parts = value.split()
     try:
         if parts[0] == "uniform" and len(parts) == 3:
-            return float(parts[1]), float(parts[2])
-        if parts[0] == "fixed" and len(parts) == 2:
-            return float(parts[1]), float(parts[1])
+            prior = float(parts[1]), float(parts[2])
+        elif parts[0] == "fixed" and len(parts) == 2:
+            prior = float(parts[1]), float(parts[1])
+        else:
+            raise ValueError
     except (ValueError, IndexError):
-        pass
-    raise ConfigError(f"bad prior {value!r}; expected 'uniform LO HI' or 'fixed V'")
+        raise ConfigError(f"bad prior {value!r}; expected 'uniform LO HI' or 'fixed V'") from None
+    if min(prior) < SNR_FLOOR_DB:
+        raise ConfigError(f"bad prior {value!r}: SNRs below {SNR_FLOOR_DB:g} dB are not supported")
+    return prior
 
 
 # the largest grid a sweep or validation accepts; the grids in use have 11 points
@@ -145,6 +150,8 @@ def parse_snr_grid(value: str) -> tuple[float, ...]:
         if steps >= MAX_SNR_POINTS:
             raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
         nums = [lo + i * step for i in range(int(round(steps)) + 1)]
+    if min(nums) < SNR_FLOOR_DB:
+        raise ConfigError(f"bad snr grid {value!r}: SNRs below {SNR_FLOOR_DB:g} dB are not supported")
     if len(nums) > MAX_SNR_POINTS:
         raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
     # a range too fine for its magnitude rounds to repeated values

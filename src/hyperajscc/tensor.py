@@ -328,7 +328,13 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout].
 
-    Direct computation via a loop over kernel offsets; no im2col.
+    One BLAS GEMM per kernel offset on a channels-last copy of the padded
+    input: the offset's strided window, as [B*Ho*Wo, Cin] rows, times its
+    [Cin, Cout] kernel slice, added into one [B*Ho*Wo, Cout] accumulator.
+    Backward runs the same loop for dk and for dx, whose per-offset products
+    are slice-added into a channels-last dx.  No im2col column matrix is
+    built: the largest scratch buffer is one window, 1/(KH*KW) of such a
+    matrix, so forward plus backward peak at a few times the input's bytes.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape}, kernels {k.shape}")
@@ -350,35 +356,36 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if Ho < 1 or Wo < 1:
         raise ConfigurationError(f"conv2d: empty output ({Ho}x{Wo})")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    out = np.empty((B, Cout, Ho, Wo))
-    out[:] = b.data.reshape(1, Cout, 1, 1)
-    kd = k.data
-    for ki in range(KH):
-        for kj in range(KW):
-            patch = xp[:, :, ki : ki + stride * Ho : stride, kj : kj + stride * Wo : stride]
-            out += np.einsum("bchw,oc->bohw", patch, kd[:, :, ki, kj])
+    # channels-last, so each offset's window reshapes to [B*Ho*Wo, Cin] rows
+    xp = np.zeros((B, H + 2 * padding, W + 2 * padding, Cin))
+    xp[:, padding : padding + H, padding : padding + W] = x.data.transpose(0, 2, 3, 1)
+    kt = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))  # [KH, KW, Cin, Cout]
+    rows = B * Ho * Wo
+    # the [B, Ho, Wo, Cin] window of xp that kernel offset (ki, kj) multiplies
+    windows = {
+        (ki, kj): (slice(None), slice(ki, ki + stride * Ho, stride), slice(kj, kj + stride * Wo, stride))
+        for ki in range(KH)
+        for kj in range(KW)
+    }
+
+    acc = np.empty((rows, Cout))
+    acc[:] = b.data
+    for (ki, kj), win in windows.items():
+        acc += xp[win].reshape(rows, Cin) @ kt[ki, kj]
+    out = acc.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
 
     def backward(g):
         grads = []
+        gm = g.transpose(0, 2, 3, 1).reshape(rows, Cout)
         if x._track:
             dxp = np.zeros_like(xp)
-            for ki in range(KH):
-                for kj in range(KW):
-                    dxp[:, :, ki : ki + stride * Ho : stride, kj : kj + stride * Wo : stride] += np.einsum(
-                        "bohw,oc->bchw", g, kd[:, :, ki, kj]
-                    )
-            dx = dxp[:, :, padding : padding + H, padding : padding + W] if padding else dxp
-            grads.append((x, dx))
+            for (ki, kj), win in windows.items():
+                dxp[win] += (gm @ kt[ki, kj].T).reshape(B, Ho, Wo, Cin)
+            grads.append((x, dxp[:, padding : padding + H, padding : padding + W].transpose(0, 3, 1, 2)))
         if k._track:
-            dk = np.zeros_like(kd)
-            for ki in range(KH):
-                for kj in range(KW):
-                    patch = xp[:, :, ki : ki + stride * Ho : stride, kj : kj + stride * Wo : stride]
-                    dk[:, :, ki, kj] = np.einsum("bohw,bchw->oc", g, patch)
+            dk = np.empty_like(k.data)
+            for (ki, kj), win in windows.items():
+                dk[:, :, ki, kj] = gm.T @ xp[win].reshape(rows, Cin)
             grads.append((k, dk))
         if b._track:
             grads.append((b, g.sum(axis=(0, 2, 3))))

@@ -117,6 +117,16 @@ class TestSweepCommand:
         assert main(["sweep", ckpt, "--csv", str(tmp_path / "s.csv"), "--svg", svg]) == EXIT_OK
         assert "<svg" in open(svg).read()
 
+    def test_negative_grid_in_either_form(self, cfg_path, tmp_path):
+        # a value after the flag may start with '-': both forms give the same sweep
+        ckpt = os.path.join(train_once(cfg_path, tmp_path), "checkpoint.haj")
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["sweep", ckpt, "--snr-grid", "-4:10:2", "--seeds", "1,0", "--csv", a]) == EXIT_OK
+        assert main(["sweep", ckpt, "--snr-grid=-4:10:2", "--seeds=1,0", "--csv", b]) == EXIT_OK
+        lines = open(a).read().splitlines()
+        assert open(a, "rb").read() == open(b, "rb").read()
+        assert [line.split(",")[0] for line in lines[1:]] == [f"{float(s):g}" for s in range(-4, 11, 2)]
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--snr-grid", "a,b"), ("--snr-grid", "0:x:2"), ("--snr-grid", ""), ("--snr-grid", "10,5"),
@@ -183,6 +193,13 @@ def _empty_omega_range(tmp_path):
     return ["train", str(path), "--out", str(tmp_path / "out")]
 
 
+def _sweep_below_snr_floor(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(GOOD)
+    ckpt = os.path.join(train_once(str(path), tmp_path), "checkpoint.haj")
+    return ["sweep", ckpt, "--snr-grid", "-4000,0", "--csv", str(tmp_path / "s.csv")]
+
+
 def _edited_good(old, new):
     """argv that trains GOOD with `old` replaced by `new`."""
     assert old in GOOD
@@ -219,11 +236,14 @@ def _binary_config(tmp_path):
         (_edited_good("lr = 0.002", "lr = nan"), EXIT_CONFIG, "config error"),
         (_edited_good("lr = 0.002", "lr = inf"), EXIT_CONFIG, "config error"),
         (_edited_good("uniform 0 20", "fixed nan"), EXIT_CONFIG, "config error"),
+        (_sweep_below_snr_floor, EXIT_CONFIG, "config error"),
+        (_edited_good("uniform 0 20", "uniform -4000 0"), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
         "classification-on-recon-data", "unparsable-embedded-config", "empty-omega-range", "binary-config",
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
+        "snr-grid-below-floor", "prior-below-floor",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

@@ -159,12 +159,18 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="prior"):
             parse_run_config(bad)
 
-    @pytest.mark.parametrize("value,pair", [("uniform 4 9", (4.0, 9.0)), ("fixed 13", (13.0, 13.0))])
+    @pytest.mark.parametrize(
+        "value,pair", [("uniform 4 9", (4.0, 9.0)), ("fixed 13", (13.0, 13.0)), ("uniform -100 0", (-100.0, 0.0))]
+    )
     def test_prior_is_a_range(self, value, pair):
         assert parse_run_config(GOOD.replace("uniform 0 20", value)).train.prior == pair
 
     @pytest.mark.parametrize(
-        "value", ["discrete 5:0.5 10:0.5", "discrete 5:-1 10:2", "fixed nan", "uniform 20 0", "uniform 0 inf", "fixed"]
+        "value",
+        [
+            "discrete 5:0.5 10:0.5", "discrete 5:-1 10:2", "fixed nan", "uniform 20 0", "uniform 0 inf", "fixed",
+            "uniform -4000 0", "fixed -100.5",
+        ],
     )
     def test_unusable_prior_rejected(self, value):
         with pytest.raises(ConfigError, match="prior"):
@@ -215,6 +221,14 @@ class TestParseSnrGrid:
     def test_more_than_1000_points_rejected(self, value):
         with pytest.raises(ConfigError, match="more than 1000 points"):
             parse_snr_grid(value)
+
+    @pytest.mark.parametrize("value", ["-100.5,0", "-200:0:10", "-1.1073628059927948e+16,-3,6"])
+    def test_snr_below_floor_rejected(self, value):
+        with pytest.raises(ConfigError, match="below -100 dB"):
+            parse_snr_grid(value)
+
+    def test_snr_at_floor_accepted(self):
+        assert parse_snr_grid("-100:0:50") == (-100.0, -50.0, 0.0)
 
     def test_1000_points_accepted(self):
         assert len(parse_snr_grid("0:999:1")) == len(parse_snr_grid(",".join(map(str, range(1000))))) == 1000

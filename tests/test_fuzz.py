@@ -102,8 +102,6 @@ CIFAR_BATCH = st.one_of(
 @FUZZ
 @given(grid=SNR_GRID, seeds=SEEDS, joined=st.booleans())
 def test_fuzzed_sweep_arguments_exit_0_or_2(workdir, checkpoint_path, grid, seeds, joined):
-    # argparse reads "--snr-grid -4:10:2" as a missing value (a usage error, 2);
-    # "--snr-grid=-4:10:2" passes the value on
     flags = [f"--snr-grid={grid}", f"--seeds={seeds}"] if joined else ["--snr-grid", grid, "--seeds", seeds]
     argv = ["sweep", checkpoint_path, *flags, "--csv", str(workdir / "args.csv")]
     code, err = run_main(argv)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hyperajscc import tensor as T
 from hyperajscc.tensor import (
@@ -9,6 +13,8 @@ from hyperajscc.tensor import (
     Tensor,
     finite_diff_check,
 )
+
+from test_fuzz import FUZZ
 
 
 def t(data, grad=False):
@@ -120,6 +126,15 @@ class TestConv2d:
         with pytest.raises(ConfigurationError, match="non-integral"):
             T.conv2d(t(np.ones((1, 1, 5, 5))), t(np.ones((1, 1, 2, 2))), t([0.0]), stride=2)
 
+    def test_input_gradient_matches_finite_differences(self):
+        # stride 2, padding 1 and a non-square input: the strided slice-adds of dx
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 2, 5, 3)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        b = Tensor(rng.standard_normal(3))
+        err = finite_diff_check(lambda: T.tsum(T.tanh(T.conv2d(x, k, b, 2, 1))), [x])
+        assert err < 1e-6
+
     def test_kernel_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
@@ -127,6 +142,74 @@ class TestConv2d:
         b = Tensor(rng.standard_normal(3), requires_grad=True)
         err = finite_diff_check(lambda: T.tsum(T.conv2d(x, k, b, 1, 1)), [k, b])
         assert err < 1e-6
+
+
+def conv2d_reference(x, k, b, g, stride, padding):
+    """(out, dx, dk, db) of conv2d by one einsum per kernel offset, in plain numpy."""
+    B, Cin, H, W = x.shape
+    Cout, _, KH, KW = k.shape
+    Ho = (H + 2 * padding - KH) // stride + 1
+    Wo = (W + 2 * padding - KW) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.empty((B, Cout, Ho, Wo))
+    out[:] = b.reshape(1, Cout, 1, 1)
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for ki in range(KH):
+        for kj in range(KW):
+            rows, cols = slice(ki, ki + stride * Ho, stride), slice(kj, kj + stride * Wo, stride)
+            window = (slice(None), slice(None), rows, cols)
+            out += np.einsum("bchw,oc->bohw", xp[window], k[:, :, ki, kj])
+            dxp[window] += np.einsum("bohw,oc->bchw", g, k[:, :, ki, kj])
+            dk[:, :, ki, kj] = np.einsum("bohw,bchw->oc", g, xp[window])
+    return out, dxp[:, :, padding : padding + H, padding : padding + W], dk, g.sum(axis=(0, 2, 3))
+
+
+@FUZZ
+@given(
+    dims=st.tuples(*[st.integers(1, 5)] * 5),  # B, Cin, Cout, Ho, Wo
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_matches_einsum_reference(dims, kernel, stride, padding, seed):
+    B, Cin, Cout, Ho, Wo = dims
+    KH, KW = kernel
+    # the input size that gives a Ho x Wo output; H and W vary independently
+    H, W = (Ho - 1) * stride + KH - 2 * padding, (Wo - 1) * stride + KW - 2 * padding
+    assume(H >= 1 and W >= 1)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((B, Cin, H, W)), requires_grad=True)
+    k = Tensor(rng.standard_normal((Cout, Cin, KH, KW)), requires_grad=True)
+    b = Tensor(rng.standard_normal(Cout), requires_grad=True)
+    g = rng.standard_normal((B, Cout, Ho, Wo))
+    out = T.conv2d(x, k, b, stride, padding)
+    T.tsum(T.mul(out, Tensor(g))).backward()  # the output gradient is exactly g
+    expected = conv2d_reference(x.data, k.data, b.data, g, stride, padding)
+    for got, want in zip((out.data, x.grad, k.grad, b.grad), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_scratch_memory_is_a_few_inputs():
+    """Forward and backward of the decoder's last conv (16->3 over a zero-upsampled 8x8, B=64).
+
+    Live at the backward peak: the padded channels-last input (kept for dk),
+    its gradient, one [B*Ho*Wo, Cin] window or product, plus small arrays,
+    about 5x x.data.nbytes.  An im2col column matrix alone is KH*KW = 9x,
+    so the bound of 8x admits the per-offset GEMM and refuses im2col.
+    """
+    rng = np.random.default_rng(0)
+    x = T.upsample_zero(Tensor(rng.standard_normal((64, 16, 4, 4)), requires_grad=True), 2)
+    k = Tensor(rng.standard_normal((3, 16, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    tracemalloc.start()
+    try:
+        T.tsum(T.conv2d(x, k, b, 1, 1)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.data.nbytes, f"traced peak {peak / x.data.nbytes:.2f}x the input"
 
 
 class TestBackward:
