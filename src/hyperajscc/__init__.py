@@ -2,7 +2,7 @@
 
 from .channel import ChannelSymbols, awgn_transmit, power_normalize, snr_to_sigma2
 from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, ResNetBlock
-from .metrics import SweepReport, compare_adaptive_vs_fixed, psnr, snr_sweep, top1_accuracy
+from .metrics import SweepReport, compare_adaptive_vs_fixed, snr_sweep
 from .models import (
     HyperAJSCCModel,
     LayerSpec,

@@ -4,8 +4,9 @@ Each adaptive layer is a plain base layer (weights W0/b0 or kernels C0/b0)
 plus a per-sample, per-output-channel scale s[b] = omega_t[b] * nu + c,
 applied to the pre-activation output (a FiLM-style gain without shift).
 For convolutions, scaling output channels is mathematically identical to
-row-scaling the kernels and commutes with the convolution, so we scale the
-cheaper side.
+row-scaling the kernels and commutes with the convolution; the output is
+the side that gets scaled, because s differs per sample and the kernels
+are shared by the whole batch.
 
 omega_t is the channel SNR mapped affinely into [-1, 1] over the configured
 training range; the model maps it once per pass (models.encode/decode), so

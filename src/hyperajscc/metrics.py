@@ -13,36 +13,17 @@ import numpy as np
 
 from .data import Dataset
 from .models import HyperAJSCCModel, forward_pipeline
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ContractError, Tensor
 
 PSNR_CAP_DB = 100.0
 EVAL_CHUNK = 64  # images per forward pass in a sweep
 
 
-def psnr(x, x_hat) -> float:
-    """10*log10(1 / MSE), capped at 100 dB."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ShapeError(f"psnr: shapes differ: {x.shape} vs {x_hat.shape}")
-    return psnr_from_mse(float(((x - x_hat) ** 2).mean()))
-
-
 def psnr_from_mse(mse: float) -> float:
+    """10*log10(1 / MSE) for an MSE over [0, 1] pixels, capped at 100 dB."""
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
-
-
-def top1_accuracy(probs, labels) -> float:
-    """Fraction of argmax hits; numpy argmax already breaks ties low-index."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise ShapeError(f"top1_accuracy: probs {probs.shape}, labels {labels.shape}")
-    if probs.shape[0] == 0:
-        raise ContractError("top1_accuracy: empty batch")
-    return float((probs.argmax(axis=1) == labels).mean())
 
 
 @dataclass
@@ -71,7 +52,7 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
     total = 0.0  # summed squared error over [0, 1] pixels, or correct count
     for start in range(0, dataset.samples.shape[0], EVAL_CHUNK):
         xb = dataset.samples[start : start + EVAL_CHUNK]
-        out = forward_pipeline(model, Tensor(xb), omega_db, rng)[0].data
+        out = forward_pipeline(model, Tensor(xb), omega_db, rng).data
         if recon:
             total += float((((xb + 1.0) / 2.0 - (out + 1.0) / 2.0) ** 2).sum())
         else:

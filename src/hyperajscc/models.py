@@ -68,14 +68,16 @@ class ModelConfig:
     def validate(self) -> None:
         if self.task not in ("reconstruction", "classification"):
             raise ConfigurationError(f"unknown task: {self.task!r}")
+        if len(self.input_shape) != 3:
+            raise ConfigurationError(f"input shape must be CxHxW, got {self.input_shape}")
         if self.bandwidth < 1:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.task == "classification" and self.num_classes < 2:
             raise ConfigurationError(f"classification needs num_classes >= 2, got {self.num_classes}")
-        if not -np.inf < self.omega_lo_db < self.omega_hi_db < np.inf:
-            raise ConfigurationError(
-                f"omega range must be finite with lo < hi, got {self.omega_lo_db} .. {self.omega_hi_db} dB"
-            )
+        lo, hi = self.omega_lo_db, self.omega_hi_db
+        # an overflowing width, gain or offset breaks the SNR map; an infinite width maps every SNR to 0
+        if not (lo < hi and np.isfinite([hi - lo, self.omega_gain, self.omega_offset]).all()):
+            raise ConfigurationError(f"omega range must be finite with lo < hi, got {lo} .. {hi} dB")
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
         if int(np.prod(enc_out)) != 2 * self.bandwidth:
             raise ConfigurationError(
@@ -93,6 +95,9 @@ class ModelConfig:
                 raise ConfigurationError(
                     f"decoder final width {dec_out} != num_classes {self.num_classes}"
                 )
+            # cross-entropy reads the decoder output as probabilities
+            if not self.decoder or self.decoder[-1].act != "softmax":
+                raise ConfigurationError("a classification decoder must end in a softmax layer")
 
 
 def _propagate(shape, specs: list[LayerSpec], half: str):
@@ -212,12 +217,10 @@ def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
     return f
 
 
-def forward_pipeline(model: HyperAJSCCModel, x: Tensor, omega_db, rng: np.random.Generator):
-    """encode -> AWGN at omega -> decode, on one tape. Returns (out, z, z_hat)."""
-    symbols = encode(model, x, omega_db)
-    z_hat = awgn_transmit(symbols, omega_db, rng)
-    out = decode(model, z_hat, omega_db)
-    return out, symbols.values, z_hat
+def forward_pipeline(model: HyperAJSCCModel, x: Tensor, omega_db, rng: np.random.Generator) -> Tensor:
+    """encode -> AWGN at omega -> decode, on one tape. Returns the decoder output."""
+    z_hat = awgn_transmit(encode(model, x, omega_db), omega_db, rng)
+    return decode(model, z_hat, omega_db)
 
 
 def count_params(model: HyperAJSCCModel) -> dict:

@@ -56,9 +56,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def backward(self) -> None:
         """Reverse-topological gradient sweep from a scalar loss."""
         if self.data.size != 1:
@@ -419,7 +416,7 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> floa
     deterministic (freeze any RNG before calling).
     """
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = f()
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]

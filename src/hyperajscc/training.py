@@ -78,7 +78,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         self.t += 1
@@ -106,6 +106,8 @@ class TrainConfig:
             raise ContractError("epochs and batch_size must be positive")
         if not 0 < self.lr < np.inf:
             raise ContractError(f"learning rate {self.lr} must be positive and finite")
+        if self.val_every < 0:
+            raise ContractError(f"val_every {self.val_every} must be >= 0")
         lo, hi = self.prior
         if not -np.inf < lo <= hi < np.inf:
             raise ContractError(f"SNR prior [{lo}, {hi}] dB must be finite with lo <= hi")
@@ -132,19 +134,13 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _batch_loss(model, xb, labels, omegas, loss_kind, rng):
-    x = Tensor(xb)
-    out, _, _ = forward_pipeline(model, x, omegas, rng)
-    if loss_kind == "mse":
-        return mse_loss(x, out)
-    return cross_entropy_loss(out, labels)
-
-
 def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optimizer: Adam, rng) -> float:
     if len(np.atleast_1d(omegas)) != xb.shape[0]:
         raise ContractError(f"{len(np.atleast_1d(omegas))} conditions for batch of {xb.shape[0]}")
     optimizer.zero_grad()
-    loss = _batch_loss(model, xb, labels, omegas, loss_kind, rng)
+    x = Tensor(xb)
+    out = forward_pipeline(model, x, omegas, rng)
+    loss = mse_loss(x, out) if loss_kind == "mse" else cross_entropy_loss(out, labels)
     loss.backward()
     optimizer.step()
     return float(loss.data)

@@ -91,7 +91,6 @@ class TestAwgnTransmit:
         from hyperajscc.channel import ChannelSymbols
 
         z = Tensor(np.ones((1, 4)), requires_grad=True)
-        z.zero_grad()
         out = awgn_transmit(ChannelSymbols(z, 2), 3.0, np.random.default_rng(0))
         T.tsum(out).backward()
         np.testing.assert_array_equal(z.grad, np.ones((1, 4)))

@@ -172,14 +172,6 @@ def _omega_map_mismatch(tmp_path):
     return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
 
 
-def _classification_on_recon_data(tmp_path):
-    with open(os.path.join(CONFIGS, "default_class.cfg")) as fh:
-        text = fh.read()
-    path = tmp_path / "class.cfg"
-    path.write_text(text.replace("kind = synthetic-class", "kind = synthetic-recon"))
-    return ["train", str(path), "--out", str(tmp_path / "out")]
-
-
 def _unparsable_embedded_config(tmp_path):
     cfg = parse_run_config(GOOD)
     ckpt = str(tmp_path / "m.haj")
@@ -200,13 +192,17 @@ def _sweep_below_snr_floor(tmp_path):
     return ["sweep", ckpt, "--snr-grid", "-4000,0", "--csv", str(tmp_path / "s.csv")]
 
 
-def _edited_good(old, new):
-    """argv that trains GOOD with `old` replaced by `new`."""
-    assert old in GOOD
+with open(os.path.join(CONFIGS, "default_class.cfg")) as fh:
+    DEFAULT_CLASS = fh.read()
+
+
+def _edited_good(old, new, text=GOOD):
+    """argv that trains `text` (GOOD by default) with `old` replaced by `new`."""
+    assert old in text
 
     def make_argv(tmp_path):
         path = tmp_path / "edited.cfg"
-        path.write_text(GOOD.replace(old, new))
+        path.write_text(text.replace(old, new))
         return ["train", str(path), "--out", str(tmp_path / "out")]
 
     return make_argv
@@ -226,7 +222,7 @@ def _binary_config(tmp_path):
         (_malformed_cifar, EXIT_CORRUPT, "artifact error"),
         (_all_zero_symbols, EXIT_NUMERIC, "numeric abort"),
         (_omega_map_mismatch, EXIT_CORRUPT, "artifact error"),
-        (_classification_on_recon_data, EXIT_CONFIG, "config error"),
+        (_edited_good("kind = synthetic-class", "kind = synthetic-recon", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
         (_unparsable_embedded_config, EXIT_CORRUPT, "artifact error"),
         (_empty_omega_range, EXIT_CONFIG, "config error"),
         (_binary_config, EXIT_CONFIG, "config error"),
@@ -238,12 +234,21 @@ def _binary_config(tmp_path):
         (_edited_good("uniform 0 20", "fixed nan"), EXIT_CONFIG, "config error"),
         (_sweep_below_snr_floor, EXIT_CONFIG, "config error"),
         (_edited_good("uniform 0 20", "uniform -4000 0"), EXIT_CONFIG, "config error"),
+        (_edited_good("input_shape = 1x8x8", "input_shape = 8x8"), EXIT_CONFIG, "config error"),
+        (_edited_good("input_shape = 1x8x8", "input_shape = 1x1x8x8"), EXIT_CONFIG, "config error"),
+        (_edited_good("epochs = 2", "epochs = 2\nval_every = -1"), EXIT_CONFIG, "config error"),
+        (
+            _edited_good("bandwidth = 4", "bandwidth = 4\nomega_lo_db = -1e308\nomega_hi_db = 1e308"),
+            EXIT_CONFIG, "config error",
+        ),
+        (_edited_good("dense o2 softmax hyper", "dense o2 linear hyper", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
         "classification-on-recon-data", "unparsable-embedded-config", "empty-omega-range", "binary-config",
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
-        "snr-grid-below-floor", "prior-below-floor",
+        "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
+        "omega-width-infinite", "classifier-without-softmax",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

@@ -139,7 +139,9 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="data kind"):
             parse_run_config(GOOD.replace("kind = synthetic-recon", f"kind = {kind}"))
 
-    @pytest.mark.parametrize("lo,hi", [("10", "10"), ("20", "0"), ("nan", "20"), ("-inf", "20")])
+    @pytest.mark.parametrize(
+        "lo,hi", [("10", "10"), ("20", "0"), ("nan", "20"), ("-inf", "20"), ("-1e308", "1e308")]
+    )
     def test_empty_or_reversed_omega_range_rejected(self, lo, hi):
         text = GOOD.replace("bandwidth = 4", f"bandwidth = 4\nomega_lo_db = {lo}\nomega_hi_db = {hi}")
         with pytest.raises(ConfigError, match="omega range"):

@@ -3,25 +3,24 @@ import pytest
 
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.metrics import (
+    EVAL_CHUNK,
     PSNR_CAP_DB,
     SweepReport,
     compare_adaptive_vs_fixed,
-    psnr,
     psnr_from_mse,
     snr_sweep,
     sweep_chart_svg,
-    top1_accuracy,
 )
-from hyperajscc.models import build_model
-from hyperajscc.tensor import ContractError
+from hyperajscc.models import build_model, forward_pipeline
+from hyperajscc.tensor import ContractError, Tensor
 
-from test_models import toy_dense_config
+from test_models import shipped_model_config, toy_dense_config
 
 
 class TestPsnr:
     def test_identical_images_capped(self):
-        x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 4, 4))
-        assert psnr(x, x.copy()) == PSNR_CAP_DB
+        # identical images have zero MSE
+        assert psnr_from_mse(0.0) == PSNR_CAP_DB
 
     def test_closed_form_from_mse(self):
         # PSNR = -10 log10(mse) with MAX=1
@@ -29,36 +28,12 @@ class TestPsnr:
         assert psnr_from_mse(1e-4) == pytest.approx(40.0, abs=1e-9)
         assert psnr_from_mse(1.0) == pytest.approx(0.0, abs=1e-9)
 
-    def test_uniform_offset_closed_form(self):
-        # constant error of 0.1 -> mse 0.01 -> exactly 20 dB
-        x = np.zeros((1, 1, 4, 4))
-        assert psnr(x, x + 0.1) == pytest.approx(20.0, abs=1e-9)
-
     def test_cap_applies_to_tiny_error(self):
         assert psnr_from_mse(1e-30) == PSNR_CAP_DB
 
     def test_scale_consistency(self):
-        # halving the [0,1]-domain error adds exactly 20*log10(2) dB
-        x = np.zeros((1, 1, 2, 2))
-        a = psnr(x, x + 0.4)
-        b = psnr(x, x + 0.2)
-        assert b - a == pytest.approx(20 * np.log10(2), abs=1e-9)
-
-    def test_noise_ladder_monotone(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-0.5, 0.5, (4, 1, 8, 8))
-        vals = [psnr(x, np.clip(x + rng.normal(0, s, x.shape), -1, 1)) for s in (0.4, 0.2, 0.1, 0.05)]
-        assert vals == sorted(vals)
-
-
-class TestTop1Accuracy:
-    def test_perfect(self):
-        probs = np.eye(4)
-        assert top1_accuracy(probs, [0, 1, 2, 3]) == 1.0
-
-    def test_fractional(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
-        assert top1_accuracy(probs, [0, 1, 1, 0]) == 0.5
+        # halving the [0,1]-domain error quarters the MSE and adds exactly 20*log10(2) dB
+        assert psnr_from_mse(0.01) - psnr_from_mse(0.04) == pytest.approx(20 * np.log10(2), abs=1e-9)
 
 
 class TestSweepReport:
@@ -104,6 +79,59 @@ class TestSnrSweep:
     def test_row_count_matches_grid(self):
         rep = snr_sweep(self.model, self.ds, [0.0, 5.0, 10.0])
         assert [r[0] for r in rep.rows] == [0.0, 5.0, 10.0]
+
+
+def sweep_by_hand(model, ds, grid, seeds, chunk_total, finish):
+    """snr_sweep's rows rebuilt from its noise streams and EVAL_CHUNK chunks."""
+    n = ds.samples.shape[0]
+    rows = []
+    for gi, snr in enumerate(grid):
+        vals = []
+        for seed in seeds:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, gi)))
+            total = 0
+            for start in range(0, n, EVAL_CHUNK):
+                xb = ds.samples[start : start + EVAL_CHUNK]
+                total += chunk_total(xb, forward_pipeline(model, Tensor(xb), snr, rng).data, start)
+            vals.append(finish(total))
+        rows.append((snr, float(np.mean(vals)), float(np.std(vals)), n))
+    return rows
+
+
+class TestSweepDefinesTheMetric:
+    """The sweep row is the metric: nothing else in the library defines PSNR or accuracy."""
+
+    grid = [0.0, 10.0, 20.0]
+    seeds = (0, 3)
+
+    def test_psnr_row_is_summed_squared_error_over_pixels(self):
+        model = build_model(toy_dense_config(), 0)
+        ds = synthetic_dataset("gaussian-blobs-images", EVAL_CHUNK + 16, (1, 8, 8), seed=3)
+
+        def squared_error(xb, out, start):
+            return float((((xb + 1.0) / 2.0 - (out + 1.0) / 2.0) ** 2).sum())
+
+        expected = sweep_by_hand(
+            model, ds, self.grid, self.seeds, squared_error, lambda total: psnr_from_mse(total / ds.samples.size)
+        )
+        report = snr_sweep(model, ds, self.grid, self.seeds)
+        assert report.metric == "psnr_db"
+        assert report.rows == expected
+
+    def test_accuracy_row_is_argmax_hits_over_samples(self):
+        model = build_model(shipped_model_config("default_class"), 0)
+        ds = synthetic_dataset("pattern-classes", EVAL_CHUNK + 16, (3, 8, 8), num_classes=2, seed=3)
+        labels = np.asarray(ds.labels)
+
+        def hits(xb, out, start):
+            return int((out.argmax(axis=1) == labels[start : start + len(xb)]).sum())
+
+        expected = sweep_by_hand(
+            model, ds, self.grid, self.seeds, hits, lambda total: total / ds.samples.shape[0]
+        )
+        report = snr_sweep(model, ds, self.grid, self.seeds)
+        assert report.metric == "top1_accuracy"
+        assert report.rows == expected
 
 
 class TestCompare:

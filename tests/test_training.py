@@ -33,7 +33,6 @@ class TestMseLoss:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal(6))
         xh = Tensor(rng.standard_normal(6), requires_grad=True)
-        xh.zero_grad()
         mse_loss(x, xh).backward()
         np.testing.assert_allclose(xh.grad, 2 * (xh.data - x.data) / 6)
         assert finite_diff_check(lambda: mse_loss(x, xh), [xh]) < 1e-8
@@ -151,7 +150,7 @@ class TestTrainStep:
         )
         model = build_model(cfg, 0)
         x = np.array([[[[0.3, -0.4]]]])
-        out, _, _ = forward_pipeline(model, Tensor(x), 40.0, np.random.default_rng(0))
+        out = forward_pipeline(model, Tensor(x), 40.0, np.random.default_rng(0))
         # hand computation: encoder affine, exact power normalization, decoder affine
         enc, dec = model.encoder[1].base, model.decoder[0].base
         z = enc.w0.data @ x.reshape(2) + enc.b0.data
@@ -276,7 +275,7 @@ class TestObjectiveStatistics:
             vals = []
             for _ in range(n_draws):
                 omegas = rng.uniform(0.0, 20.0, size=16)
-                out, _, _ = forward_pipeline(model, Tensor(ds.samples), omegas, rng)
+                out = forward_pipeline(model, Tensor(ds.samples), omegas, rng)
                 vals.append(float(mse_loss(Tensor(ds.samples), out).data))
             return np.asarray(vals)
 
