@@ -12,17 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _make
+from .errors import ConfigError, NumericAbortError
+from .tensor import Tensor, _make
 
 # Above this SNR the channel is treated as exactly noiseless.
 SNR_CAP_DB = 40.0
 # The lowest SNR a run or sweep accepts: noise power 10^10 times the signal's.
 # Far below it (about -3080 dB) sigma^2 overflows to inf.
 SNR_FLOOR_DB = -100.0
-
-
-class DegenerateInputError(ValueError):
-    """An all-zero symbol row cannot satisfy the unit-power constraint."""
 
 
 @dataclass
@@ -46,11 +43,11 @@ def power_normalize(z_raw: Tensor) -> ChannelSymbols:
     Differentiable: the gradient flows through the norm.
     """
     if z_raw.data.ndim != 2 or z_raw.shape[1] % 2:
-        raise ShapeError(f"power_normalize expects [batch, 2d] input, got {z_raw.shape}")
+        raise ConfigError(f"power_normalize expects [batch, 2d] input, got {z_raw.shape}")
     d = z_raw.shape[1] // 2
     norms = np.linalg.norm(z_raw.data, axis=1)
     if np.any(norms == 0.0):
-        raise DegenerateInputError("all-zero symbol row cannot be power-normalized")
+        raise NumericAbortError("all-zero symbol row cannot be power-normalized")
     factor = np.sqrt(d) / norms
     out = z_raw.data * factor[:, None]
 
@@ -73,7 +70,7 @@ def awgn_transmit(symbols: ChannelSymbols, omega_db, rng: np.random.Generator) -
     z = symbols.values
     sigma2 = np.atleast_1d(np.asarray(snr_to_sigma2(omega_db), dtype=np.float64))
     if sigma2.size not in (1, z.shape[0]):
-        raise ShapeError(f"awgn_transmit: {sigma2.size} conditions for batch of {z.shape[0]}")
+        raise ConfigError(f"awgn_transmit: {sigma2.size} conditions for batch of {z.shape[0]}")
     noise = rng.standard_normal(z.shape) * np.sqrt(sigma2 / 2.0)[:, None]
     return _make(z.data + noise, (z,), lambda g: [(z, g)])
 

@@ -23,19 +23,12 @@ import struct
 
 import numpy as np
 
-from .config import ConfigError, parse_run_config
+from .config import parse_run_config
+from .errors import ConfigError, CorruptArtifactError
 from .models import HyperAJSCCModel, build_model
 
 MAGIC = b"HAJ1"
 VERSION = 1
-
-
-class CorruptCheckpointError(ValueError):
-    """File is not a readable checkpoint."""
-
-
-class DigestMismatchError(ValueError):
-    """Checkpoint was trained under a different config."""
 
 
 def save_checkpoint(path: str, model: HyperAJSCCModel, config_text: str) -> None:
@@ -67,12 +60,12 @@ def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.n
         blob = fh.read()
     try:
         if blob[:4] != MAGIC:
-            raise CorruptCheckpointError(f"{path}: bad magic {blob[:4]!r}")
+            raise CorruptArtifactError(f"{path}: bad magic {blob[:4]!r}")
         off = 4
         (version,) = struct.unpack_from("<H", blob, off)
         off += 2
         if version != VERSION:
-            raise CorruptCheckpointError(f"{path}: unsupported version {version}")
+            raise CorruptArtifactError(f"{path}: unsupported version {version}")
         (cfg_len,) = struct.unpack_from("<I", blob, off)
         off += 4
         cfg_bytes = blob[off : off + cfg_len]
@@ -80,7 +73,8 @@ def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.n
         digest = blob[off : off + 32]
         off += 32
         if hashlib.sha256(cfg_bytes).digest() != digest:
-            raise CorruptCheckpointError(f"{path}: embedded config digest mismatch")
+            raise CorruptArtifactError(f"{path}: embedded config digest mismatch")
+        config_text = cfg_bytes.decode()
         gain, offset = struct.unpack_from("<dd", blob, off)
         off += 16
         (n_tensors,) = struct.unpack_from("<I", blob, off)
@@ -100,34 +94,32 @@ def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.n
             off += 4 * count
             tensors[name] = values.astype(np.float64).reshape(dims)
         if off != len(blob):
-            raise CorruptCheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    except (struct.error, ValueError, IndexError, UnicodeDecodeError) as exc:
-        if isinstance(exc, CorruptCheckpointError):
-            raise
-        raise CorruptCheckpointError(f"{path}: truncated or corrupt ({exc})") from None
-    return cfg_bytes.decode(), (gain, offset), tensors
+            raise CorruptArtifactError(f"{path}: {len(blob) - off} trailing bytes")
+    except (struct.error, ValueError, IndexError) as exc:
+        raise CorruptArtifactError(f"{path}: truncated or corrupt ({exc})") from None
+    return config_text, (gain, offset), tensors
 
 
 def load_model(path: str, expected_config_text: str | None = None):
     """Rebuild a model from a checkpoint; returns (model, run_config)."""
     config_text, omega_map, tensors = read_checkpoint(path)
     if expected_config_text is not None and expected_config_text != config_text:
-        raise DigestMismatchError(f"{path}: config digest differs from the provided config")
+        raise CorruptArtifactError(f"{path}: config digest differs from the provided config")
     try:
         run_cfg = parse_run_config(config_text)
     except ConfigError as exc:
-        raise CorruptCheckpointError(f"{path}: embedded config does not parse ({exc})") from None
+        raise CorruptArtifactError(f"{path}: embedded config does not parse ({exc})") from None
     expected_map = (run_cfg.model.omega_gain, run_cfg.model.omega_offset)
     if omega_map != expected_map:
-        raise CorruptCheckpointError(
+        raise CorruptArtifactError(
             f"{path}: stored omega map {omega_map} differs from the config's {expected_map}"
         )
     model = build_model(run_cfg.model, seed=run_cfg.train.seed)
     named = dict(model.named_parameters())
     if set(named) != set(tensors):
-        raise CorruptCheckpointError(f"{path}: tensor table does not match the architecture")
+        raise CorruptArtifactError(f"{path}: tensor table does not match the architecture")
     for name, values in tensors.items():
         if named[name].shape != values.shape:
-            raise CorruptCheckpointError(f"{path}: tensor {name} has shape {values.shape}, expected {named[name].shape}")
+            raise CorruptArtifactError(f"{path}: tensor {name} has shape {values.shape}, expected {named[name].shape}")
         named[name].data = values
     return model, run_cfg

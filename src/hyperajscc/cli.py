@@ -3,7 +3,9 @@
 Exit codes: 0 ok, 2 config or usage error (including an unreadable path),
 3 numeric abort (NaN loss, or an all-zero symbol row that cannot be
 power-normalized), 4 corrupt artifact (checkpoint or dataset file),
-5 gradient check failure.
+5 gradient check failure.  Codes 2, 3 and 4 are the exception classes of
+`hyperajscc.errors`: ConfigError (or an OSError), NumericAbortError and
+CorruptArtifactError.  A library caller catches these three.
 """
 
 from __future__ import annotations
@@ -13,21 +15,13 @@ import os
 import sys
 import time
 
-from .channel import DegenerateInputError
-from .checkpoint import (
-    MAGIC,
-    CorruptCheckpointError,
-    DigestMismatchError,
-    load_model,
-    save_checkpoint,
-)
-from .config import ConfigError, load_datasets, parse_run_config, parse_seed, parse_seeds, parse_snr_grid
-from .data import FormatError
+from .checkpoint import MAGIC, load_model, save_checkpoint
+from .config import load_datasets, parse_run_config, parse_seed, parse_seeds, parse_snr_grid
+from .errors import ConfigError, CorruptArtifactError, NumericAbortError
 from .gradcheck import run_suite
 from .metrics import snr_sweep, sweep_chart_svg
 from .models import build_model, compression_ratio, count_params
-from .tensor import ConfigurationError, ContractError, ShapeError
-from .training import TrainingDivergedError, train
+from .training import train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,18 +173,15 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.fn(args)
-    except (ConfigError, ConfigurationError, ContractError, ShapeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDivergedError, DegenerateInputError) as exc:
+    except NumericAbortError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorruptCheckpointError, DigestMismatchError, FormatError) as exc:
+    except CorruptArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,13 +14,10 @@ from dataclasses import MISSING, dataclass, fields
 
 from .channel import SNR_FLOOR_DB
 from .data import load_cifar10, synthetic_dataset
+from .errors import ConfigError
 from .models import LayerSpec, ModelConfig
 from .tensor import ACTIVATIONS
 from .training import TrainConfig
-
-
-class ConfigError(ValueError):
-    """Config text failed to parse or validate."""
 
 
 @dataclass
@@ -88,16 +85,20 @@ def _parse_layer(item: str) -> LayerSpec:
         return LayerSpec("reshape", shape=_parse_shape(tokens[0]))
     if kind not in _LAYER_NUMBERS:
         raise ConfigError(f"unknown layer kind {kind!r}")
-    spec = LayerSpec(kind)
+    spec, seen = LayerSpec(kind), set()
     for tok in tokens:
         if tok == "hyper":
-            spec.hyper = True
+            field, value = "hyper", True
         elif tok in ACTIVATIONS:
-            spec.act = tok
+            field, value = "act", tok
         elif tok[0] in _LAYER_NUMBERS[kind] and tok[1:].isdecimal():
-            setattr(spec, _NUMBER_FIELDS[tok[0]], int(tok[1:]))
+            field, value = _NUMBER_FIELDS[tok[0]], int(tok[1:])
         else:
             raise ConfigError(f"bad layer token {tok!r} in {item!r}")
+        if field in seen:
+            raise ConfigError(f"layer {item!r} sets {field} twice ({tok!r})")
+        seen.add(field)
+        setattr(spec, field, value)
     if spec.out < 1:
         raise ConfigError(f"layer {item!r} needs an output width (oN)")
     if min(spec.kernel, spec.stride, spec.upsample) < 1:
@@ -227,11 +228,8 @@ def parse_run_config(text: str) -> RunConfig:
         raise ConfigError(f"section [model] must define {', '.join(missing)}")
     model = ModelConfig(**m)
     train = TrainConfig(**_section(sections, "train"))
-    try:
-        model.validate()
-        train.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    model.validate()
+    train.validate()
     run = {"data_kind": _SYNTHETIC_KIND[model.task], **_section(sections, "data"), **_section(sections, "eval")}
     cfg = RunConfig(model=model, train=train, text=text, **run)
     if cfg.data_kind not in ("cifar10", _SYNTHETIC_KIND[model.task]):

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .tensor import ContractError
+from .errors import ConfigError, CorruptArtifactError
 
 RECORD_BYTES = 3073  # 1 label byte + 3*32*32 pixel bytes
-
-
-class FormatError(ValueError):
-    """A dataset file does not match the expected binary layout."""
 
 
 @dataclass
@@ -31,7 +27,7 @@ class Dataset:
 
     def __post_init__(self):
         if self.labels is not None and len(self.labels) != self.samples.shape[0]:
-            raise ContractError(
+            raise ConfigError(
                 f"{len(self.labels)} labels for {self.samples.shape[0]} samples"
             )
 
@@ -39,13 +35,15 @@ class Dataset:
 def _load_cifar_file(path: str) -> tuple[np.ndarray, list[int]]:
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size % RECORD_BYTES:
-        raise FormatError(
+        raise CorruptArtifactError(
             f"{path}: size {raw.size} is not a multiple of the {RECORD_BYTES}-byte record"
         )
+    if raw.size == 0:
+        raise CorruptArtifactError(f"{path}: holds no records")
     records = raw.reshape(-1, RECORD_BYTES)
     labels = records[:, 0]
-    if labels.max(initial=0) > 9:
-        raise FormatError(f"{path}: corrupt label byte {labels.max()} > 9")
+    if labels.max() > 9:
+        raise CorruptArtifactError(f"{path}: corrupt label byte {labels.max()} > 9")
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64)
     return 2.0 * (pixels / 255.0) - 1.0, labels.tolist()
 
@@ -83,7 +81,7 @@ def synthetic_dataset(
 ) -> Dataset:
     """kind: 'gaussian-blobs-images' (reconstruction) or 'pattern-classes'."""
     if n_items < 1:
-        raise ContractError("n_items must be positive")
+        raise ConfigError("n_items must be positive")
     rng = np.random.default_rng(seed)
     if kind == "gaussian-blobs-images":
         samples = np.stack([_smooth_image(shape, rng) for _ in range(n_items)])
@@ -103,16 +101,16 @@ def synthetic_dataset(
             noisy = protos[lab] + 0.15 * rng.standard_normal(shape)
             samples[i] = np.clip(noisy, -1.0, 1.0)
         return Dataset(samples, labels, kind, "any")
-    raise ContractError(f"unknown synthetic dataset kind: {kind!r}")
+    raise ConfigError(f"unknown synthetic dataset kind: {kind!r}")
 
 
 def batches(dataset: Dataset, batch_size: int, shuffle_seed: int, epoch: int):
     """Deterministic epoch-dependent permutation; final partial batch kept."""
     n = dataset.samples.shape[0]
     if batch_size < 1:
-        raise ContractError("batch_size must be positive")
+        raise ConfigError("batch_size must be positive")
     if batch_size > n:
-        raise ContractError(f"batch_size {batch_size} exceeds dataset size {n}")
+        raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
     rng = np.random.default_rng(np.random.SeedSequence((shuffle_seed, epoch)))
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ConfigurationError, ShapeError, Tensor
+from .errors import ConfigError
+from .tensor import Tensor
 
 
 class HyperScale:
@@ -27,7 +28,7 @@ class HyperScale:
 
     def __init__(self, nu: Tensor, c: Tensor):
         if nu.shape != c.shape or nu.data.ndim != 1:
-            raise ShapeError(f"HyperScale: nu {nu.shape} vs c {c.shape}")
+            raise ConfigError(f"HyperScale: nu {nu.shape} vs c {c.shape}")
         self.nu = nu
         self.c = c
 
@@ -46,7 +47,7 @@ class HyperScale:
 class DenseLayer:
     def __init__(self, w0: Tensor, b0: Tensor, act: str = "linear"):
         if w0.data.ndim != 2 or b0.shape != (w0.shape[0],):
-            raise ShapeError(f"DenseLayer: W0 {w0.shape} vs b0 {b0.shape}")
+            raise ConfigError(f"DenseLayer: W0 {w0.shape} vs b0 {b0.shape}")
         self.w0 = w0
         self.b0 = b0
         self.act = act
@@ -72,9 +73,9 @@ class Conv2dLayer:
         act: str = "linear",
     ):
         if c0.data.ndim != 4 or b0.shape != (c0.shape[0],):
-            raise ShapeError(f"Conv2dLayer: C0 {c0.shape} vs b0 {b0.shape}")
+            raise ConfigError(f"Conv2dLayer: C0 {c0.shape} vs b0 {b0.shape}")
         if c0.shape[2] < 1 or c0.shape[3] < 1:
-            raise ConfigurationError(f"Conv2dLayer: empty kernel {c0.shape}")
+            raise ConfigError(f"Conv2dLayer: empty kernel {c0.shape}")
         self.c0 = c0
         self.b0 = b0
         self.stride = stride
@@ -95,7 +96,7 @@ class HyperLayer:
 
     def __init__(self, base: DenseLayer | Conv2dLayer, scale: HyperScale | None = None):
         if scale is not None and scale.nu.shape[0] != base.out_channels:
-            raise ShapeError(
+            raise ConfigError(
                 f"HyperLayer: scale width {scale.nu.shape[0]} vs {base.out_channels} output channels"
             )
         self.base = base

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .errors import ConfigError
 from .models import HyperAJSCCModel, forward_pipeline
-from .tensor import ContractError, Tensor
+from .tensor import Tensor
 
 PSNR_CAP_DB = 100.0
 EVAL_CHUNK = 64  # images per forward pass in a sweep
@@ -37,7 +38,7 @@ class SweepReport:
         for s, mean, _, _ in self.rows:
             if s == snr_db:
                 return mean
-        raise ContractError(f"no sweep row for SNR {snr_db} dB")
+        raise ConfigError(f"no sweep row for SNR {snr_db} dB")
 
     def to_csv(self) -> str:
         lines = ["snr_db,metric,mean,std,n"]
@@ -64,9 +65,9 @@ def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) ->
     """Full-dataset metric at each grid SNR, aggregated over noise seeds."""
     grid = [float(s) for s in snr_grid]
     if not grid:
-        raise ContractError("snr_sweep: empty grid")
+        raise ConfigError("snr_sweep: empty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ContractError("snr_sweep: grid SNRs must be strictly increasing")
+        raise ConfigError("snr_sweep: grid SNRs must be strictly increasing")
     metric = "psnr_db" if model.config.task == "reconstruction" else "top1_accuracy"
     report = SweepReport(metric=metric)
     for gi, snr in enumerate(grid):
@@ -90,8 +91,8 @@ def compare_adaptive_vs_fixed(adaptive: SweepReport, fixed: dict[float, SweepRep
         try:
             f_val = fixed[train_snr].mean_at(train_snr)
             a_val = adaptive.mean_at(train_snr)
-        except ContractError as e:
-            raise ContractError(f"grid mismatch at {train_snr} dB: {e}") from None
+        except ConfigError as e:
+            raise ConfigError(f"grid mismatch at {train_snr} dB: {e}") from None
         gaps.append((train_snr, f_val - a_val))
     return gaps
 
@@ -106,7 +107,7 @@ def sweep_chart_svg(series: dict[str, SweepReport], ylabel: str) -> str:
     xs = sorted({s for rep in series.values() for s, *_ in rep.rows})
     ys = [mean for rep in series.values() for _, mean, _, _ in rep.rows]
     if not xs or not ys:
-        raise ContractError("sweep_chart_svg: nothing to plot")
+        raise ConfigError("sweep_chart_svg: nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import layers as L
 from .channel import ChannelSymbols, awgn_transmit, power_normalize
+from .errors import ConfigError
 from .layers import Reshape
-from .tensor import ConfigurationError, ShapeError, Tensor
+from .tensor import Tensor
 from . import tensor as T
 
 
@@ -67,37 +68,37 @@ class ModelConfig:
 
     def validate(self) -> None:
         if self.task not in ("reconstruction", "classification"):
-            raise ConfigurationError(f"unknown task: {self.task!r}")
+            raise ConfigError(f"unknown task: {self.task!r}")
         if len(self.input_shape) != 3:
-            raise ConfigurationError(f"input shape must be CxHxW, got {self.input_shape}")
+            raise ConfigError(f"input shape must be CxHxW, got {self.input_shape}")
         if self.bandwidth < 1:
-            raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth}")
+            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.task == "classification" and self.num_classes < 2:
-            raise ConfigurationError(f"classification needs num_classes >= 2, got {self.num_classes}")
+            raise ConfigError(f"classification needs num_classes >= 2, got {self.num_classes}")
         lo, hi = self.omega_lo_db, self.omega_hi_db
         # an overflowing width, gain or offset breaks the SNR map; an infinite width maps every SNR to 0
         if not (lo < hi and np.isfinite([hi - lo, self.omega_gain, self.omega_offset]).all()):
-            raise ConfigurationError(f"omega range must be finite with lo < hi, got {lo} .. {hi} dB")
+            raise ConfigError(f"omega range must be finite with lo < hi, got {lo} .. {hi} dB")
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
         if int(np.prod(enc_out)) != 2 * self.bandwidth:
-            raise ConfigurationError(
+            raise ConfigError(
                 f"encoder output width {int(np.prod(enc_out))} != 2*d = {2 * self.bandwidth}"
             )
         dec_out = _propagate((2 * self.bandwidth,), self.decoder, "decoder")
         if self.task == "reconstruction":
             # a flat decoder output of width n is reshaped to the image in decode()
             if tuple(dec_out) != tuple(self.input_shape) and dec_out != (self.n,):
-                raise ConfigurationError(
+                raise ConfigError(
                     f"decoder output shape {dec_out} != input shape {self.input_shape}"
                 )
         else:
             if dec_out != (self.num_classes,):
-                raise ConfigurationError(
+                raise ConfigError(
                     f"decoder final width {dec_out} != num_classes {self.num_classes}"
                 )
             # cross-entropy reads the decoder output as probabilities
             if not self.decoder or self.decoder[-1].act != "softmax":
-                raise ConfigurationError("a classification decoder must end in a softmax layer")
+                raise ConfigError("a classification decoder must end in a softmax layer")
 
 
 def _propagate(shape, specs: list[LayerSpec], half: str):
@@ -107,31 +108,31 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
         where = f"{half}[{i}] ({s.kind})"
         if s.kind == "dense":
             if len(cur) != 1:
-                raise ConfigurationError(f"{where}: dense needs a flat input, got {cur}")
+                raise ConfigError(f"{where}: dense needs a flat input, got {cur}")
             cur = (s.out,)
         elif s.kind in ("conv", "deconv"):
             if len(cur) != 3:
-                raise ConfigurationError(f"{where}: conv needs [C,H,W] input, got {cur}")
+                raise ConfigError(f"{where}: conv needs [C,H,W] input, got {cur}")
             h, w = cur[1] * s.upsample, cur[2] * s.upsample  # 1 unless deconv
             if (h + 2 * s.padding - s.kernel) % s.stride or (w + 2 * s.padding - s.kernel) % s.stride:
-                raise ConfigurationError(f"{where}: non-integral output size from {cur}")
+                raise ConfigError(f"{where}: non-integral output size from {cur}")
             ho = (h + 2 * s.padding - s.kernel) // s.stride + 1
             wo = (w + 2 * s.padding - s.kernel) // s.stride + 1
             if ho < 1 or wo < 1:
-                raise ConfigurationError(f"{where}: empty output from {cur}")
+                raise ConfigError(f"{where}: empty output from {cur}")
             cur = (s.out, ho, wo)
         elif s.kind == "resblock":
             if len(cur) != 3:
-                raise ConfigurationError(f"{where}: resblock needs [C,H,W] input, got {cur}")
+                raise ConfigError(f"{where}: resblock needs [C,H,W] input, got {cur}")
             cur = (s.out, cur[1], cur[2])
         elif s.kind == "flatten":
             cur = (int(np.prod(cur)),)
         elif s.kind == "reshape":
             if int(np.prod(s.shape)) != int(np.prod(cur)):
-                raise ConfigurationError(f"{where}: cannot reshape {cur} into {s.shape}")
+                raise ConfigError(f"{where}: cannot reshape {cur} into {s.shape}")
             cur = tuple(s.shape)
         else:
-            raise ConfigurationError(f"{where}: unknown layer kind")
+            raise ConfigError(f"{where}: unknown layer kind")
     return cur
 
 
@@ -192,7 +193,7 @@ def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
     cfg = model.config
     expected = (x.shape[0],) + tuple(cfg.input_shape)
     if x.shape != expected:
-        raise ShapeError(f"encode: input {x.shape}, expected {expected}")
+        raise ConfigError(f"encode: input {x.shape}, expected {expected}")
     omega_t = _omega_t(cfg, omega_db, x.shape[0])
     f = x
     for layer in model.encoder:
@@ -200,14 +201,14 @@ def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
     if f.data.ndim > 2:
         f = T.reshape(f, (f.shape[0], f.size // f.shape[0]))
     if f.shape[1] != 2 * cfg.bandwidth:
-        raise ConfigurationError(f"encoder produced width {f.shape[1]}, expected {2 * cfg.bandwidth}")
+        raise ConfigError(f"encoder produced width {f.shape[1]}, expected {2 * cfg.bandwidth}")
     return power_normalize(f)
 
 
 def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
     cfg = model.config
     if z_hat.data.ndim != 2 or z_hat.shape[1] != 2 * cfg.bandwidth:
-        raise ShapeError(f"decode: input {z_hat.shape}, expected [batch, {2 * cfg.bandwidth}]")
+        raise ConfigError(f"decode: input {z_hat.shape}, expected [batch, {2 * cfg.bandwidth}]")
     omega_t = _omega_t(cfg, omega_db, z_hat.shape[0])
     f = z_hat
     for layer in model.decoder:
@@ -253,5 +254,5 @@ def count_params(model: HyperAJSCCModel) -> dict:
 def compression_ratio(config: ModelConfig) -> float:
     """R = d/n: channel bandwidth over source dimension."""
     if config.n <= 0:
-        raise ConfigurationError("source dimension must be positive")
+        raise ConfigError("source dimension must be positive")
     return config.bandwidth / config.n

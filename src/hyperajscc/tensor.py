@@ -16,17 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible with the requested op."""
-
-
-class ContractError(ValueError):
-    """An op precondition (other than pure shape agreement) was violated."""
-
-
-class ConfigurationError(ValueError):
-    """A structural parameter (stride/padding/width) is inconsistent."""
+from .errors import ConfigError
 
 
 class Tensor:
@@ -59,7 +49,7 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-topological gradient sweep from a scalar loss."""
         if self.data.size != 1:
-            raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
+            raise ConfigError(f"backward requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -109,9 +99,9 @@ def _make(data, parents: tuple, backward_fn: Callable) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
+        raise ConfigError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
+        raise ConfigError(f"matmul inner dims disagree: {a.shape} vs {b.shape}")
     out = a.data @ b.data
 
     def backward(g):
@@ -128,9 +118,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """y = x @ w.T + b for x [B,Din], w [Dout,Din], b [Dout]."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+        raise ConfigError(f"linear: input {x.shape} does not match weight {w.shape}")
     if b.shape != (w.shape[0],):
-        raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
+        raise ConfigError(f"linear: bias {b.shape} does not match weight {w.shape}")
     out = x.data @ w.data.T + b.data
 
     def backward(g):
@@ -152,7 +142,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
+        raise ConfigError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -178,7 +168,7 @@ def scale(a: Tensor, alpha: float) -> Tensor:
 def scale_rowwise(a: Tensor, v: Tensor) -> Tensor:
     """Multiply slice i along the leading axis of `a` by v[i]."""
     if v.data.ndim != 1 or v.shape[0] != a.shape[0]:
-        raise ShapeError(f"scale_rowwise: vector {v.shape} does not match leading dim of {a.shape}")
+        raise ConfigError(f"scale_rowwise: vector {v.shape} does not match leading dim of {a.shape}")
     vr = v.data.reshape((a.shape[0],) + (1,) * (a.data.ndim - 1))
     out = a.data * vr
 
@@ -197,7 +187,7 @@ def scale_rowwise(a: Tensor, v: Tensor) -> Tensor:
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Multiply every row of x [B,D] elementwise by v [D]."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeError(f"mul_rowvec: {x.shape} vs {v.shape}")
+        raise ConfigError(f"mul_rowvec: {x.shape} vs {v.shape}")
     out = x.data * v.data
 
     def backward(g):
@@ -214,7 +204,7 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 def scale_channels(x: Tensor, s: Tensor) -> Tensor:
     """Scale channel c of sample b in x [B,C,...] by s[b,c] (FiLM-style gain)."""
     if x.data.ndim < 2 or s.shape != x.shape[:2]:
-        raise ShapeError(f"scale_channels: scale {s.shape} vs batch/channels of {x.shape}")
+        raise ConfigError(f"scale_channels: scale {s.shape} vs batch/channels of {x.shape}")
     trailing = tuple(range(2, x.data.ndim))
     sr = s.data.reshape(s.shape + (1,) * len(trailing))
     out = x.data * sr
@@ -235,7 +225,7 @@ def affine_outer(omega: np.ndarray, nu: Tensor, c: Tensor) -> Tensor:
     """out[b, j] = omega[b] * nu[j] + c[j] for a per-sample condition vector."""
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 1 or nu.data.ndim != 1 or nu.shape != c.shape:
-        raise ShapeError(f"affine_outer: omega {omega.shape}, nu {nu.shape}, c {c.shape}")
+        raise ConfigError(f"affine_outer: omega {omega.shape}, nu {nu.shape}, c {c.shape}")
     out = omega[:, None] * nu.data[None, :] + c.data[None, :]
 
     def backward(g):
@@ -295,7 +285,7 @@ def activation(kind: str, x: Tensor) -> Tensor:
         return sigmoid(x)
     if kind == "softmax":
         return softmax(x)
-    raise ContractError(f"unknown activation kind: {kind!r}")
+    raise ConfigError(f"unknown activation kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def tmean(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != x.data.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
+        raise ConfigError(f"reshape: cannot view {x.shape} as {shape}")
     return _make(x.data.reshape(shape), (x,), lambda g: [(x, g.reshape(x.shape))])
 
 
@@ -334,24 +324,24 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     matrix, so forward plus backward peak at a few times the input's bytes.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ShapeError(f"conv2d: input {x.shape}, kernels {k.shape}")
+        raise ConfigError(f"conv2d: input {x.shape}, kernels {k.shape}")
     B, Cin, H, W = x.shape
     Cout, KCin, KH, KW = k.shape
     if KCin != Cin:
-        raise ShapeError(f"conv2d: input channels {Cin} vs kernel channels {KCin}")
+        raise ConfigError(f"conv2d: input channels {Cin} vs kernel channels {KCin}")
     if b.shape != (Cout,):
-        raise ShapeError(f"conv2d: bias {b.shape} vs {Cout} output channels")
+        raise ConfigError(f"conv2d: bias {b.shape} vs {Cout} output channels")
     if stride < 1 or padding < 0:
-        raise ConfigurationError(f"conv2d: bad stride/padding ({stride}, {padding})")
+        raise ConfigError(f"conv2d: bad stride/padding ({stride}, {padding})")
     if (H + 2 * padding - KH) % stride or (W + 2 * padding - KW) % stride:
-        raise ConfigurationError(
+        raise ConfigError(
             f"conv2d: non-integral output size for input {H}x{W}, "
             f"kernel {KH}x{KW}, stride {stride}, padding {padding}"
         )
     Ho = (H + 2 * padding - KH) // stride + 1
     Wo = (W + 2 * padding - KW) // stride + 1
     if Ho < 1 or Wo < 1:
-        raise ConfigurationError(f"conv2d: empty output ({Ho}x{Wo})")
+        raise ConfigError(f"conv2d: empty output ({Ho}x{Wo})")
 
     # channels-last, so each offset's window reshapes to [B*Ho*Wo, Cin] rows
     xp = np.zeros((B, H + 2 * padding, W + 2 * padding, Cin))
@@ -394,9 +384,9 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 def upsample_zero(x: Tensor, factor: int) -> Tensor:
     """Fractional-stride upsampling: insert zeros so pixel i lands at i*factor."""
     if x.data.ndim != 4:
-        raise ShapeError(f"upsample_zero expects 4-d input, got {x.shape}")
+        raise ConfigError(f"upsample_zero expects 4-d input, got {x.shape}")
     if factor < 1:
-        raise ConfigurationError(f"upsample_zero: factor must be >= 1, got {factor}")
+        raise ConfigError(f"upsample_zero: factor must be >= 1, got {factor}")
     if factor == 1:
         return x
     B, C, H, W = x.shape

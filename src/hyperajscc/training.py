@@ -18,18 +18,15 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, batches
+from .errors import ConfigError, NumericAbortError
 from .metrics import snr_sweep
 from .models import HyperAJSCCModel, forward_pipeline
-from .tensor import ContractError, ShapeError, Tensor
-
-
-class TrainingDivergedError(RuntimeError):
-    """Loss went NaN; aborting beats silently skipping a broken gradient."""
+from .tensor import Tensor
 
 
 def mse_loss(x: Tensor, x_hat: Tensor) -> Tensor:
     if x.shape != x_hat.shape:
-        raise ShapeError(f"mse_loss: shapes differ: {x.shape} vs {x_hat.shape}")
+        raise ConfigError(f"mse_loss: shapes differ: {x.shape} vs {x_hat.shape}")
     diff = T.sub(x_hat, x)
     return T.tmean(T.mul(diff, diff))
 
@@ -41,10 +38,10 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     """Mean of -log probs[i, label_i], with a 1e-12 probability floor."""
     labels = np.asarray(labels, dtype=np.int64)
     if probs.data.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise ShapeError(f"cross_entropy_loss: probs {probs.shape}, labels {labels.shape}")
+        raise ConfigError(f"cross_entropy_loss: probs {probs.shape}, labels {labels.shape}")
     k = probs.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise ContractError(f"label out of range [0, {k})")
+        raise ConfigError(f"label out of range [0, {k})")
     n = probs.shape[0]
     picked = probs.data[np.arange(n), labels]
     floored = np.maximum(picked, PROB_FLOOR)
@@ -103,14 +100,14 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
-            raise ContractError("epochs and batch_size must be positive")
+            raise ConfigError("epochs and batch_size must be positive")
         if not 0 < self.lr < np.inf:
-            raise ContractError(f"learning rate {self.lr} must be positive and finite")
+            raise ConfigError(f"learning rate {self.lr} must be positive and finite")
         if self.val_every < 0:
-            raise ContractError(f"val_every {self.val_every} must be >= 0")
+            raise ConfigError(f"val_every {self.val_every} must be >= 0")
         lo, hi = self.prior
         if not -np.inf < lo <= hi < np.inf:
-            raise ContractError(f"SNR prior [{lo}, {hi}] dB must be finite with lo <= hi")
+            raise ConfigError(f"SNR prior [{lo}, {hi}] dB must be finite with lo <= hi")
 
 
 @dataclass
@@ -136,7 +133,7 @@ class TrainLog:
 
 def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optimizer: Adam, rng) -> float:
     if len(np.atleast_1d(omegas)) != xb.shape[0]:
-        raise ContractError(f"{len(np.atleast_1d(omegas))} conditions for batch of {xb.shape[0]}")
+        raise ConfigError(f"{len(np.atleast_1d(omegas))} conditions for batch of {xb.shape[0]}")
     optimizer.zero_grad()
     x = Tensor(xb)
     out = forward_pipeline(model, x, omegas, rng)
@@ -155,7 +152,7 @@ def train(
     """Epochs of shuffled mini-batches with per-sample condition draws."""
     config.validate()
     if dataset.samples.shape[0] == 0:
-        raise ContractError("dataset is empty")
+        raise ConfigError("dataset is empty")
     ss = np.random.SeedSequence(config.seed)
     s_prior, s_noise = ss.spawn(2)
     rng_prior = np.random.default_rng(s_prior)
@@ -176,7 +173,7 @@ def train(
             loss = train_step(model, xb, labels, omegas, loss_kind, opt, rng_noise)
             step += 1
             if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step}")
+                raise NumericAbortError(f"non-finite loss at epoch {epoch}, step {step}")
             epoch_losses.append(loss)
         val = {}
         if val_dataset is not None and config.val_every and epoch % config.val_every == 0:

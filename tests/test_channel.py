@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from hyperajscc.channel import (
-    DegenerateInputError,
-    awgn_transmit,
-    power_normalize,
-    snr_to_sigma2,
-)
+from hyperajscc.channel import awgn_transmit, power_normalize, snr_to_sigma2
+from hyperajscc.errors import NumericAbortError
 from hyperajscc.tensor import Tensor, finite_diff_check
 from hyperajscc import tensor as T
 
@@ -38,7 +34,7 @@ class TestPowerNormalize:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericAbortError):
             power_normalize(Tensor(np.zeros((2, 4))))
 
     def test_differentiable(self):

@@ -1,16 +1,12 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from hyperajscc.checkpoint import (
-    CorruptCheckpointError,
-    DigestMismatchError,
-    load_model,
-    read_checkpoint,
-    save_checkpoint,
-)
+from hyperajscc.checkpoint import load_model, read_checkpoint, save_checkpoint
 from hyperajscc.config import load_datasets, parse_run_config
+from hyperajscc.errors import CorruptArtifactError
 from hyperajscc.metrics import snr_sweep
 from hyperajscc.models import build_model
 
@@ -75,7 +71,7 @@ class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "m.haj")
         open(path, "wb").write(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(CorruptCheckpointError, match="magic"):
+        with pytest.raises(CorruptArtifactError, match="magic"):
             read_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -84,7 +80,7 @@ class TestCorruption:
         save_checkpoint(path, model, cfg.text)
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[: len(blob) // 2])
-        with pytest.raises(CorruptCheckpointError):
+        with pytest.raises(CorruptArtifactError):
             read_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -92,7 +88,7 @@ class TestCorruption:
         path = str(tmp_path / "m.haj")
         save_checkpoint(path, model, cfg.text)
         open(path, "ab").write(b"\x00\x01\x02")
-        with pytest.raises(CorruptCheckpointError, match="trailing"):
+        with pytest.raises(CorruptArtifactError, match="trailing"):
             read_checkpoint(path)
 
     def test_flipped_config_byte_breaks_digest(self, tmp_path):
@@ -102,7 +98,7 @@ class TestCorruption:
         blob = bytearray(open(path, "rb").read())
         blob[12] ^= 0xFF  # inside the embedded config text
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(CorruptCheckpointError, match="digest"):
+        with pytest.raises(CorruptArtifactError, match="digest"):
             read_checkpoint(path)
 
     def test_omega_map_mismatch_refused(self, tmp_path):
@@ -111,14 +107,14 @@ class TestCorruption:
         save_checkpoint(path, model, cfg.text)
         overwrite_omega_map(path, 7.0, 3.0)
         assert read_checkpoint(path)[1] == (7.0, 3.0)
-        with pytest.raises(CorruptCheckpointError, match="omega map"):
+        with pytest.raises(CorruptArtifactError, match="omega map"):
             load_model(path)
 
     def test_config_mismatch_refused(self, tmp_path):
         model, cfg = make_model()
         path = str(tmp_path / "m.haj")
         save_checkpoint(path, model, cfg.text)
-        with pytest.raises(DigestMismatchError):
+        with pytest.raises(CorruptArtifactError):
             load_model(path, expected_config_text=cfg.text + "# changed\n")
 
     def test_unparsable_embedded_config_is_corrupt(self, tmp_path):
@@ -126,5 +122,18 @@ class TestCorruption:
         model, cfg = make_model()
         path = str(tmp_path / "m.haj")
         save_checkpoint(path, model, GOOD.replace("bandwidth = 4", "bandwidth = 5"))
-        with pytest.raises(CorruptCheckpointError, match="embedded config"):
+        with pytest.raises(CorruptArtifactError, match="embedded config"):
             load_model(path)
+
+    def test_undecodable_embedded_config_is_corrupt(self, tmp_path):
+        # the digest matches, but the config bytes are not UTF-8 text
+        model, cfg = make_model()
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, cfg.text)
+        blob = bytearray(open(path, "rb").read())
+        (cfg_len,) = struct.unpack_from("<I", blob, 6)
+        blob[10] = 0xFF
+        blob[10 + cfg_len : 10 + cfg_len + 32] = hashlib.sha256(blob[10 : 10 + cfg_len]).digest()
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CorruptArtifactError, match="corrupt"):
+            read_checkpoint(path)

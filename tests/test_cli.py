@@ -1,8 +1,13 @@
+import importlib
+import inspect
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import hyperajscc
+from hyperajscc import cli
 from hyperajscc.cli import (
     EXIT_CONFIG,
     EXIT_CORRUPT,
@@ -14,10 +19,33 @@ from hyperajscc.cli import (
 
 from hyperajscc.checkpoint import save_checkpoint
 from hyperajscc.config import parse_run_config
+from hyperajscc.errors import ConfigError, CorruptArtifactError, NumericAbortError
 from hyperajscc.models import build_model
 
 from test_checkpoint import overwrite_omega_map
 from test_config import CONFIGS, GOOD
+from test_data import write_fake_cifar
+
+
+def package_error_classes():
+    """Every Exception subclass defined in a hyperajscc module, found by walking the package."""
+    found = set()
+    for info in pkgutil.walk_packages(hyperajscc.__path__, "hyperajscc."):
+        module = importlib.import_module(info.name)
+        found.update(
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__
+        )
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# the exit code and stderr prefix main() gives each error a command can raise
+EXIT_OF_ERROR = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    OSError: (EXIT_CONFIG, "config error"),
+    NumericAbortError: (EXIT_NUMERIC, "numeric abort"),
+    CorruptArtifactError: (EXIT_CORRUPT, "artifact error"),
+}
 
 
 @pytest.fixture
@@ -76,19 +104,20 @@ class TestTrainCommand:
         assert main(["train", str(path)]) == EXIT_CONFIG
         assert "'lrn'" in capsys.readouterr().err
 
-    def test_numeric_abort_exit_code(self, cfg_path, tmp_path, capsys, monkeypatch):
-        # normalization and tanh keep a real run bounded, so inject the
-        # divergence to exercise the exit-code mapping
-        from hyperajscc import cli
-        from hyperajscc.training import TrainingDivergedError
+    @pytest.mark.parametrize("error", package_error_classes() + [OSError], ids=lambda cls: cls.__name__)
+    def test_error_class_exit_code(self, error, cfg_path, tmp_path, capsys, monkeypatch):
+        # a real run rarely reaches some of these (normalization and tanh keep
+        # the loss bounded), so inject each one to exercise the exit-code mapping
+        assert set(package_error_classes()) == {ConfigError, NumericAbortError, CorruptArtifactError}
 
-        def diverge(*args, **kwargs):
-            raise TrainingDivergedError("non-finite loss at epoch 1, step 1")
+        def fail(*args, **kwargs):
+            raise error("injected failure")
 
-        monkeypatch.setattr(cli, "train", diverge)
-        code = main(["train", cfg_path, "--out", str(tmp_path / "x")])
-        assert code == EXIT_NUMERIC
-        assert "numeric abort" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "train", fail)
+        code, prefix = EXIT_OF_ERROR[error]
+        assert main(["train", cfg_path, "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prefix}: injected failure") and "Traceback" not in err
 
 
 class TestSweepCommand:
@@ -185,6 +214,23 @@ def _empty_omega_range(tmp_path):
     return ["train", str(path), "--out", str(tmp_path / "out")]
 
 
+def _empty_cifar_test_batch(tmp_path):
+    # 0 bytes is a whole number of records; the sweep would divide by the 0 images
+    cifar = tmp_path / "cifar"
+    cifar.mkdir()
+    write_fake_cifar(cifar, n_per_file=1)
+    (cifar / "test_batch.bin").write_bytes(b"")
+    text = (
+        GOOD.replace("1x8x8", "3x32x32")
+        .replace("dense o64 tanh", "dense o3072 tanh")
+        .replace("kind = synthetic-recon", f"kind = cifar10\ncifar_dir = {cifar}")
+    )
+    cfg = parse_run_config(text)
+    ckpt = str(tmp_path / "m.haj")
+    save_checkpoint(ckpt, build_model(cfg.model, seed=0), text)
+    return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
+
+
 def _sweep_below_snr_floor(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(GOOD)
@@ -242,13 +288,15 @@ def _binary_config(tmp_path):
             EXIT_CONFIG, "config error",
         ),
         (_edited_good("dense o2 softmax hyper", "dense o2 linear hyper", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
+        (_empty_cifar_test_batch, EXIT_CORRUPT, "artifact error"),
+        (_edited_good("dense o8 linear hyper", "dense o8 linear hyper hyper"), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
         "classification-on-recon-data", "unparsable-embedded-config", "empty-omega-range", "binary-config",
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
-        "omega-width-infinite", "classifier-without-softmax",
+        "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

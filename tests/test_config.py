@@ -3,14 +3,8 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from hyperajscc.config import (
-    ConfigError,
-    RunConfig,
-    load_datasets,
-    parse_run_config,
-    parse_seeds,
-    parse_snr_grid,
-)
+from hyperajscc.config import RunConfig, load_datasets, parse_run_config, parse_seeds, parse_snr_grid
+from hyperajscc.errors import ConfigError
 from hyperajscc.models import ModelConfig
 from hyperajscc.training import TrainConfig
 
@@ -88,9 +82,14 @@ class TestParseRunConfig:
             ("reshape 32x1x1 | resblock o32 k1 p0 relu hyper | flatten", "p0"),
             ("reshape 32x1x1 | resblock o32 k1 u1 relu hyper | flatten", "u1"),
             ("flatten relu", "relu"),
+            ("dense o32 o16 relu hyper", "o16"),
+            ("reshape 32x1x1 | conv o32 k3 s1 p1 k1 relu hyper | flatten", "k1"),
+            ("dense o32 relu tanh hyper", "tanh"),
+            ("dense o32 relu hyper hyper", "hyper"),
         ],
         ids=["dense-q7", "dense-k5", "dense-s3", "dense-p2", "dense-u4", "conv-u2",
-             "resblock-s1", "resblock-p0", "resblock-u1", "flatten-relu"],
+             "resblock-s1", "resblock-p0", "resblock-u1", "flatten-relu",
+             "dense-o-twice", "conv-k-twice", "second-activation", "hyper-twice"],
     )
     def test_bad_layer_token(self, layer, token):
         bad = GOOD.replace("dense o32 relu hyper", layer, 1)
@@ -99,7 +98,7 @@ class TestParseRunConfig:
 
     @pytest.mark.parametrize("token", ["k0", "s0", "u0"])
     def test_non_positive_layer_number_rejected(self, token):
-        layer = f"reshape 32x1x1 | {'deconv' if token == 'u0' else 'conv'} o32 k1 {token} relu hyper | flatten"
+        layer = f"reshape 32x1x1 | {'deconv' if token == 'u0' else 'conv'} o32 {token} relu hyper | flatten"
         with pytest.raises(ConfigError, match="must be positive"):
             parse_run_config(GOOD.replace("dense o32 relu hyper", layer, 1))
 

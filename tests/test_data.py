@@ -3,15 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from hyperajscc.data import (
-    RECORD_BYTES,
-    Dataset,
-    FormatError,
-    batches,
-    load_cifar10,
-    synthetic_dataset,
-)
-from hyperajscc.tensor import ContractError
+from hyperajscc.data import RECORD_BYTES, Dataset, batches, load_cifar10, synthetic_dataset
+from hyperajscc.errors import ConfigError, CorruptArtifactError
 
 
 def write_fake_cifar(dir_path, n_per_file=4, seed=0):
@@ -48,7 +41,7 @@ class TestLoadCifar10:
         path = os.path.join(tmp_path, "data_batch_3.bin")
         data = open(path, "rb").read()
         open(path, "wb").write(data[:-7])
-        with pytest.raises(FormatError, match="data_batch_3"):
+        with pytest.raises(CorruptArtifactError, match="data_batch_3"):
             load_cifar10(str(tmp_path))
 
     def test_bad_label_rejected(self, tmp_path):
@@ -57,7 +50,14 @@ class TestLoadCifar10:
         rec = np.fromfile(path, dtype=np.uint8).reshape(-1, RECORD_BYTES)
         rec[0, 0] = 77
         rec.tofile(path)
-        with pytest.raises(FormatError, match="label"):
+        with pytest.raises(CorruptArtifactError, match="label"):
+            load_cifar10(str(tmp_path))
+
+    def test_empty_file_rejected(self, tmp_path):
+        # 0 bytes is a whole number of records, but a split needs at least one
+        write_fake_cifar(tmp_path)
+        open(os.path.join(tmp_path, "test_batch.bin"), "wb").close()
+        with pytest.raises(CorruptArtifactError, match="test_batch.bin: holds no records"):
             load_cifar10(str(tmp_path))
 
 
@@ -124,5 +124,5 @@ class TestBatches:
         assert e1 != e2
 
     def test_oversized_batch_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             list(batches(self.make(4), 8, shuffle_seed=0, epoch=1))

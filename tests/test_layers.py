@@ -10,8 +10,9 @@ from hyperajscc.layers import (
     make_dense,
     make_resblock,
 )
+from hyperajscc.errors import ConfigError
 from hyperajscc.models import HyperAJSCCModel, count_params
-from hyperajscc.tensor import ShapeError, Tensor, finite_diff_check
+from hyperajscc.tensor import Tensor, finite_diff_check
 
 
 def scale_from(nu, c):
@@ -80,7 +81,7 @@ class TestDenseForward:
     def test_width_mismatch(self):
         rng = np.random.default_rng(2)
         layer = make_dense(3, 2, "linear", True, rng)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             layer.forward(Tensor(np.ones((1, 5))), om_t(1, 0.0))
 
 

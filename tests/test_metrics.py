@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperajscc.data import synthetic_dataset
+from hyperajscc.errors import ConfigError
 from hyperajscc.metrics import (
     EVAL_CHUNK,
     PSNR_CAP_DB,
@@ -12,7 +13,7 @@ from hyperajscc.metrics import (
     sweep_chart_svg,
 )
 from hyperajscc.models import build_model, forward_pipeline
-from hyperajscc.tensor import ContractError, Tensor
+from hyperajscc.tensor import Tensor
 
 from test_models import shipped_model_config, toy_dense_config
 
@@ -47,7 +48,7 @@ class TestSweepReport:
         assert self.make_report().mean_at(10.0) == 24.0
 
     def test_missing_grid_point(self):
-        with pytest.raises(ContractError, match="5.0"):
+        with pytest.raises(ConfigError, match="5.0"):
             self.make_report().mean_at(5.0)
 
     def test_csv_columns(self):
@@ -63,7 +64,7 @@ class TestSnrSweep:
         self.ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=3)
 
     def test_grid_must_increase(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             snr_sweep(self.model, self.ds, [10.0, 5.0])
 
     def test_byte_identical_repeats(self):
@@ -146,11 +147,9 @@ class TestCompare:
         assert gaps[19.0] == pytest.approx(-0.5)
 
     def test_grid_mismatch_names_the_point(self):
-        from hyperajscc.tensor import ContractError
-
         adaptive = SweepReport("psnr_db", [(1.0, 20.0, 0.1, 2)])
         fixed = {7.0: SweepReport("psnr_db", [(7.0, 22.0, 0.1, 2)])}
-        with pytest.raises(ContractError, match="7.0"):
+        with pytest.raises(ConfigError, match="7.0"):
             compare_adaptive_vs_fixed(adaptive, fixed)
 
 

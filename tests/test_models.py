@@ -14,7 +14,8 @@ from hyperajscc.models import (
     encode,
     forward_pipeline,
 )
-from hyperajscc.tensor import ConfigurationError, Tensor
+from hyperajscc.errors import ConfigError
+from hyperajscc.tensor import Tensor
 
 from test_config import CONFIGS
 
@@ -67,13 +68,13 @@ class TestBuildModel:
     def test_classification_head_width_enforced(self):
         cfg = shipped_model_config("default_class")
         cfg.decoder[-1].out = 5
-        with pytest.raises(ConfigurationError, match="num_classes"):
+        with pytest.raises(ConfigError, match="num_classes"):
             build_model(cfg, 0)
 
     def test_inconsistent_widths_name_the_layer(self):
         cfg = toy_dense_config()
         cfg.encoder[2].out = 9  # encoder width != 2d
-        with pytest.raises(ConfigurationError, match="2\\*d"):
+        with pytest.raises(ConfigError, match="2\\*d"):
             build_model(cfg, 0)
 
 

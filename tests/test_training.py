@@ -3,8 +3,9 @@ import pytest
 
 from hyperajscc import tensor as T
 from hyperajscc.data import synthetic_dataset
+from hyperajscc.errors import ConfigError, NumericAbortError
 from hyperajscc.models import build_model, forward_pipeline
-from hyperajscc.tensor import ContractError, ShapeError, Tensor, finite_diff_check
+from hyperajscc.tensor import Tensor, finite_diff_check
 from hyperajscc.training import (
     Adam,
     TrainConfig,
@@ -26,7 +27,7 @@ class TestMseLoss:
         assert float(mse_loss(Tensor([0.0, 0.0]), Tensor([1.0, 1.0])).data) == 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             mse_loss(Tensor([1.0]), Tensor([1.0, 2.0]))
 
     def test_gradient(self):
@@ -52,7 +53,7 @@ class TestCrossEntropyLoss:
         assert float(cross_entropy_loss(probs, [0]).data) == pytest.approx(-np.log(0.75))
 
     def test_label_out_of_range(self):
-        with pytest.raises(ContractError, match="label"):
+        with pytest.raises(ConfigError, match="label"):
             cross_entropy_loss(Tensor([[0.5, 0.5]]), [2])
 
     def test_gradient_through_softmax(self):
@@ -135,7 +136,7 @@ class TestTrainStep:
 
     def test_condition_count_mismatch(self):
         opt = Adam(self.model.parameters())
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             train_step(self.model, self.x, None, np.full(3, 10.0), "mse", opt, np.random.default_rng(0))
 
     def test_single_sample_linear_model_hand_mse(self):
@@ -250,17 +251,15 @@ class TestTrain:
     def test_invalid_prior_rejected(self):
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
         for prior in [(5.0, 1.0), (np.nan, 20.0), (0.0, np.inf), (-np.inf, 0.0)]:
-            with pytest.raises(ContractError, match="SNR prior"):
+            with pytest.raises(ConfigError, match="SNR prior"):
                 train(build_model(toy_dense_config(), 0), ds, TrainConfig(epochs=1, batch_size=8, prior=prior))
 
     def test_nan_aborts_with_location(self):
-        from hyperajscc.training import TrainingDivergedError
-
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
         model = build_model(toy_dense_config(), 0)
         model.decoder[1].base.b0.data[0] = np.nan  # tanh output layer, so it propagates
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0, val_every=0)
-        with pytest.raises(TrainingDivergedError, match="epoch 1"):
+        with pytest.raises(NumericAbortError, match="epoch 1"):
             train(model, ds, cfg)
 
 
