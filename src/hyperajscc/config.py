@@ -69,7 +69,7 @@ def _parse_shape(value: str) -> tuple[int, ...]:
 
 
 # the numeric tokens each layer kind reads; every other one is an error
-_LAYER_NUMBERS = {"dense": "o", "conv": "oksp", "deconv": "oksup", "resblock": "ok"}
+_LAYER_NUMBERS = {"dense": "o", "conv": "oksp", "deconv": "okup", "resblock": "ok"}
 _NUMBER_FIELDS = {"o": "out", "k": "kernel", "s": "stride", "p": "padding", "u": "upsample"}
 
 

@@ -87,7 +87,7 @@ def _checks(rng: np.random.Generator, cases: int):
         k4 = _param(rng, 3, 2, 4, 4)
         yield "conv2d_s2", (lambda xi=xi, k4=k4, kb=kb: T.tsum(T.tanh(T.conv2d(xi, k4, kb, 2, 1)))), [xi, k4, kb]
         yield "upsample_conv", (
-            lambda xi=xi, k=k, kb=kb: T.tsum(T.tanh(T.conv2d(T.upsample_zero(xi, 2), k, kb, 1, 1)))
+            lambda xi=xi, k=k, kb=kb: T.tsum(T.tanh(T.upconv2d(xi, k, kb, 2, 1)))
         ), [xi, k, kb]
 
         zr = _param(rng, 2, 6, away_from_zero=True)

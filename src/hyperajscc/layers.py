@@ -6,7 +6,9 @@ applied to the pre-activation output (a FiLM-style gain without shift).
 For convolutions, scaling output channels is mathematically identical to
 row-scaling the kernels and commutes with the convolution; the output is
 the side that gets scaled, because s differs per sample and the kernels
-are shared by the whole batch.
+are shared by the whole batch.  A deconv is a transposed conv computed
+over the real pixels of its input (tensor.upconv2d); no zero-inserted
+upsampled input is built.
 
 omega_t is the channel SNR mapped affinely into [-1, 1] over the configured
 training range; the model maps it once per pass (models.encode/decode), so
@@ -61,7 +63,12 @@ class DenseLayer:
 
 
 class Conv2dLayer:
-    """Convolution, optionally preceded by zero-insertion upsampling (deconv)."""
+    """Convolution, or with upsample > 1 a deconv.
+
+    A deconv is defined as zero-insertion upsampling followed by a stride-1
+    convolution, and computed as a transposed conv over the real pixels
+    (tensor.upconv2d), so it takes no stride of its own.
+    """
 
     def __init__(
         self,
@@ -76,6 +83,8 @@ class Conv2dLayer:
             raise ConfigError(f"Conv2dLayer: C0 {c0.shape} vs b0 {b0.shape}")
         if c0.shape[2] < 1 or c0.shape[3] < 1:
             raise ConfigError(f"Conv2dLayer: empty kernel {c0.shape}")
+        if upsample > 1 and stride != 1:
+            raise ConfigError(f"Conv2dLayer: a deconv (upsample {upsample}) takes no stride, got {stride}")
         self.c0 = c0
         self.b0 = b0
         self.stride = stride
@@ -111,9 +120,10 @@ class HyperLayer:
         base = self.base
         if isinstance(base, DenseLayer):
             y = T.linear(f, base.w0, base.b0)
+        elif base.upsample > 1:
+            y = T.upconv2d(f, base.c0, base.b0, base.upsample, base.padding)
         else:
-            x = T.upsample_zero(f, base.upsample) if base.upsample > 1 else f
-            y = T.conv2d(x, base.c0, base.b0, base.stride, base.padding)
+            y = T.conv2d(f, base.c0, base.b0, base.stride, base.padding)
         if self.scale is not None:
             y = T.scale_channels(y, self.scale.vector(omega_t))
         return T.activation(base.act, y)

@@ -312,6 +312,32 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # convolution
 
 
+def _conv_dims(op: str, x: Tensor, k: Tensor, b: Tensor) -> tuple[int, ...]:
+    """(B, Cin, H, W, Cout, KH, KW) of x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout]."""
+    if x.data.ndim != 4 or k.data.ndim != 4:
+        raise ConfigError(f"{op}: input {x.shape}, kernels {k.shape}")
+    B, Cin, H, W = x.shape
+    Cout, KCin, KH, KW = k.shape
+    if KCin != Cin:
+        raise ConfigError(f"{op}: input channels {Cin} vs kernel channels {KCin}")
+    if b.shape != (Cout,):
+        raise ConfigError(f"{op}: bias {b.shape} vs {Cout} output channels")
+    return B, Cin, H, W, Cout, KH, KW
+
+
+def _gather_gemm(acc: np.ndarray, grid: np.ndarray, windows: dict, mats: np.ndarray) -> None:
+    """acc [rows, n] += each offset's window of the channels-last grid, as rows, @ mats[offset]."""
+    for off, win in windows.items():
+        acc += grid[win].reshape(acc.shape[0], -1) @ mats[off]
+
+
+def _gemm_scatter(grid: np.ndarray, windows: dict, rows: np.ndarray, mats: np.ndarray) -> None:
+    """Each offset's window of the channels-last grid += rows @ mats[offset], shaped as the window."""
+    for off, win in windows.items():
+        window = grid[win]
+        window += (rows @ mats[off]).reshape(window.shape)
+
+
 def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout].
 
@@ -323,14 +349,7 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     built: the largest scratch buffer is one window, 1/(KH*KW) of such a
     matrix, so forward plus backward peak at a few times the input's bytes.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ConfigError(f"conv2d: input {x.shape}, kernels {k.shape}")
-    B, Cin, H, W = x.shape
-    Cout, KCin, KH, KW = k.shape
-    if KCin != Cin:
-        raise ConfigError(f"conv2d: input channels {Cin} vs kernel channels {KCin}")
-    if b.shape != (Cout,):
-        raise ConfigError(f"conv2d: bias {b.shape} vs {Cout} output channels")
+    B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv2d: bad stride/padding ({stride}, {padding})")
     if (H + 2 * padding - KH) % stride or (W + 2 * padding - KW) % stride:
@@ -357,8 +376,7 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     acc = np.empty((rows, Cout))
     acc[:] = b.data
-    for (ki, kj), win in windows.items():
-        acc += xp[win].reshape(rows, Cin) @ kt[ki, kj]
+    _gather_gemm(acc, xp, windows, kt)
     out = acc.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -366,8 +384,7 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         gm = g.transpose(0, 2, 3, 1).reshape(rows, Cout)
         if x._track:
             dxp = np.zeros_like(xp)
-            for (ki, kj), win in windows.items():
-                dxp[win] += (gm @ kt[ki, kj].T).reshape(B, Ho, Wo, Cin)
+            _gemm_scatter(dxp, windows, gm, kt.swapaxes(2, 3))
             grads.append((x, dxp[:, padding : padding + H, padding : padding + W].transpose(0, 3, 1, 2)))
         if k._track:
             dk = np.empty_like(k.data)
@@ -381,8 +398,78 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return _make(out, (x, k, b), backward)
 
 
+def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Tensor:
+    """conv2d(upsample_zero(x, upsample), k, b, 1, padding), computed as a transposed conv.
+
+    Only the real pixels are multiplied.  Pixel i sits at upsample*i of the
+    upsampled grid, so kernel offset ki sends it to output row
+    upsample*i + padding - ki (columns likewise).  Forward is one BLAS GEMM per
+    kernel offset, the [B*H*W, Cin] input rows times that offset's
+    [Cin, Cout] kernel slice, slice-added at step `upsample` into a
+    channels-last output with a margin of KH-1 rows and KW-1 columns on each
+    side, which is then cropped.  Backward gathers the output gradient at the
+    same windows: dx and dk take one GEMM per offset each.  The upsampled
+    input is never built, so forward plus backward peak at a few times the
+    bytes of x and of the output; the zero-inserted conv's input alone is
+    upsample**2 times x.
+    """
+    B, Cin, H, W, Cout, KH, KW = _conv_dims("upconv2d", x, k, b)
+    if upsample < 1 or padding < 0:
+        raise ConfigError(f"upconv2d: bad upsample/padding ({upsample}, {padding})")
+    u, p = upsample, padding
+    Ho, Wo = u * H + 2 * p - KH + 1, u * W + 2 * p - KW + 1
+    if Ho < 1 or Wo < 1:
+        raise ConfigError(f"upconv2d: empty output ({Ho}x{Wo})")
+
+    # output row r lives at row r + KH - 1 of yp; the margins take the
+    # products that land outside the output
+    yshape = (B, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), Cout)
+    crop = (slice(None), slice(KH - 1, KH - 1 + Ho), slice(KW - 1, KW - 1 + Wo))
+    # the [B, H, W, Cout] window of yp that kernel offset (ki, kj) sends the pixels to
+    windows = {
+        (ki, kj): (
+            slice(None),
+            slice(p + KH - 1 - ki, p + KH - 1 - ki + u * H, u),
+            slice(p + KW - 1 - kj, p + KW - 1 - kj + u * W, u),
+        )
+        for ki in range(KH)
+        for kj in range(KW)
+    }
+    rows = B * H * W
+    xm = x.data.transpose(0, 2, 3, 1).reshape(rows, Cin)
+    kt = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))  # [KH, KW, Cin, Cout]
+
+    yp = np.empty(yshape)
+    yp[:] = b.data
+    _gemm_scatter(yp, windows, xm, kt)
+    out = yp[crop].transpose(0, 3, 1, 2)
+
+    def backward(g):
+        grads = []
+        gp = np.zeros(yshape)
+        gp[crop] = g.transpose(0, 2, 3, 1)
+        if x._track:
+            dx = np.zeros((rows, Cin))
+            _gather_gemm(dx, gp, windows, kt.swapaxes(2, 3))
+            grads.append((x, dx.reshape(B, H, W, Cin).transpose(0, 3, 1, 2)))
+        if k._track:
+            dk = np.empty_like(k.data)
+            for (ki, kj), win in windows.items():
+                dk[:, :, ki, kj] = gp[win].reshape(rows, Cout).T @ xm
+            grads.append((k, dk))
+        if b._track:
+            grads.append((b, g.sum(axis=(0, 2, 3))))
+        return grads
+
+    return _make(out, (x, k, b), backward)
+
+
 def upsample_zero(x: Tensor, factor: int) -> Tensor:
-    """Fractional-stride upsampling: insert zeros so pixel i lands at i*factor."""
+    """Fractional-stride upsampling: insert zeros so pixel i lands at i*factor.
+
+    No layer calls it.  conv2d over its output defines upconv2d, and the
+    tests hold upconv2d to that definition.
+    """
     if x.data.ndim != 4:
         raise ConfigError(f"upsample_zero expects 4-d input, got {x.shape}")
     if factor < 1:

@@ -240,6 +240,8 @@ def _sweep_below_snr_floor(tmp_path):
 
 with open(os.path.join(CONFIGS, "default_class.cfg")) as fh:
     DEFAULT_CLASS = fh.read()
+with open(os.path.join(CONFIGS, "default_recon.cfg")) as fh:
+    DEFAULT_RECON = fh.read()
 
 
 def _edited_good(old, new, text=GOOD):
@@ -290,6 +292,7 @@ def _binary_config(tmp_path):
         (_edited_good("dense o2 softmax hyper", "dense o2 linear hyper", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
         (_empty_cifar_test_batch, EXIT_CORRUPT, "artifact error"),
         (_edited_good("dense o8 linear hyper", "dense o8 linear hyper hyper"), EXIT_CONFIG, "config error"),
+        (_edited_good("deconv o16 u2 k3 p1", "deconv o16 u2 s2 k3 p1", DEFAULT_RECON), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
@@ -297,6 +300,7 @@ def _binary_config(tmp_path):
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
         "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
+        "deconv-stride",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

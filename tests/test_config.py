@@ -86,10 +86,11 @@ class TestParseRunConfig:
             ("reshape 32x1x1 | conv o32 k3 s1 p1 k1 relu hyper | flatten", "k1"),
             ("dense o32 relu tanh hyper", "tanh"),
             ("dense o32 relu hyper hyper", "hyper"),
+            ("reshape 32x1x1 | deconv o16 u2 s2 k3 p1 relu hyper | flatten", "s2"),
         ],
         ids=["dense-q7", "dense-k5", "dense-s3", "dense-p2", "dense-u4", "conv-u2",
              "resblock-s1", "resblock-p0", "resblock-u1", "flatten-relu",
-             "dense-o-twice", "conv-k-twice", "second-activation", "hyper-twice"],
+             "dense-o-twice", "conv-k-twice", "second-activation", "hyper-twice", "deconv-s2"],
     )
     def test_bad_layer_token(self, layer, token):
         bad = GOOD.replace("dense o32 relu hyper", layer, 1)

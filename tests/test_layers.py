@@ -114,6 +114,10 @@ class TestConvForward:
         via_channels = T.scale_channels(T.conv2d(x, k, b, 1, 1), Tensor(s.data[None, :]))
         np.testing.assert_allclose(via_kernels.data, via_channels.data, rtol=0, atol=1e-12)
 
+    def test_deconv_takes_no_stride(self):
+        with pytest.raises(ConfigError, match="no stride"):
+            make_conv(2, 3, 3, 2, 1, 2, "relu", True, np.random.default_rng(0))
+
 
 class TestParamCounts:
     def test_dense_with_scale(self):

@@ -187,7 +187,7 @@ def test_conv2d_matches_einsum_reference(dims, kernel, stride, padding, seed):
 
 
 def test_conv2d_scratch_memory_is_a_few_inputs():
-    """Forward and backward of the decoder's last conv (16->3 over a zero-upsampled 8x8, B=64).
+    """Forward and backward of a 3x3 conv from 16 to 3 channels over an 8x8 input, B=64.
 
     Live at the backward peak: the padded channels-last input (kept for dk),
     its gradient, one [B*Ho*Wo, Cin] window or product, plus small arrays,
@@ -205,6 +205,70 @@ def test_conv2d_scratch_memory_is_a_few_inputs():
     finally:
         tracemalloc.stop()
     assert peak < 8 * x.data.nbytes, f"traced peak {peak / x.data.nbytes:.2f}x the input"
+
+
+class TestUpconv2d:
+    """upconv2d against its definition, conv2d over upsample_zero's output."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("kernel,padding", [(k, p) for k in range(1, 5) for p in range(k)])
+    @pytest.mark.parametrize("upsample", [1, 2, 3])
+    def test_matches_zero_inserted_conv(self, upsample, kernel, padding, B):
+        # non-square input and kernel (KH x 5-KH), Cin != Cout
+        rng = np.random.default_rng(1000 * upsample + 10 * kernel + padding)
+        xd = rng.standard_normal((B, 2, 5, 4))
+        kd = rng.standard_normal((3, 2, kernel, 5 - kernel))
+        bd = rng.standard_normal(3)
+        results = []
+        for op in (
+            lambda x, k, b: T.upconv2d(x, k, b, upsample, padding),
+            lambda x, k, b: T.conv2d(T.upsample_zero(x, upsample), k, b, 1, padding),
+        ):
+            x, k, b = (Tensor(a, requires_grad=True) for a in (xd, kd, bd))
+            out = op(x, k, b)
+            g = np.random.default_rng(7).standard_normal(out.shape)
+            T.tsum(T.mul(out, Tensor(g))).backward()  # the output gradient is exactly g
+            results.append((out.data, x.grad, k.grad, b.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_input_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 2, 3, 2)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        b = Tensor(rng.standard_normal(3))
+        err = finite_diff_check(lambda: T.tsum(T.tanh(T.upconv2d(x, k, b, 2, 1))), [x])
+        assert err < 1e-6
+
+    def test_empty_output_rejected(self):
+        with pytest.raises(ConfigError, match="empty output"):
+            T.upconv2d(t(np.ones((1, 1, 1, 1))), t(np.ones((1, 1, 3, 3))), t([0.0]), 1, 0)
+
+    def test_scratch_memory_is_under_half_the_zero_inserted_conv(self):
+        """Forward and backward of the decoder's last layer (16->3, 4x4 -> 8x8, B=64).
+
+        The zero-inserted conv holds the 4x larger upsampled input, its padded
+        channels-last copy and their gradients; upconv2d multiplies the real
+        pixels only.
+        """
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((64, 16, 4, 4)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 16, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+
+        def peak(op):
+            x.grad = k.grad = b.grad = None
+            tracemalloc.start()
+            try:
+                T.tsum(op()).backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        new = peak(lambda: T.upconv2d(x, k, b, 2, 1))
+        old = peak(lambda: T.conv2d(T.upsample_zero(x, 2), k, b, 1, 1))
+        nbytes = x.data.nbytes
+        assert new <= old / 2, f"traced peak {new / nbytes:.1f}x against {old / nbytes:.1f}x the input"
 
 
 class TestBackward:
