@@ -59,7 +59,14 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 class Adam:
     """Adam with bias correction; update is -lr * m_hat / sqrt(v_hat + eps).
 
+    eps sits inside the square root, unlike Kingma & Ba's sqrt(v_hat) + eps;
     beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 are fixed; only lr is a setting.
+
+    The optimizer owns the parameter storage: every parameter's values are
+    copied into one float64 vector `flat`, and each `p.data` becomes a view
+    of its slice, so a step is a few whole-vector ops.  Rebinding a
+    parameter's `.data` after the optimizer is built is a ConfigError at
+    the next step, since the update would no longer reach it.
     """
 
     beta1 = 0.9
@@ -68,10 +75,22 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ConfigError("Adam: a parameter is listed twice")
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data for p in self.params], axis=None) if self.params else np.zeros(0)
+        self._views = []
+        offset = 0
+        for p in self.params:
+            p.data = self.flat[offset : offset + p.size].reshape(p.shape)
+            self._views.append(p.data)
+            offset += p.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._g = None  # the last step's gradient vector; see step()
+        self._step = np.empty_like(self.flat)
+        self._denom = np.empty_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -79,13 +98,37 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p.data -= self.lr * m_hat / np.sqrt(v_hat + self.eps)
+        for i, (p, view) in enumerate(zip(self.params, self._views)):
+            if p.data is not view:
+                raise ConfigError(f"Adam: parameter {i} {p.shape} was rebound after the optimizer was built")
+        if not self.params:
+            return
+        # The gradient vector is allocated anew and kept alive until the next
+        # step.  That live block near the heap top stops glibc from trimming
+        # the space the conv temporaries free at the end of every step: when
+        # Adam's vectors were all freed within the step, or all allocated
+        # once here, a default_recon step page-faulted that space back in
+        # (~440 minor faults, +16% step time).
+        g = self._g = np.concatenate(
+            [p.grad if p.grad is not None else np.zeros(p.size) for p in self.params], axis=None
+        )
+        # Same float operations, in the same order, as the per-tensor form
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= lr*m_hat / sqrt(v_hat + eps).
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        np.multiply(g, 1 - self.beta1, out=step)
+        m *= self.beta1
+        m += step
+        np.multiply(g, 1 - self.beta2, out=step)
+        step *= g
+        v *= self.beta2
+        v += step
+        np.divide(m, 1 - self.beta1**self.t, out=step)
+        step *= self.lr
+        np.divide(v, 1 - self.beta2**self.t, out=denom)
+        denom += self.eps
+        np.sqrt(denom, out=denom)
+        step /= denom
+        self.flat -= step
 
 
 @dataclass

@@ -98,6 +98,71 @@ class TestAdam:
             x -= lr * (m / (1 - b1**t)) / np.sqrt(v / (1 - b2**t) + eps)
         assert float(p.data[0]) == pytest.approx(x, abs=1e-15)
 
+    def test_flat_step_is_bit_identical_to_the_per_tensor_recurrence(self):
+        rng = np.random.default_rng(4)
+        shapes = [(3, 2, 3, 3), (5, 4), (7,), (2,)]  # the last one never gets a gradient
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        ref_m = [np.zeros_like(d) for d in ref]
+        ref_v = [np.zeros_like(d) for d in ref]
+        opt = Adam(params, lr=3e-3)
+        b1, b2, eps, lr = Adam.beta1, Adam.beta2, Adam.eps, 3e-3
+        for t in range(1, 26):
+            opt.zero_grad()
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes[:-1]] + [None]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            # the per-tensor loop this optimizer replaced, kept as the reference
+            for i, g in enumerate(grads):
+                g = g if g is not None else np.zeros_like(ref[i])
+                ref_m[i] = b1 * ref_m[i] + (1 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1 - b2) * g * g
+                m_hat = ref_m[i] / (1 - b1**t)
+                v_hat = ref_v[i] / (1 - b2**t)
+                ref[i] -= lr * m_hat / np.sqrt(v_hat + eps)
+            assert np.array_equal(opt.m, np.concatenate(ref_m, axis=None))
+            assert np.array_equal(opt.v, np.concatenate(ref_v, axis=None))
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.data, r)
+
+    def test_parameters_become_views_of_one_vector(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.array([7.0]), requires_grad=True)
+        opt = Adam([a, b])
+        np.testing.assert_array_equal(opt.flat, [0, 1, 2, 3, 4, 5, 7])
+        assert a.shape == (2, 3) and np.shares_memory(a.data, opt.flat)
+        assert np.shares_memory(b.data, opt.flat)
+
+    def test_rebound_parameter_is_an_error(self):
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam([a, b])
+        b.data = np.ones(2)  # no longer a view of the optimizer's vector
+        b.grad = np.ones(2)
+        with pytest.raises(ConfigError, match="rebound"):
+            opt.step()
+
+    def test_in_place_edit_is_kept(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam([p])
+        p.data[1] = 5.0
+        opt.zero_grad()
+        opt.step()
+        np.testing.assert_array_equal(p.data, [0.0, 5.0])
+
+    def test_duplicate_parameter_is_rejected(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ConfigError, match="twice"):
+            Adam([p, Tensor(np.zeros(1)), p])
+
+    def test_no_parameters_step_is_a_no_op(self):
+        opt = Adam([])
+        opt.zero_grad()
+        opt.step()
+        opt.step()
+        assert opt.flat.size == 0
+
     def test_converges_on_convex_quadratic(self):
         target = np.array([3.0, -2.0, 0.5])
         p = Tensor(np.zeros(3), requires_grad=True)
