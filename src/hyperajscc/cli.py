@@ -11,9 +11,9 @@ CorruptArtifactError.  A library caller catches these three.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-import time
 
 from .checkpoint import MAGIC, load_model, save_checkpoint
 from .config import load_datasets, parse_run_config, parse_seed, parse_seeds, parse_snr_grid
@@ -45,21 +45,18 @@ def cmd_train(args) -> int:
 
     train_ds, val_ds = load_datasets(cfg)
     model = build_model(cfg.model, seed=cfg.train.seed)
-    t0 = time.perf_counter()
-    model, log = train(model, train_ds, cfg.train, val_ds if cfg.train.val_every else None)
-    wall = time.perf_counter() - t0
+    records = train(model, train_ds, cfg.train, val_ds)
 
     ckpt_path = os.path.join(out_dir, "checkpoint.haj")
     save_checkpoint(ckpt_path, model, cfg.text)
-    with open(os.path.join(out_dir, "train_log.csv"), "w") as fh:
-        fh.write(log.to_csv(cfg.train.val_grid))
+    with open(os.path.join(out_dir, "train_log.jsonl"), "w") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
     report = count_params(model)
-    final_loss = log.epochs[-1][1]
     print(
-        f"trained {cfg.model.task} model: final loss {final_loss:.6f}, "
+        f"trained {cfg.model.task} model: final loss {records[-1]['loss']:.6f}, "
         f"{report['total_base'] + report['total_introduced']} params "
         f"({report['total_introduced']} introduced), R={compression_ratio(cfg.model):.4g}, "
-        f"{wall:.1f}s -> {ckpt_path}"
+        f"{sum(r['wall_s'] for r in records):.1f}s -> {ckpt_path}"
     )
     return EXIT_OK
 

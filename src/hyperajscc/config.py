@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from .channel import SNR_FLOOR_DB
 from .data import load_cifar10, synthetic_dataset
 from .errors import ConfigError
+from .metrics import check_snr_grid
 from .models import LayerSpec, ModelConfig
 from .tensor import ACTIVATIONS
 from .training import TrainConfig
@@ -156,9 +157,7 @@ def parse_snr_grid(value: str) -> tuple[float, ...]:
     if len(nums) > MAX_SNR_POINTS:
         raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
     # a range too fine for its magnitude rounds to repeated values
-    if any(b <= a for a, b in zip(nums, nums[1:])):
-        raise ConfigError(f"bad snr grid {value!r}: SNRs must be strictly increasing")
-    return tuple(nums)
+    return tuple(check_snr_grid(nums))
 
 
 def parse_seed(value: str) -> int:

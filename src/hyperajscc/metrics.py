@@ -43,8 +43,24 @@ class SweepReport:
     def to_csv(self) -> str:
         lines = ["snr_db,metric,mean,std,n"]
         for s, mean, std, n in self.rows:
-            lines.append(f"{s:g},{self.metric},{mean!r},{std!r},{n}")
+            lines.append(f"{snr_label(s)},{self.metric},{mean!r},{std!r},{n}")
         return "\n".join(lines) + "\n"
+
+
+def snr_label(snr_db: float) -> str:
+    """0, -4, 0.5, 1.0000001: repr without a trailing '.0', so distinct SNRs get distinct labels."""
+    text = repr(float(snr_db))
+    return text[:-2] if text.endswith(".0") else text
+
+
+def check_snr_grid(snr_grid) -> list[float]:
+    """The grid as floats; a ConfigError unless it is non-empty and strictly increasing."""
+    grid = [float(s) for s in snr_grid]
+    if not grid:
+        raise ConfigError("empty SNR grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("SNRs must be strictly increasing")
+    return grid
 
 
 def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -> float:
@@ -63,11 +79,7 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
 
 def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) -> SweepReport:
     """Full-dataset metric at each grid SNR, aggregated over noise seeds."""
-    grid = [float(s) for s in snr_grid]
-    if not grid:
-        raise ConfigError("snr_sweep: empty grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("snr_sweep: grid SNRs must be strictly increasing")
+    grid = check_snr_grid(snr_grid)
     metric = "psnr_db" if model.config.task == "reconstruction" else "top1_accuracy"
     report = SweepReport(metric=metric)
     for gi, snr in enumerate(grid):

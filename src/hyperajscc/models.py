@@ -124,6 +124,8 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
         elif s.kind == "resblock":
             if len(cur) != 3:
                 raise ConfigError(f"{where}: resblock needs [C,H,W] input, got {cur}")
+            if s.kernel % 2 == 0:  # its convs pad by k//2, which keeps H and W only for an odd k
+                raise ConfigError(f"{where}: resblock needs an odd kernel, got k{s.kernel}")
             cur = (s.out, cur[1], cur[2])
         elif s.kind == "flatten":
             cur = (int(np.prod(cur)),)

@@ -12,14 +12,14 @@ epoch/step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .data import Dataset, batches
 from .errors import ConfigError, NumericAbortError
-from .metrics import snr_sweep
+from .metrics import check_snr_grid, snr_label, snr_sweep
 from .models import HyperAJSCCModel, forward_pipeline
 from .tensor import Tensor
 
@@ -148,30 +148,11 @@ class TrainConfig:
             raise ConfigError(f"learning rate {self.lr} must be positive and finite")
         if self.val_every < 0:
             raise ConfigError(f"val_every {self.val_every} must be >= 0")
+        if self.val_every:
+            check_snr_grid(self.val_grid)
         lo, hi = self.prior
         if not -np.inf < lo <= hi < np.inf:
             raise ConfigError(f"SNR prior [{lo}, {hi}] dB must be finite with lo <= hi")
-
-
-@dataclass
-class TrainLog:
-    """One row per epoch: mean loss, sweep metric per validation SNR, wall time.
-
-    The validation metric is the one `snr_sweep` reports: PSNR in dB over
-    [0, 1] pixels for reconstruction, top-1 accuracy for classification.
-    """
-
-    epochs: list = field(default_factory=list)  # (epoch, loss, {snr: metric}, wall_s)
-
-    def to_csv(self, val_grid) -> str:
-        cols = ["epoch", "loss"] + [f"val_{g:g}dB" for g in val_grid] + ["wall_s"]
-        lines = [",".join(cols)]
-        for epoch, loss, val, wall in self.epochs:
-            row = [str(epoch), repr(loss)]
-            row += [repr(val[g]) if g in val else "" for g in val_grid]
-            row.append(f"{wall:.3f}")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optimizer: Adam, rng) -> float:
@@ -191,11 +172,18 @@ def train(
     dataset: Dataset,
     config: TrainConfig,
     val_dataset: Dataset | None = None,
-) -> tuple[HyperAJSCCModel, TrainLog]:
-    """Epochs of shuffled mini-batches with per-sample condition draws."""
+) -> list[dict]:
+    """Epochs of shuffled mini-batches with per-sample condition draws; trains `model` in place.
+
+    Returns one record per epoch: `epoch`, mean batch `loss`, `wall_s`, and on
+    every `val_every`-th epoch `val_<snr>dB` per `val_grid` SNR, the metric
+    `snr_sweep` reports on `val_dataset` with the run's seed as noise seed.
+    """
     config.validate()
     if dataset.samples.shape[0] == 0:
         raise ConfigError("dataset is empty")
+    if config.val_every and val_dataset is None:
+        raise ConfigError(f"val_every = {config.val_every} needs a validation dataset")
     ss = np.random.SeedSequence(config.seed)
     s_prior, s_noise = ss.spawn(2)
     rng_prior = np.random.default_rng(s_prior)
@@ -204,7 +192,7 @@ def train(
 
     opt = Adam(model.parameters(), config.lr)
     loss_kind = "mse" if model.config.task == "reconstruction" else "cross_entropy"
-    log = TrainLog()
+    records = []
     step = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -218,9 +206,10 @@ def train(
             if not np.isfinite(loss):
                 raise NumericAbortError(f"non-finite loss at epoch {epoch}, step {step}")
             epoch_losses.append(loss)
-        val = {}
-        if val_dataset is not None and config.val_every and epoch % config.val_every == 0:
+        record = {"epoch": epoch, "loss": float(np.mean(epoch_losses))}
+        if config.val_every and epoch % config.val_every == 0:
             report = snr_sweep(model, val_dataset, config.val_grid, seeds=(config.seed,))
-            val = {snr: mean for snr, mean, _, _ in report.rows}
-        log.epochs.append((epoch, float(np.mean(epoch_losses)), val, time.perf_counter() - t0))
-    return model, log
+            record.update((f"val_{snr_label(snr)}dB", mean) for snr, mean, _, _ in report.rows)
+        record["wall_s"] = time.perf_counter() - t0
+        records.append(record)
+    return records

@@ -56,7 +56,7 @@ def recon_experiment():
         epochs=RECON_EPOCHS, batch_size=32, prior=(0.0, 20.0),
         seed=0, val_every=0,
     )
-    model, _ = train(model, train_ds, cfg)
+    train(model, train_ds, cfg)
     adaptive = snr_sweep(model, test_ds, grid, seeds=(0, 1))
 
     fixed = {}
@@ -66,7 +66,7 @@ def recon_experiment():
             epochs=RECON_EPOCHS, batch_size=32, prior=(snr, snr),
             seed=0, val_every=0,
         )
-        mf, _ = train(mf, train_ds, cf)
+        train(mf, train_ds, cf)
         fixed[snr] = snr_sweep(mf, test_ds, grid, seeds=(0, 1))
     return {"adaptive": adaptive, "fixed": fixed, "wall_s": time.perf_counter() - t0}
 
@@ -90,7 +90,7 @@ def class_experiment():
                 epochs=CLASS_EPOCHS, batch_size=32, prior=prior,
                 seed=seed, val_every=0,
             )
-            m, _ = train(m, train_ds, cfg)
+            train(m, train_ds, cfg)
             rep = snr_sweep(m, test_ds, [1.0, 19.0], seeds=(0,))
             accs[name] = (rep.mean_at(1.0), rep.mean_at(19.0))
         rows.append(accs)

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 
@@ -65,9 +66,11 @@ class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, cfg_path, tmp_path, capsys):
         out = train_once(cfg_path, tmp_path)
         assert os.path.exists(os.path.join(out, "checkpoint.haj"))
-        log = open(os.path.join(out, "train_log.csv")).read().splitlines()
-        assert log[0].startswith("epoch,loss")
-        assert len(log) == 1 + 2  # header + 2 epochs
+        assert not os.path.exists(os.path.join(out, "train_log.csv"))
+        records = [json.loads(line) for line in open(os.path.join(out, "train_log.jsonl"))]
+        # GOOD sets no val_every, so no epoch validates
+        assert [list(r) for r in records] == [["epoch", "loss", "wall_s"]] * 2  # 2 epochs
+        assert [r["epoch"] for r in records] == [1, 2]
         assert "trained reconstruction model" in capsys.readouterr().out
 
     def test_byte_identical_across_runs(self, cfg_path, tmp_path):
@@ -76,9 +79,11 @@ class TestTrainCommand:
         ckpt_a = open(os.path.join(a, "checkpoint.haj"), "rb").read()
         ckpt_b = open(os.path.join(b, "checkpoint.haj"), "rb").read()
         assert ckpt_a == ckpt_b
-        # the train log is identical except the wall-clock column
-        strip = lambda p: [line.rsplit(",", 1)[0] for line in open(p).read().splitlines()]
-        assert strip(os.path.join(a, "train_log.csv")) == strip(os.path.join(b, "train_log.csv"))
+        # the train log is identical except the wall-clock times
+        def records(run):
+            return [{**json.loads(line), "wall_s": None} for line in open(os.path.join(run, "train_log.jsonl"))]
+
+        assert records(a) == records(b)
 
     def test_seed_override_changes_artifact(self, tmp_path):
         # [train] seed is the one seed source; train has no --seed option
@@ -293,6 +298,7 @@ def _binary_config(tmp_path):
         (_empty_cifar_test_batch, EXIT_CORRUPT, "artifact error"),
         (_edited_good("dense o8 linear hyper", "dense o8 linear hyper hyper"), EXIT_CONFIG, "config error"),
         (_edited_good("deconv o16 u2 k3 p1", "deconv o16 u2 s2 k3 p1", DEFAULT_RECON), EXIT_CONFIG, "config error"),
+        (_edited_good("resblock o16 k3", "resblock o16 k2", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
@@ -300,7 +306,7 @@ def _binary_config(tmp_path):
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
         "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
-        "deconv-stride",
+        "deconv-stride", "resblock-even-kernel",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

@@ -87,10 +87,12 @@ class TestParseRunConfig:
             ("dense o32 relu tanh hyper", "tanh"),
             ("dense o32 relu hyper hyper", "hyper"),
             ("reshape 32x1x1 | deconv o16 u2 s2 k3 p1 relu hyper | flatten", "s2"),
+            ("reshape 4x4x4 | resblock o1 k2 relu hyper | flatten", r"encoder\[2\] \(resblock\).*k2"),
         ],
         ids=["dense-q7", "dense-k5", "dense-s3", "dense-p2", "dense-u4", "conv-u2",
              "resblock-s1", "resblock-p0", "resblock-u1", "flatten-relu",
-             "dense-o-twice", "conv-k-twice", "second-activation", "hyper-twice", "deconv-s2"],
+             "dense-o-twice", "conv-k-twice", "second-activation", "hyper-twice", "deconv-s2",
+             "resblock-even-kernel"],
     )
     def test_bad_layer_token(self, layer, token):
         bad = GOOD.replace("dense o32 relu hyper", layer, 1)

@@ -57,6 +57,10 @@ class TestSweepReport:
         assert lines[0] == "snr_db,metric,mean,std,n"
         assert lines[1].startswith("0,psnr_db,18.0,0.3,")
 
+    def test_csv_labels_every_grid_point_exactly(self):
+        report = SweepReport(metric="psnr_db", rows=[(s, 20.0, 0.0, 2) for s in (-4.0, 0.5, 2.0)])
+        assert [line.split(",")[0] for line in report.to_csv().splitlines()[1:]] == ["-4", "0.5", "2"]
+
 
 class TestSnrSweep:
     def setup_method(self):
@@ -66,6 +70,10 @@ class TestSnrSweep:
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
             snr_sweep(self.model, self.ds, [10.0, 5.0])
+
+    def test_close_grid_points_get_distinct_labels(self):
+        csv = snr_sweep(self.model, self.ds, [1.0000001, 1.0000002]).to_csv()
+        assert [line.split(",")[0] for line in csv.splitlines()[1:]] == ["1.0000001", "1.0000002"]
 
     def test_byte_identical_repeats(self):
         a = snr_sweep(self.model, self.ds, [0.0, 10.0, 20.0], seeds=(0, 1)).to_csv()

@@ -248,7 +248,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = build_model(toy_dense_config(), 9)
-            model, _ = train(model, ds, cfg)
+            train(model, ds, cfg)
             runs.append([p.data.copy() for p in model.parameters()])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
@@ -261,7 +261,7 @@ class TestTrain:
         model = build_model(toy_dense_config(), 0)
         before = snr_sweep(model, val, [10.0]).mean_at(10.0)
         cfg = TrainConfig(epochs=60, batch_size=16, lr=2e-3, seed=0, val_every=0)
-        model, log = train(model, ds, cfg)
+        train(model, ds, cfg)
         after = snr_sweep(model, val, [10.0]).mean_at(10.0)
         assert after > before + 5.0
 
@@ -271,12 +271,47 @@ class TestTrain:
         ds = synthetic_dataset("gaussian-blobs-images", 32, (1, 8, 8), seed=0)
         val = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=1)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=3, val_every=1, val_grid=(2.0, 12.0))
-        model, log = train(build_model(toy_dense_config(), 3), ds, cfg, val)
+        model = build_model(toy_dense_config(), 3)
+        records = train(model, ds, cfg, val)
         report = snr_sweep(model, val, cfg.val_grid, seeds=(cfg.seed,))
         assert report.metric == "psnr_db"
-        epoch, _, logged, _ = log.epochs[-1]
-        assert epoch == 2
-        assert logged == {g: report.mean_at(g) for g in cfg.val_grid}
+        assert list(records[-1]) == ["epoch", "loss", "val_2dB", "val_12dB", "wall_s"]
+        assert records[-1]["epoch"] == 2
+        assert [records[-1]["val_2dB"], records[-1]["val_12dB"]] == [report.mean_at(g) for g in cfg.val_grid]
+
+    def test_validation_keys_appear_on_validation_epochs_only(self):
+        ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
+        val = synthetic_dataset("gaussian-blobs-images", 8, (1, 8, 8), seed=1)
+        cfg = TrainConfig(epochs=3, batch_size=8, val_every=2, val_grid=(5.0,))
+        records = train(build_model(toy_dense_config(), 0), ds, cfg, val)
+        assert [list(r) for r in records] == [
+            ["epoch", "loss", "wall_s"], ["epoch", "loss", "val_5dB", "wall_s"], ["epoch", "loss", "wall_s"],
+        ]
+
+    def test_close_grid_points_get_distinct_keys(self):
+        ds = synthetic_dataset("gaussian-blobs-images", 8, (1, 8, 8), seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(1.0000001, 1.0000002))
+        (record,) = train(build_model(toy_dense_config(), 0), ds, cfg, ds)
+        assert "val_1.0000001dB" in record and "val_1.0000002dB" in record
+
+    @pytest.mark.parametrize(
+        "cfg,with_val,message",
+        [
+            (TrainConfig(epochs=1, batch_size=8, val_every=1), False, "needs a validation dataset"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=()), True, "empty SNR grid"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(5.0, 5.0)), True, "strictly increasing"),
+        ],
+        ids=["no-val-dataset", "empty-grid", "repeated-grid-point"],
+    )
+    def test_bad_validation_setup_rejected_before_the_first_step(self, cfg, with_val, message, monkeypatch):
+        from hyperajscc import training
+
+        ds = synthetic_dataset("gaussian-blobs-images", 8, (1, 8, 8), seed=0)
+        steps = []
+        monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args) or 0.0)
+        with pytest.raises(ConfigError, match=message):
+            train(build_model(toy_dense_config(), 0), ds, cfg, ds if with_val else None)
+        assert steps == []
 
     @pytest.mark.parametrize("task,loss_kind", [("reconstruction", "mse"), ("classification", "cross_entropy")])
     def test_loss_follows_the_task(self, task, loss_kind, monkeypatch):
@@ -304,8 +339,7 @@ class TestTrain:
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=1, val_every=0, prior=(13.0, 13.0))
         model = build_model(toy_dense_config(hyper=False), 1)
-        model, log = train(model, ds, cfg)
-        assert len(log.epochs) == 2
+        assert [r["epoch"] for r in train(model, ds, cfg)] == [1, 2]
 
     def test_uniform_prior_draws_in_range(self, monkeypatch):
         draws = drawn_snrs((4.0, 9.0), monkeypatch)
