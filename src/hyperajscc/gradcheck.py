@@ -2,7 +2,8 @@
 
 Each check builds a small random problem, reduces the op output to a
 scalar, and compares tape gradients against central differences.  Inputs
-for relu checks are nudged away from the kink at 0.
+for relu checks are nudged away from the kink at 0, and a relu layer's
+draw is repeated until its pre-activations are.
 """
 
 from __future__ import annotations
@@ -117,6 +118,36 @@ def _layer_checks(rng: np.random.Generator, cases: int):
         block = make_resblock(2, 3, 3, "tanh", True, rng)
         params = [t for _, t in block.named_params()]
         yield "resnet_block", (lambda block=block, xc=xc, om=om: T.tsum(block.forward(xc, om))), params
+
+        # the fused scale and activation of each base op
+        for kind, act in itertools.product(("dense", "conv", "deconv"), T.SCALE_ACTIVATIONS):
+            layer, xs = _scaled_layer(rng, kind, act, om)
+            params = [xs] + [t for _, t in layer.named_params()]
+            yield f"{kind}_scale_act_{act}", (
+                lambda layer=layer, xs=xs, om=om: T.tsum(T.tanh(layer.forward(xs, om)))
+            ), params
+
+
+RELU_MARGIN = 1e-3  # a relu input this close to 0 may cross the kink under a finite-difference step
+
+
+def _scaled_layer(rng, kind: str, act: str, om):
+    """A hyper layer with nu and c off the identity, and an input for it.
+
+    For relu the draw is repeated until no pre-activation (the layer's
+    output with a linear activation) is within RELU_MARGIN of the kink.
+    """
+    while True:
+        if kind == "dense":
+            layer, xs = make_dense(4, 3, "linear", True, rng), _param(rng, 2, 4)
+        else:
+            layer = make_conv(2, 3, 3, 1, 1, 2 if kind == "deconv" else 1, "linear", True, rng)
+            xs = _param(rng, 2, 2, 3, 3)
+        layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
+        layer.scale.c.data = rng.uniform(0.5, 1.5, 3)
+        if act != "relu" or np.abs(layer.forward(xs, om).data).min() >= RELU_MARGIN:
+            layer.base.act = act
+            return layer, xs
 
 
 def tiny_model_config():

@@ -3,6 +3,10 @@
 Each adaptive layer is a plain base layer (weights W0/b0 or kernels C0/b0)
 plus a per-sample, per-output-channel scale s[b] = omega_t[b] * nu + c,
 applied to the pre-activation output (a FiLM-style gain without shift).
+The base op is tensor.linear, conv2d or upconv2d; the scale and the
+activation then run as one graph node, tensor.scale_act (a softmax runs
+after it as its own op, and a layer without a scale runs its activation
+alone).
 For convolutions, scaling output channels is mathematically identical to
 row-scaling the kernels and commutes with the convolution; the output is
 the side that gets scaled, because s differs per sample and the kernels
@@ -42,7 +46,11 @@ class HyperScale:
         return cls(nu, c)
 
     def vector(self, omega_t) -> Tensor:
-        """Per-sample scales [B,D] for per-sample mapped conditions omega_t [B]."""
+        """Per-sample scales [B,D] for per-sample mapped conditions omega_t [B].
+
+        HyperLayer.forward does not call it: tensor.scale_act builds the same
+        s inside its fused node.
+        """
         return T.affine_outer(omega_t, self.nu, self.c)
 
 
@@ -124,9 +132,11 @@ class HyperLayer:
             y = T.upconv2d(f, base.c0, base.b0, base.upsample, base.padding)
         else:
             y = T.conv2d(f, base.c0, base.b0, base.stride, base.padding)
-        if self.scale is not None:
-            y = T.scale_channels(y, self.scale.vector(omega_t))
-        return T.activation(base.act, y)
+        if self.scale is None:
+            return T.activation(base.act, y)
+        if base.act == "softmax":
+            return T.softmax(T.scale_act(y, omega_t, self.scale.nu, self.scale.c, "linear"))
+        return T.scale_act(y, omega_t, self.scale.nu, self.scale.c, base.act)
 
     def named_params(self):
         out = list(self.base.named_params())

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .data import Dataset
 from .errors import ConfigError
 from .models import HyperAJSCCModel, forward_pipeline
@@ -64,12 +65,16 @@ def check_snr_grid(snr_grid) -> list[float]:
 
 
 def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -> float:
-    """The sweep metric of one noisy pass over the dataset, in chunks of EVAL_CHUNK."""
+    """The sweep metric of one noisy pass over the dataset, in chunks of EVAL_CHUNK.
+
+    The forward passes record no tape: nothing reads their gradients.
+    """
     recon = model.config.task == "reconstruction"
     total = 0.0  # summed squared error over [0, 1] pixels, or correct count
     for start in range(0, dataset.samples.shape[0], EVAL_CHUNK):
         xb = dataset.samples[start : start + EVAL_CHUNK]
-        out = forward_pipeline(model, Tensor(xb), omega_db, rng).data
+        with T.no_tape():
+            out = forward_pipeline(model, Tensor(xb), omega_db, rng).data
         if recon:
             total += float((((xb + 1.0) / 2.0 - (out + 1.0) / 2.0) ** 2).sum())
         else:

@@ -80,6 +80,11 @@ class ModelConfig:
         if not (lo < hi and np.isfinite([hi - lo, self.omega_gain, self.omega_offset]).all()):
             raise ConfigError(f"omega range must be finite with lo < hi, got {lo} .. {hi} dB")
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
+        acting = [(i, s) for i, s in enumerate(self.encoder) if s.kind not in ("flatten", "reshape")]
+        if acting and acting[-1][1].act == "relu":
+            # a relu can zero a whole symbol row, which power normalization cannot scale
+            i, s = acting[-1]
+            raise ConfigError(f"encoder[{i}] ({s.kind}): the last encoder activation cannot be relu")
         if int(np.prod(enc_out)) != 2 * self.bandwidth:
             raise ConfigError(
                 f"encoder output width {int(np.prod(enc_out))} != 2*d = {2 * self.bandwidth}"

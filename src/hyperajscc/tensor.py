@@ -6,12 +6,19 @@ closure that maps the output gradient to parent gradients.  Calling
 ``backward()`` on a scalar runs one reverse-topological sweep and
 accumulates gradients into every reachable tensor with ``requires_grad``.
 
+Inside ``with no_tape():`` ops record no graph: every result is a plain
+Tensor, so a forward-only pass (a sweep) frees each intermediate as soon as
+the next op has read it.
+
 Everything is float64.  Models here are tiny, so we trade throughput for
-tight finite-difference checks.  relu's subgradient at 0 is defined as 0.
+tight finite-difference checks.  relu propagates NaN, and its subgradient
+at 0 is defined as 0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,9 +93,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_recording = contextvars.ContextVar("tape_recording", default=True)  # False inside no_tape()
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Ops inside the block record no graph node, whatever their inputs track."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data, parents: tuple, backward_fn: Callable) -> Tensor:
-    """Wrap an op result; drop the graph when no parent is tracked."""
-    if any(p._track for p in parents):
+    """Wrap an op result; drop the graph inside no_tape() or when no parent is tracked."""
+    if _recording.get() and any(p._track for p in parents):
         return Tensor(data, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
 
@@ -244,8 +264,8 @@ def affine_outer(omega: np.ndarray, nu: Tensor, c: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: [(x, g * mask)])
+    """max(x, 0): a NaN input stays NaN; the gradient mask is x > 0."""
+    return _make(np.maximum(x.data, 0.0), (x,), lambda g: [(x, g * (x.data > 0))])
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -286,6 +306,76 @@ def activation(kind: str, x: Tensor) -> Tensor:
     if kind == "softmax":
         return softmax(x)
     raise ConfigError(f"unknown activation kind: {kind!r}")
+
+
+SCALE_ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
+
+
+def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
+    """act(y * s) with s[b, j] = omega_t[b] * nu[j] + c[j]: one graph node.
+
+    The same numbers as activation(act, scale_channels(y, affine_outer(omega_t,
+    nu, c))), computed channels-last: y [B, C, ...] is read as [B, ..., C],
+    which for a conv output is its contiguous accumulator, scaled into one
+    new array and activated in place.  The result is an NCHW view of it, and
+    so is the gradient handed back to y, which conv2d's backward reads
+    channels-last without a copy.  softmax is not fused: on NCHW data it
+    normalizes over W, not over the channels.
+    """
+    omega_t = np.asarray(omega_t, dtype=np.float64)
+    if (
+        y.data.ndim < 2
+        or omega_t.shape != (y.shape[0],)
+        or nu.data.ndim != 1
+        or nu.shape != c.shape
+        or nu.shape[0] != y.shape[1]
+    ):
+        raise ConfigError(f"scale_act: y {y.shape}, omega {omega_t.shape}, nu {nu.shape}, c {c.shape}")
+    if act not in SCALE_ACTIVATIONS:
+        raise ConfigError(f"scale_act: activation {act!r} is not one of {SCALE_ACTIVATIONS}")
+    spatial = tuple(range(1, y.data.ndim - 1))
+    to_last = (0,) + tuple(range(2, y.data.ndim)) + (1,)  # [B, C, ...] -> [B, ..., C]
+    to_first = (0, y.data.ndim - 1) + spatial
+    dims = "b" + "hwxyz"[: len(spatial)] + "c"  # einsum subscripts of the channels-last layout
+    s = omega_t[:, None] * nu.data[None, :] + c.data[None, :]
+    sl = s.reshape((s.shape[0],) + (1,) * len(spatial) + (s.shape[1],))
+    yl = y.data.transpose(to_last)
+    z = np.multiply(yl, sl, out=np.empty(yl.shape))
+    if act == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif act == "tanh":
+        np.tanh(z, out=z)
+    elif act == "sigmoid":  # 0.5 * (1 + tanh(0.5 * z)), as sigmoid() computes it
+        z *= 0.5
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+
+    def backward(g):
+        gl = g.transpose(to_last)
+        ga = np.empty_like(z)  # d loss / d (y * s), channels-last
+        if act == "relu":
+            np.multiply(gl, z > 0, out=ga)
+        elif act == "tanh":
+            np.multiply(gl, 1.0 - z * z, out=ga)
+        elif act == "sigmoid":
+            np.multiply(gl, z, out=ga)
+            ga *= 1.0 - z
+        else:
+            ga[...] = gl
+        grads = []
+        if nu._track or c._track:
+            ds = np.einsum(f"{dims},{dims}->bc", ga, yl) if spatial else ga * yl
+            if nu._track:
+                grads.append((nu, omega_t @ ds))
+            if c._track:
+                grads.append((c, ds.sum(axis=0)))
+        if y._track:
+            ga *= sl
+            grads.append((y, ga.transpose(to_first)))
+        return grads
+
+    return _make(z.transpose(to_first), (y, nu, c), backward)
 
 
 # ---------------------------------------------------------------------------

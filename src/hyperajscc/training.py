@@ -108,7 +108,8 @@ class Adam:
         # the space the conv temporaries free at the end of every step: when
         # Adam's vectors were all freed within the step, or all allocated
         # once here, a default_recon step page-faulted that space back in
-        # (~440 minor faults, +16% step time).
+        # (330-380 minor faults and +20% step time on each of ten seeds,
+        # against none with the pin).
         g = self._g = np.concatenate(
             [p.grad if p.grad is not None else np.zeros(p.size) for p in self.params], axis=None
         )

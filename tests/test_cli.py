@@ -190,10 +190,12 @@ def _malformed_cifar(tmp_path):
 
 
 def _all_zero_symbols(tmp_path):
-    # one complex symbol from a relu layer: some row is all zero in the first epoch
+    # one relu unit feeds the last encoder layer, whose bias starts at 0: a sample
+    # whose unit is off gets an all-zero symbol row in the first batch
     path = tmp_path / "zero.cfg"
     path.write_text(
-        GOOD.replace("bandwidth = 4", "bandwidth = 1").replace("dense o8 linear hyper", "dense o2 relu hyper")
+        GOOD.replace("bandwidth = 4", "bandwidth = 1")
+        .replace("dense o32 relu hyper | dense o8 linear hyper", "dense o1 relu hyper | dense o2 linear hyper")
     )
     return ["train", str(path), "--out", str(tmp_path / "out")]
 
@@ -299,6 +301,7 @@ def _binary_config(tmp_path):
         (_edited_good("dense o8 linear hyper", "dense o8 linear hyper hyper"), EXIT_CONFIG, "config error"),
         (_edited_good("deconv o16 u2 k3 p1", "deconv o16 u2 s2 k3 p1", DEFAULT_RECON), EXIT_CONFIG, "config error"),
         (_edited_good("resblock o16 k3", "resblock o16 k2", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
+        (_edited_good("dense o8 linear hyper", "dense o8 relu hyper"), EXIT_CONFIG, "config error"),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
@@ -306,7 +309,7 @@ def _binary_config(tmp_path):
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
         "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
-        "deconv-stride", "resblock-even-kernel",
+        "deconv-stride", "resblock-even-kernel", "relu-last-encoder-layer",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

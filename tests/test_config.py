@@ -154,6 +154,21 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError):
             parse_run_config(bad)
 
+    @pytest.mark.parametrize(
+        "encoder,where",
+        [
+            ("flatten | dense o32 relu hyper | dense o8 relu hyper", r"encoder\[2\] \(dense\)"),
+            ("conv o2 k4 s4 p0 relu hyper | flatten", r"encoder\[0\] \(conv\)"),
+            ("conv o2 k4 s4 p0 linear | resblock o2 k1 relu hyper | flatten", r"encoder\[1\] \(resblock\)"),
+        ],
+        ids=["dense", "conv-then-flatten", "resblock"],
+    )
+    def test_relu_as_the_last_encoder_activation_rejected(self, encoder, where):
+        # a relu can zero a whole symbol row, and power normalization cannot scale it
+        text = GOOD.replace("flatten | dense o32 relu hyper | dense o8 linear hyper", encoder)
+        with pytest.raises(ConfigError, match=where + ".*relu"):
+            parse_run_config(text)
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_run_config("# leading comment\n\n" + GOOD)
         assert cfg.model.bandwidth == 4

@@ -279,13 +279,18 @@ def test_random_architecture_oracle(workdir, text, seed):
         return mse_loss(xt, out) if mc.task == "reconstruction" else cross_entropy_loss(out, labels)
 
     relu_inputs = []
-    real_relu = T.relu
+    real_relu, real_scale_act = T.relu, T.scale_act
 
     def recording_relu(t):
         relu_inputs.append(np.abs(t.data).min())
         return real_relu(t)
 
-    with mock.patch.object(T, "relu", recording_relu):
+    def recording_scale_act(y, omega_t, nu, c, act):
+        if act == "relu":  # a hyper layer's relu input is the scaled base output
+            relu_inputs.append(np.abs(real_scale_act(y, omega_t, nu, c, "linear").data).min())
+        return real_scale_act(y, omega_t, nu, c, act)
+
+    with mock.patch.object(T, "relu", recording_relu), mock.patch.object(T, "scale_act", recording_scale_act):
         assert np.isfinite(float(loss().data))
     if n_params > FD_MAX_PARAMS or min(relu_inputs, default=np.inf) < RELU_MARGIN:
         return

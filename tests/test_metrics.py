@@ -1,6 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+from hyperajscc import tensor as T
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.errors import ConfigError
 from hyperajscc.metrics import (
@@ -88,6 +91,35 @@ class TestSnrSweep:
     def test_row_count_matches_grid(self):
         rep = snr_sweep(self.model, self.ds, [0.0, 5.0, 10.0])
         assert [r[0] for r in rep.rows] == [0.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("name", ["toy_dense", "default_recon"])
+    def test_no_tape_leaves_the_psnrs_bit_identical(self, name, monkeypatch):
+        if name == "toy_dense":
+            model, ds = self.model, self.ds
+        else:
+            model = build_model(shipped_model_config(name), 0)
+            ds = synthetic_dataset("gaussian-blobs-images", 80, (3, 8, 8), seed=3)  # two chunks
+        rng = np.random.default_rng(1)
+        for pname, p in model.named_parameters():
+            if pname.endswith(".nu"):
+                p.data[...] = rng.normal(0.0, 0.3, p.shape)
+        untaped = snr_sweep(model, ds, [0.0, 10.0], seeds=(0, 1)).rows
+        monkeypatch.setattr(T, "no_tape", contextlib.nullcontext)
+        taped = snr_sweep(model, ds, [0.0, 10.0], seeds=(0, 1)).rows
+        assert untaped == taped
+
+    def test_sweep_records_no_graph(self, monkeypatch):
+        made = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        snr_sweep(self.model, self.ds, [0.0, 10.0])
+        monkeypatch.undo()
+        assert made and all(t._backward_fn is None and not t._track for t in made)
 
 
 def sweep_by_hand(model, ds, grid, seeds, chunk_total, finish):

@@ -103,6 +103,13 @@ class TestActivations:
         out = T.sigmoid(t([-50.0, 0.0, 50.0])).data
         assert out[0] >= 0 and out[2] <= 1 and out[1] == 0.5
 
+    def test_relu_propagates_nan_and_has_zero_slope_at_zero(self):
+        x = t([np.nan, -1.0, 0.0, 2.0], grad=True)
+        out = T.relu(x)
+        np.testing.assert_array_equal(out.data, [np.nan, 0, 0, 2])
+        T.tsum(T.mul(out, t([0.0, 1.0, 1.0, 1.0]))).backward()
+        np.testing.assert_array_equal(x.grad, [0, 0, 0, 1])
+
 
 class TestConv2d:
     def test_scaling_kernel(self):
@@ -269,6 +276,110 @@ class TestUpconv2d:
         old = peak(lambda: T.conv2d(T.upsample_zero(x, 2), k, b, 1, 1))
         nbytes = x.data.nbytes
         assert new <= old / 2, f"traced peak {new / nbytes:.1f}x against {old / nbytes:.1f}x the input"
+
+
+def pulled(out: Tensor, g: np.ndarray) -> Tensor:
+    """A scalar whose backward hands `out` exactly `g`, in g's own memory layout."""
+    return T._make(np.asarray(0.0), (out,), lambda _: [(out, g)])
+
+
+# (base op, input shape, kernel shape): a dense output, a conv2d output (an NCHW
+# view of its channels-last accumulator) and an upconv2d output (a strided crop)
+BASE_OPS = {
+    "dense": (lambda x, k, b: T.linear(x, k, b), (3, 4), (5, 4)),
+    "conv2d": (lambda x, k, b: T.conv2d(x, k, b, 1, 1), (3, 2, 4, 5), (5, 2, 3, 3)),
+    "upconv2d": (lambda x, k, b: T.upconv2d(x, k, b, 2, 1), (3, 2, 3, 4), (5, 2, 3, 3)),
+}
+
+
+class TestScaleAct:
+    """scale_act against activation(act, scale_channels(y, affine_outer(omega, nu, c)))."""
+
+    @pytest.mark.parametrize("act", T.SCALE_ACTIVATIONS)
+    @pytest.mark.parametrize("base", sorted(BASE_OPS))
+    def test_matches_the_composed_ops(self, base, act):
+        op, xshape, kshape = BASE_OPS[base]
+        rng = np.random.default_rng(len(base) * 10 + len(act))
+        arrays = [rng.standard_normal(xshape), rng.standard_normal(kshape), rng.standard_normal(5),
+                  rng.normal(0.0, 0.3, 5), rng.uniform(0.5, 1.5, 5)]
+        omega = rng.uniform(-1.0, 1.0, 3)
+        g = None
+        results = []
+        for fused in (False, True):
+            x, k, b, nu, c = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            y = op(x, k, b)
+            if fused:
+                out = T.scale_act(y, omega, nu, c, act)
+            else:
+                out = T.activation(act, T.scale_channels(y, T.affine_outer(omega, nu, c)))
+            if g is None:  # a non-contiguous incoming gradient: a transposed array's view
+                g = np.ascontiguousarray(rng.standard_normal(out.shape[::-1])).T
+                assert not g.flags.c_contiguous
+            pulled(out, g).backward()
+            results.append((out.data, [p.grad for p in (x, k, b, nu, c)]))
+        (want, want_grads), (got, got_grads) = results
+        np.testing.assert_array_equal(got, want)
+        for got_g, want_g in zip(got_grads, want_grads):
+            np.testing.assert_allclose(got_g, want_g, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("base", sorted(BASE_OPS))
+    def test_input_gradient_is_a_view_of_a_channels_last_array(self, base):
+        op, xshape, kshape = BASE_OPS[base]
+        rng = np.random.default_rng(3)
+        y = op(*(Tensor(rng.standard_normal(shape)) for shape in (xshape, kshape, (5,))))
+        y = Tensor(y.data, requires_grad=True)
+        out = T.scale_act(y, rng.uniform(-1, 1, 3), t(np.ones(5)), t(np.ones(5)), "tanh")
+        ((parent, dy),) = out._backward_fn(np.ones(out.shape))
+        assert parent is y
+        assert np.moveaxis(dy, 1, -1).flags.c_contiguous
+        assert np.moveaxis(out.data, 1, -1).flags.c_contiguous
+
+    def test_relu_propagates_nan(self):
+        y = t([[np.nan, -1.0, 2.0]], grad=True)
+        out = T.scale_act(y, np.array([0.5]), t(np.zeros(3)), t(np.ones(3)), "relu")
+        np.testing.assert_array_equal(out.data, [[np.nan, 0, 2]])
+
+    def test_bad_shapes_and_softmax_rejected(self):
+        y = t(np.ones((2, 3, 4, 4)))
+        ones = t(np.ones(3))
+        with pytest.raises(ConfigError, match="scale_act"):
+            T.scale_act(y, np.zeros(3), ones, ones, "tanh")  # one omega per sample
+        with pytest.raises(ConfigError, match="scale_act"):
+            T.scale_act(y, np.zeros(2), t(np.ones(4)), t(np.ones(4)), "tanh")
+        with pytest.raises(ConfigError, match="softmax"):
+            T.scale_act(y, np.zeros(2), ones, ones, "softmax")
+
+
+class TestNoTape:
+    def test_nothing_made_inside_records_a_graph(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x, k, b, c = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in ((2, 2, 4, 4), (3, 2, 3, 3), (3,), (3,)))
+        made = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        with T.no_tape():
+            y = T.scale_act(T.conv2d(x, k, b, 1, 1), np.zeros(2), b, c, "relu")
+            T.tmean(T.mul(y, T.tanh(y)))
+        monkeypatch.undo()
+        assert len(made) == 5
+        assert all(m._backward_fn is None and m._parents == () and not m._track for m in made)
+        assert T.tanh(x)._backward_fn is not None  # recording again after the block
+
+    def test_flag_is_restored_after_an_exception(self):
+        x = t([1.0, 2.0], grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with T.no_tape():
+                with T.no_tape():
+                    pass
+                assert T.tanh(x)._backward_fn is None
+                1 / 0
+        assert T.tanh(x)._backward_fn is not None
 
 
 class TestBackward:

@@ -279,6 +279,17 @@ class TestTrain:
         assert records[-1]["epoch"] == 2
         assert [records[-1]["val_2dB"], records[-1]["val_12dB"]] == [report.mean_at(g) for g in cfg.val_grid]
 
+    def test_validation_leaves_the_training_losses_alone(self):
+        # validation records no tape and draws its noise from its own streams
+        ds = synthetic_dataset("gaussian-blobs-images", 32, (1, 8, 8), seed=0)
+        val = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=1)
+        losses = []
+        for val_every in (0, 1):
+            cfg = TrainConfig(epochs=3, batch_size=8, seed=4, val_every=val_every, val_grid=(2.0, 12.0))
+            records = train(build_model(toy_dense_config(), 4), ds, cfg, val)
+            losses.append([r["loss"] for r in records])
+        assert losses[0] == losses[1]
+
     def test_validation_keys_appear_on_validation_epochs_only(self):
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
         val = synthetic_dataset("gaussian-blobs-images", 8, (1, 8, 8), seed=1)
@@ -359,6 +370,15 @@ class TestTrain:
         model.decoder[1].base.b0.data[0] = np.nan  # tanh output layer, so it propagates
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0, val_every=0)
         with pytest.raises(NumericAbortError, match="epoch 1"):
+            train(model, ds, cfg)
+
+    def test_nan_in_a_relu_layer_aborts(self):
+        # relu passes a NaN on, so the loss is NaN at once, before any update spreads it
+        ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
+        model = build_model(toy_dense_config(), 0)
+        model.decoder[0].base.b0.data[0] = np.nan  # dense o32 relu hyper
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=0, val_every=0)
+        with pytest.raises(NumericAbortError, match="epoch 1, step 1"):
             train(model, ds, cfg)
 
 
