@@ -15,8 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .channel import power_normalize
-from .layers import make_conv, make_dense, make_resblock
-from .models import LayerSpec, ModelConfig, build_model, forward_pipeline
+from .models import LayerSpec, ModelConfig, build_layer, build_model, forward_pipeline
 from .tensor import Tensor, finite_diff_check
 from .training import cross_entropy_loss, mse_loss
 
@@ -101,7 +100,7 @@ def _checks(rng: np.random.Generator, cases: int):
 
 def _layer_checks(rng: np.random.Generator, cases: int):
     for i in range(cases):
-        dense = make_dense(4, 3, "tanh", True, rng)
+        dense = build_layer(LayerSpec("dense", out=3, act="tanh", hyper=True), 4, rng)
         dense.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
         xd = Tensor(rng.uniform(-1, 1, (2, 4)))
         # a 0..20 dB SNR mapped to [-1, 1], one per sample
@@ -109,13 +108,13 @@ def _layer_checks(rng: np.random.Generator, cases: int):
         params = [t for _, t in dense.named_params()]
         yield "dense_hyper_layer", (lambda dense=dense, xd=xd, om=om: T.tsum(dense.forward(xd, om))), params
 
-        conv = make_conv(2, 3, 3, 1, 1, 1, "tanh", True, rng)
+        conv = build_layer(LayerSpec("conv", out=3, padding=1, act="tanh", hyper=True), 2, rng)
         conv.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
         xc = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)))
         params = [t for _, t in conv.named_params()]
         yield "conv_hyper_layer", (lambda conv=conv, xc=xc, om=om: T.tsum(conv.forward(xc, om))), params
 
-        block = make_resblock(2, 3, 3, "tanh", True, rng)
+        block = build_layer(LayerSpec("resblock", out=3, act="tanh", hyper=True), 2, rng)
         params = [t for _, t in block.named_params()]
         yield "resnet_block", (lambda block=block, xc=xc, om=om: T.tsum(block.forward(xc, om))), params
 
@@ -137,12 +136,12 @@ def _scaled_layer(rng, kind: str, act: str, om):
     For relu the draw is repeated until no pre-activation (the layer's
     output with a linear activation) is within RELU_MARGIN of the kink.
     """
+    spec = LayerSpec(kind, out=3, padding=1, upsample=2 if kind == "deconv" else 1, hyper=True)
     while True:
         if kind == "dense":
-            layer, xs = make_dense(4, 3, "linear", True, rng), _param(rng, 2, 4)
+            layer, xs = build_layer(spec, 4, rng), _param(rng, 2, 4)
         else:
-            layer = make_conv(2, 3, 3, 1, 1, 2 if kind == "deconv" else 1, "linear", True, rng)
-            xs = _param(rng, 2, 2, 3, 3)
+            layer, xs = build_layer(spec, 2, rng), _param(rng, 2, 2, 3, 3)
         layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
         layer.scale.c.data = rng.uniform(0.5, 1.5, 3)
         if act != "relu" or np.abs(layer.forward(xs, om).data).min() >= RELU_MARGIN:

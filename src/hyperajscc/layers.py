@@ -1,5 +1,8 @@
 """Neural layers with channel-conditioned element-wise scaling.
 
+This module holds only the layer classes; models.build_layer builds each
+layer from its LayerSpec (He-uniform weights, zero biases, nu=0, c=1).
+
 Each adaptive layer is a plain base layer (weights W0/b0 or kernels C0/b0)
 plus a per-sample, per-output-channel scale s[b] = omega_t[b] * nu + c,
 applied to the pre-activation output (a FiLM-style gain without shift).
@@ -187,55 +190,3 @@ class Reshape:
     def named_params(self):
         return []
 
-
-def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def make_dense(
-    d_in: int,
-    d_out: int,
-    act: str,
-    hyper: bool,
-    rng: np.random.Generator,
-) -> HyperLayer:
-    w0 = Tensor(he_uniform((d_out, d_in), d_in, rng), requires_grad=True)
-    b0 = Tensor(np.zeros(d_out), requires_grad=True)
-    scale = HyperScale.identity(d_out) if hyper else None
-    return HyperLayer(DenseLayer(w0, b0, act), scale)
-
-
-def make_conv(
-    c_in: int,
-    c_out: int,
-    kernel: int,
-    stride: int,
-    padding: int,
-    upsample: int,
-    act: str,
-    hyper: bool,
-    rng: np.random.Generator,
-) -> HyperLayer:
-    fan_in = c_in * kernel * kernel
-    c0 = Tensor(he_uniform((c_out, c_in, kernel, kernel), fan_in, rng), requires_grad=True)
-    b0 = Tensor(np.zeros(c_out), requires_grad=True)
-    scale = HyperScale.identity(c_out) if hyper else None
-    return HyperLayer(Conv2dLayer(c0, b0, stride, padding, upsample, act), scale)
-
-
-def make_resblock(
-    c_in: int,
-    c_out: int,
-    kernel: int,
-    act: str,
-    hyper: bool,
-    rng: np.random.Generator,
-) -> ResNetBlock:
-    pad = kernel // 2
-    conv1 = make_conv(c_in, c_out, kernel, 1, pad, 1, act, hyper, rng)
-    conv2 = make_conv(c_out, c_out, kernel, 1, pad, 1, "linear", hyper, rng)
-    skip = None
-    if c_in != c_out:
-        skip = make_conv(c_in, c_out, 1, 1, 0, 1, "linear", hyper, rng)
-    return ResNetBlock(conv1, conv2, skip, act)

@@ -12,24 +12,27 @@ training range) once per encode/decode pass; every layer receives omega_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import layers as L
 from .channel import ChannelSymbols, awgn_transmit, power_normalize
 from .errors import ConfigError
-from .layers import Reshape
+from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, Reshape, ResNetBlock
 from .tensor import Tensor
 from . import tensor as T
 
 
 @dataclass
 class LayerSpec:
-    """One encoder/decoder layer descriptor.
+    """One encoder/decoder layer descriptor; each kind reads only some fields.
 
-    kind: dense | conv | deconv | resblock | flatten
-    out: output width (dense) or output channels (conv/deconv/resblock)
+    dense: out (width), act, hyper
+    conv: out (channels), kernel, stride, padding, act, hyper
+    deconv: out, kernel, padding, upsample, act, hyper (a deconv takes no stride)
+    resblock: out, kernel (odd; its convs pad by kernel // 2), act, hyper
+    flatten: none
+    reshape: shape, the target (C, H, W)
     """
 
     kind: str
@@ -81,10 +84,17 @@ class ModelConfig:
             raise ConfigError(f"omega range must be finite with lo < hi, got {lo} .. {hi} dB")
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
         acting = [(i, s) for i, s in enumerate(self.encoder) if s.kind not in ("flatten", "reshape")]
-        if acting and acting[-1][1].act == "relu":
-            # a relu can zero a whole symbol row, which power normalization cannot scale
+        if acting:
             i, s = acting[-1]
-            raise ConfigError(f"encoder[{i}] ({s.kind}): the last encoder activation cannot be relu")
+            if s.act == "relu":
+                # a relu can zero a whole symbol row, which power normalization cannot scale
+                raise ConfigError(f"encoder[{i}] ({s.kind}): the last encoder activation cannot be relu")
+            if s.hyper and s.kind in ("conv", "deconv") and s.out == 1 and s.act == "linear":
+                # its s is one scalar per sample, which power normalization divides out: nu and c never learn
+                raise ConfigError(
+                    f"encoder[{i}] ({s.kind}): a hyper last layer with one channel and a linear activation"
+                    " has a scale that power normalization cancels"
+                )
         if int(np.prod(enc_out)) != 2 * self.bandwidth:
             raise ConfigError(
                 f"encoder output width {int(np.prod(enc_out))} != 2*d = {2 * self.bandwidth}"
@@ -143,6 +153,32 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
     return cur
 
 
+def build_layer(spec: LayerSpec, c_in: int, rng: np.random.Generator) -> HyperLayer | ResNetBlock:
+    """A dense, conv, deconv or resblock layer over c_in input channels (a dense layer's input width).
+
+    Weights are He-uniform over the fan-in, biases 0, and a hyper layer's scale
+    starts at nu=0, c=1.  A resblock draws conv1, conv2, then the 1x1 skip
+    projection, which it has only when c_in != spec.out.
+    """
+    if spec.kind == "resblock":
+        conv = replace(spec, kind="conv", stride=1, padding=spec.kernel // 2, upsample=1)
+        conv1 = build_layer(conv, c_in, rng)
+        conv2 = build_layer(replace(conv, act="linear"), spec.out, rng)
+        skip = None
+        if c_in != spec.out:
+            skip = build_layer(replace(conv, kernel=1, padding=0, act="linear"), c_in, rng)
+        return ResNetBlock(conv1, conv2, skip, spec.act)
+    shape = (spec.out, c_in) if spec.kind == "dense" else (spec.out, c_in, spec.kernel, spec.kernel)
+    bound = np.sqrt(6.0 / int(np.prod(shape[1:])))
+    w0 = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    b0 = Tensor(np.zeros(spec.out), requires_grad=True)
+    if spec.kind == "dense":
+        base = DenseLayer(w0, b0, spec.act)
+    else:
+        base = Conv2dLayer(w0, b0, spec.stride, spec.padding, spec.upsample, spec.act)
+    return HyperLayer(base, HyperScale.identity(spec.out) if spec.hyper else None)
+
+
 class HyperAJSCCModel:
     """Built encoder/decoder pair with shared condition conditioning."""
 
@@ -168,22 +204,15 @@ def _build_stack(shape, specs: list[LayerSpec], rng, half: str):
     cur = tuple(shape)
     for s in specs:
         nxt = _propagate(cur, [s], half)
-        if s.kind == "dense":
-            built.append(L.make_dense(cur[0], s.out, s.act, s.hyper, rng))
-        elif s.kind in ("conv", "deconv"):
-            built.append(L.make_conv(cur[0], s.out, s.kernel, s.stride, s.padding, s.upsample, s.act, s.hyper, rng))
-        elif s.kind == "resblock":
-            built.append(L.make_resblock(cur[0], s.out, s.kernel, s.act, s.hyper, rng))
-        else:  # flatten | reshape
-            built.append(Reshape(nxt))
+        built.append(Reshape(nxt) if s.kind in ("flatten", "reshape") else build_layer(s, cur[0], rng))
         cur = nxt
     return built
 
 
-def build_model(config: ModelConfig, seed: int | np.random.Generator = 0) -> HyperAJSCCModel:
+def build_model(config: ModelConfig, seed: int = 0) -> HyperAJSCCModel:
     """Initialize a model: He-uniform weights, zero biases, nu=0, c=1."""
     config.validate()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     encoder = _build_stack(config.input_shape, config.encoder, rng, "encoder")
     decoder = _build_stack((2 * config.bandwidth,), config.decoder, rng, "decoder")
     return HyperAJSCCModel(encoder, decoder, config)

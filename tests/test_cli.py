@@ -302,6 +302,13 @@ def _binary_config(tmp_path):
         (_edited_good("deconv o16 u2 k3 p1", "deconv o16 u2 s2 k3 p1", DEFAULT_RECON), EXIT_CONFIG, "config error"),
         (_edited_good("resblock o16 k3", "resblock o16 k2", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
         (_edited_good("dense o8 linear hyper", "dense o8 relu hyper"), EXIT_CONFIG, "config error"),
+        (
+            _edited_good(
+                "bandwidth = 4\nencoder = flatten | dense o32 relu hyper | dense o8 linear hyper",
+                "bandwidth = 8\nencoder = conv o1 k2 s2 p0 linear hyper | flatten",
+            ),
+            EXIT_CONFIG, "config error",
+        ),
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
@@ -310,6 +317,7 @@ def _binary_config(tmp_path):
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
         "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
         "deconv-stride", "resblock-even-kernel", "relu-last-encoder-layer",
+        "one-channel-hyper-last-encoder-layer",
     ],
 )
 def test_bad_input_exit_code(make_argv, code, prefix, tmp_path, capsys):

@@ -169,6 +169,28 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match=where + ".*relu"):
             parse_run_config(text)
 
+    @pytest.mark.parametrize(
+        "encoder,where",
+        [
+            ("conv o1 k2 s2 p0 linear hyper | flatten", r"encoder\[0\] \(conv\)"),
+            ("conv o1 k4 s4 p0 tanh | deconv o1 u2 k3 p1 linear hyper | flatten", r"encoder\[1\] \(deconv\)"),
+            ("conv o1 k2 s2 p0 tanh hyper | flatten", None),
+            ("conv o1 k2 s2 p0 linear | flatten", None),
+            ("conv o4 k4 s4 p0 linear hyper | flatten", None),
+            ("conv o1 k2 s2 p0 tanh | resblock o1 k3 linear hyper | flatten", None),
+        ],
+        ids=["conv", "deconv", "tanh-kept", "no-scale-kept", "four-channels-kept", "resblock-kept"],
+    )
+    def test_one_channel_linear_hyper_last_encoder_layer_rejected(self, encoder, where):
+        # its s is one scalar per sample, which power normalization divides out, so nu and c never learn
+        text = GOOD.replace("bandwidth = 4", "bandwidth = 8")
+        text = text.replace("flatten | dense o32 relu hyper | dense o8 linear hyper", encoder)
+        if where is None:
+            parse_run_config(text)
+        else:
+            with pytest.raises(ConfigError, match=where + ".*one channel"):
+                parse_run_config(text)
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_run_config("# leading comment\n\n" + GOOD)
         assert cfg.model.bandwidth == 4

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from hyperajscc import tensor as T
-from hyperajscc.layers import (
-    DenseLayer,
-    HyperLayer,
-    HyperScale,
-    make_conv,
-    make_dense,
-    make_resblock,
-)
+from hyperajscc.layers import DenseLayer, HyperLayer, HyperScale
 from hyperajscc.errors import ConfigError
-from hyperajscc.models import HyperAJSCCModel, count_params
+from hyperajscc.models import HyperAJSCCModel, LayerSpec, build_layer, count_params
 from hyperajscc.tensor import Tensor, finite_diff_check
 
 
@@ -57,14 +50,14 @@ class TestHyperScale:
 class TestDenseForward:
     def test_scale_absent_is_plain_layer(self):
         rng = np.random.default_rng(0)
-        layer = make_dense(3, 2, "tanh", False, rng)
+        layer = build_layer(LayerSpec("dense", out=2, act="tanh"), 3, rng)
         x = Tensor(rng.standard_normal((4, 3)))
         expected = np.tanh(x.data @ layer.base.w0.data.T + layer.base.b0.data)
         np.testing.assert_array_equal(layer.forward(x, om_t(4, 7.0)).data, expected)
 
     def test_identity_scale_matches_base_exactly(self):
         rng = np.random.default_rng(1)
-        hyper = make_dense(3, 2, "tanh", True, rng)
+        hyper = build_layer(LayerSpec("dense", out=2, act="tanh", hyper=True), 3, rng)
         plain = HyperLayer(hyper.base, None)
         x = Tensor(rng.standard_normal((4, 3)))
         for om in (0.0, 10.0, 20.0):
@@ -80,7 +73,7 @@ class TestDenseForward:
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(2)
-        layer = make_dense(3, 2, "linear", True, rng)
+        layer = build_layer(LayerSpec("dense", out=2, hyper=True), 3, rng)
         with pytest.raises(ConfigError):
             layer.forward(Tensor(np.ones((1, 5))), om_t(1, 0.0))
 
@@ -88,7 +81,7 @@ class TestDenseForward:
 class TestConvForward:
     def test_identity_scale_matches_unscaled(self):
         rng = np.random.default_rng(3)
-        hyper = make_conv(2, 3, 3, 1, 1, 1, "relu", True, rng)
+        hyper = build_layer(LayerSpec("conv", out=3, padding=1, act="relu", hyper=True), 2, rng)
         plain = HyperLayer(hyper.base, None)
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         for om in (0.0, 5.0, 20.0):
@@ -96,7 +89,7 @@ class TestConvForward:
 
     def test_single_channel_scale_doubles_output(self):
         rng = np.random.default_rng(4)
-        layer = make_conv(1, 1, 3, 1, 1, 1, "linear", True, rng)
+        layer = build_layer(LayerSpec("conv", out=1, padding=1, hyper=True), 1, rng)
         layer.scale.nu.data[:] = 0.0
         layer.scale.c.data[:] = 2.0
         plain = HyperLayer(layer.base, None)
@@ -116,39 +109,39 @@ class TestConvForward:
 
     def test_deconv_takes_no_stride(self):
         with pytest.raises(ConfigError, match="no stride"):
-            make_conv(2, 3, 3, 2, 1, 2, "relu", True, np.random.default_rng(0))
+            spec = LayerSpec("deconv", out=3, stride=2, padding=1, upsample=2, act="relu", hyper=True)
+            build_layer(spec, 2, np.random.default_rng(0))
 
 
 class TestParamCounts:
     def test_dense_with_scale(self):
         rng = np.random.default_rng(6)
-        layer = make_dense(4, 8, "relu", True, rng)
+        layer = build_layer(LayerSpec("dense", out=8, act="relu", hyper=True), 4, rng)
         assert param_counts(layer) == (40, 16)
 
     def test_conv_with_scale(self):
         rng = np.random.default_rng(7)
-        layer = make_conv(3, 16, 3, 1, 1, 1, "relu", True, rng)
+        layer = build_layer(LayerSpec("conv", out=16, padding=1, act="relu", hyper=True), 3, rng)
         assert param_counts(layer) == (3 * 16 * 9 + 16, 32)
 
     def test_scale_absent(self):
         rng = np.random.default_rng(8)
-        assert param_counts(make_conv(3, 16, 3, 1, 1, 1, "relu", False, rng))[1] == 0
+        assert param_counts(build_layer(LayerSpec("conv", out=16, padding=1, act="relu"), 3, rng))[1] == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_introduced_is_twice_out_channels(self, seed):
         rng = np.random.default_rng(seed)
         c_out = int(rng.integers(1, 20))
-        if seed % 2:
-            layer = make_dense(int(rng.integers(1, 10)), c_out, "relu", True, rng)
-        else:
-            layer = make_conv(int(rng.integers(1, 5)), c_out, 3, 1, 1, 1, "relu", True, rng)
+        kind = "dense" if seed % 2 else "conv"
+        spec = LayerSpec(kind, out=c_out, padding=1, act="relu", hyper=True)
+        layer = build_layer(spec, int(rng.integers(1, 10 if kind == "dense" else 5)), rng)
         assert param_counts(layer)[1] == 2 * c_out
 
 
 class TestResNetBlock:
     def test_zero_kernels_identity_skip(self):
         rng = np.random.default_rng(9)
-        block = make_resblock(2, 2, 3, "tanh", False, rng)
+        block = build_layer(LayerSpec("resblock", out=2, act="tanh"), 2, rng)
         for layer in (block.conv1, block.conv2):
             layer.base.c0.data[:] = 0.0
             layer.base.b0.data[:] = 0.0
@@ -158,15 +151,15 @@ class TestResNetBlock:
 
     def test_identity_scales_match_plain_block(self):
         rng = np.random.default_rng(10)
-        hyper = make_resblock(2, 3, 3, "relu", True, rng)
-        plain = make_resblock(2, 3, 3, "relu", False, np.random.default_rng(10))
+        hyper = build_layer(LayerSpec("resblock", out=3, act="relu", hyper=True), 2, rng)
+        plain = build_layer(LayerSpec("resblock", out=3, act="relu"), 2, np.random.default_rng(10))
         x = Tensor(rng.standard_normal((2, 2, 4, 4)))
         for om in (0.0, 5.0, 10.0, 15.0, 20.0):
             assert np.array_equal(hyper.forward(x, om_t(2, om)).data, plain.forward(x, om_t(2, om)).data)
 
     def test_gradients_through_both_branches(self):
         rng = np.random.default_rng(11)
-        block = make_resblock(2, 3, 3, "tanh", True, rng)
+        block = build_layer(LayerSpec("resblock", out=3, act="tanh", hyper=True), 2, rng)
         for layer in (block.conv1, block.conv2, block.skip):
             layer.scale.nu.data = rng.uniform(-0.3, 0.3, layer.out_channels)
         x = Tensor(rng.standard_normal((1, 2, 3, 3)))
@@ -178,7 +171,7 @@ class TestOmegaSensitivity:
     @pytest.mark.parametrize("seed", range(5))
     def test_nonzero_nu_means_omega_matters(self, seed):
         rng = np.random.default_rng(seed)
-        layer = make_conv(1, 2, 3, 1, 1, 1, "tanh", True, rng)
+        layer = build_layer(LayerSpec("conv", out=2, padding=1, act="tanh", hyper=True), 1, rng)
         layer.scale.nu.data = rng.uniform(0.1, 0.5, 2) * rng.choice([-1, 1], 2)
         x = Tensor(rng.standard_normal((1, 1, 4, 4)))
         assert not np.array_equal(layer.forward(x, om_t(1, 0.0)).data, layer.forward(x, om_t(1, 20.0)).data)

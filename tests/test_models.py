@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -76,6 +77,27 @@ class TestBuildModel:
         cfg.encoder[2].out = 9  # encoder width != 2d
         with pytest.raises(ConfigError, match="2\\*d"):
             build_model(cfg, 0)
+
+    # sha256 prefix of the concatenated named_parameters() bytes at seeds 0, 1 and 7: this pins
+    # every initial draw and its order, the default_class resblock's conv1-then-conv2 included
+    INIT_SHA256 = {
+        ("default_recon", True): ("02db8b2de9b6", "6bc03396aa43", "79bca40d9bbd"),
+        ("default_recon", False): ("384a6f6d3462", "120239989cfb", "2524de69c197"),
+        ("default_class", True): ("e833b914cd66", "d538620865df", "07e17845e515"),
+        ("default_class", False): ("ca62fe98ea45", "2f3a0e644010", "51dc62635c12"),
+        ("tiny_recon", True): ("50fb77a3c8e4", "cac3be6857ba", "b1c834e1392d"),
+        ("tiny_recon", False): ("3a770d82fbf5", "c161101d200a", "0644f55ecf9a"),
+    }
+
+    @pytest.mark.parametrize("name,hyper", list(INIT_SHA256))
+    def test_initial_parameters_pinned(self, name, hyper):
+        digests = []
+        for seed in (0, 1, 7):
+            h = hashlib.sha256()
+            for _, t in build_model(shipped_model_config(name, hyper), seed).named_parameters():
+                h.update(t.data.tobytes())
+            digests.append(h.hexdigest()[:12])
+        assert tuple(digests) == self.INIT_SHA256[name, hyper]
 
 
 class TestEncode:
