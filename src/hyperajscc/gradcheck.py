@@ -89,6 +89,16 @@ def _checks(rng: np.random.Generator, cases: int):
         yield "upsample_conv", (
             lambda xi=xi, k=k, kb=kb: T.tsum(T.tanh(T.upconv2d(xi, k, kb, 2, 1)))
         ), [xi, k, kb]
+        # non-square kernels, so a KH/KW mix-up in the bands or taps cannot cancel
+        xn = _param(rng, 2, 2, 5, 4)
+        k32 = _param(rng, 3, 2, 3, 2)
+        yield "conv2d_s2_k3x2", (
+            lambda xn=xn, k32=k32, kb=kb: T.tsum(T.tanh(T.conv2d(xn, k32, kb, 2, 1)))
+        ), [xn, k32, kb]
+        k23 = _param(rng, 3, 2, 2, 3)
+        yield "upsample_conv_k2x3", (
+            lambda xi=xi, k23=k23, kb=kb: T.tsum(T.tanh(T.upconv2d(xi, k23, kb, 2, 1)))
+        ), [xi, k23, kb]
 
         zr = _param(rng, 2, 6, away_from_zero=True)
         yield "power_normalize", (lambda zr=zr: T.tsum(T.tanh(power_normalize(zr).values))), [zr]

@@ -415,29 +415,17 @@ def _conv_dims(op: str, x: Tensor, k: Tensor, b: Tensor) -> tuple[int, ...]:
     return B, Cin, H, W, Cout, KH, KW
 
 
-def _gather_gemm(acc: np.ndarray, grid: np.ndarray, windows: dict, mats: np.ndarray) -> None:
-    """acc [rows, n] += each offset's window of the channels-last grid, as rows, @ mats[offset]."""
-    for off, win in windows.items():
-        acc += grid[win].reshape(acc.shape[0], -1) @ mats[off]
-
-
-def _gemm_scatter(grid: np.ndarray, windows: dict, rows: np.ndarray, mats: np.ndarray) -> None:
-    """Each offset's window of the channels-last grid += rows @ mats[offset], shaped as the window."""
-    for off, win in windows.items():
-        window = grid[win]
-        window += (rows @ mats[off]).reshape(window.shape)
-
-
 def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout].
 
-    One BLAS GEMM per kernel offset on a channels-last copy of the padded
-    input: the offset's strided window, as [B*Ho*Wo, Cin] rows, times its
-    [Cin, Cout] kernel slice, added into one [B*Ho*Wo, Cout] accumulator.
-    Backward runs the same loop for dk and for dx, whose per-offset products
-    are slice-added into a channels-last dx.  No im2col column matrix is
-    built: the largest scratch buffer is one window, 1/(KH*KW) of such a
-    matrix, so forward plus backward peak at a few times the input's bytes.
+    One BLAS GEMM per kernel row on a channels-last copy of the padded
+    input.  Row ki's band, the KW strided windows it multiplies, copied as
+    [B*Ho*Wo, KW*Cin] rows, times that row's [KW*Cin, Cout] kernel slice is
+    added into one [B*Ho*Wo, Cout] accumulator; dk takes one GEMM per row on
+    the same bands.  dx takes one GEMM per kernel offset, each product
+    slice-added into a channels-last dx.  The largest scratch buffer is one
+    band, 1/KH of an im2col column matrix (about KW/stride**2 times the
+    input), so forward plus backward peak at a few times the input's bytes.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
@@ -447,26 +435,26 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             f"conv2d: non-integral output size for input {H}x{W}, "
             f"kernel {KH}x{KW}, stride {stride}, padding {padding}"
         )
-    Ho = (H + 2 * padding - KH) // stride + 1
-    Wo = (W + 2 * padding - KW) // stride + 1
+    s = stride
+    Ho = (H + 2 * padding - KH) // s + 1
+    Wo = (W + 2 * padding - KW) // s + 1
     if Ho < 1 or Wo < 1:
         raise ConfigError(f"conv2d: empty output ({Ho}x{Wo})")
 
-    # channels-last, so each offset's window reshapes to [B*Ho*Wo, Cin] rows
     xp = np.zeros((B, H + 2 * padding, W + 2 * padding, Cin))
     xp[:, padding : padding + H, padding : padding + W] = x.data.transpose(0, 2, 3, 1)
-    kt = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))  # [KH, KW, Cin, Cout]
+    kt = k.data.transpose(2, 3, 1, 0).reshape(KH, KW * Cin, Cout)
     rows = B * Ho * Wo
-    # the [B, Ho, Wo, Cin] window of xp that kernel offset (ki, kj) multiplies
-    windows = {
-        (ki, kj): (slice(None), slice(ki, ki + stride * Ho, stride), slice(kj, kj + stride * Wo, stride))
-        for ki in range(KH)
-        for kj in range(KW)
-    }
+    # [B, Hp, Wo, KW, Cin]: at output column j, the KW input columns from s*j
+    view = np.lib.stride_tricks.sliding_window_view(xp, KW, axis=2)[:, :, : s * Wo : s].swapaxes(3, 4)
+
+    def band(ki):
+        return view[:, ki : ki + s * Ho : s].reshape(rows, KW * Cin)
 
     acc = np.empty((rows, Cout))
     acc[:] = b.data
-    _gather_gemm(acc, xp, windows, kt)
+    for ki in range(KH):
+        acc += band(ki) @ kt[ki]
     out = acc.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -474,13 +462,17 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         gm = g.transpose(0, 2, 3, 1).reshape(rows, Cout)
         if x._track:
             dxp = np.zeros_like(xp)
-            _gemm_scatter(dxp, windows, gm, kt.swapaxes(2, 3))
+            k4 = kt.reshape(KH, KW, Cin, Cout)
+            for ki in range(KH):
+                for kj in range(KW):
+                    window = dxp[:, ki : ki + s * Ho : s, kj : kj + s * Wo : s]
+                    window += (gm @ k4[ki, kj].T).reshape(window.shape)
             grads.append((x, dxp[:, padding : padding + H, padding : padding + W].transpose(0, 3, 1, 2)))
         if k._track:
-            dk = np.empty_like(k.data)
-            for (ki, kj), win in windows.items():
-                dk[:, :, ki, kj] = gm.T @ xp[win].reshape(rows, Cin)
-            grads.append((k, dk))
+            dk = np.empty_like(kt)
+            for ki in range(KH):
+                dk[ki] = band(ki).T @ gm
+            grads.append((k, dk.reshape(KH, KW, Cin, Cout).transpose(3, 2, 0, 1)))
         if b._track:
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return grads
@@ -492,16 +484,17 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
     """conv2d(upsample_zero(x, upsample), k, b, 1, padding), computed as a transposed conv.
 
     Only the real pixels are multiplied.  Pixel i sits at upsample*i of the
-    upsampled grid, so kernel offset ki sends it to output row
-    upsample*i + padding - ki (columns likewise).  Forward is one BLAS GEMM per
-    kernel offset, the [B*H*W, Cin] input rows times that offset's
-    [Cin, Cout] kernel slice, slice-added at step `upsample` into a
-    channels-last output with a margin of KH-1 rows and KW-1 columns on each
-    side, which is then cropped.  Backward gathers the output gradient at the
-    same windows: dx and dk take one GEMM per offset each.  The upsampled
-    input is never built, so forward plus backward peak at a few times the
-    bytes of x and of the output; the zero-inserted conv's input alone is
-    upsample**2 times x.
+    upsampled grid, so kernel tap a of the flipped kernel sends it to output
+    row upsample*i + padding - (KH-1) + a (columns likewise).  Forward is one
+    BLAS GEMM, the [B*H*W, Cin] input rows times the flipped kernel as a
+    [Cin, Cout*KH*KW] matrix; each tap's [B, H, W, Cout] block of the product
+    is slice-added at step `upsample` into a channels-last output with a
+    margin of KH-1 rows and KW-1 columns on each side, which is then cropped.
+    Backward gathers the output gradient's KH x KW windows at the pixels once,
+    as a [B*H*W, Cout*KH*KW] column matrix, and takes one GEMM each for dx and
+    dk.  The product and the column matrix are KH*KW/upsample**2 times the
+    output's bytes; the upsampled input is never built, while the
+    zero-inserted conv's input alone is upsample**2 times x.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("upconv2d", x, k, b)
     if upsample < 1 or padding < 0:
@@ -515,38 +508,33 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
     # products that land outside the output
     yshape = (B, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), Cout)
     crop = (slice(None), slice(KH - 1, KH - 1 + Ho), slice(KW - 1, KW - 1 + Wo))
-    # the [B, H, W, Cout] window of yp that kernel offset (ki, kj) sends the pixels to
-    windows = {
-        (ki, kj): (
-            slice(None),
-            slice(p + KH - 1 - ki, p + KH - 1 - ki + u * H, u),
-            slice(p + KW - 1 - kj, p + KW - 1 - kj + u * W, u),
-        )
-        for ki in range(KH)
-        for kj in range(KW)
-    }
     rows = B * H * W
     xm = x.data.transpose(0, 2, 3, 1).reshape(rows, Cin)
-    kt = np.ascontiguousarray(k.data.transpose(2, 3, 1, 0))  # [KH, KW, Cin, Cout]
+    kf = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * KH * KW)
 
+    # the product is allocated before yp, so that freeing it leaves a hole
+    # under yp: freed at the heap top instead, it let glibc trim the heap
+    # after every forward-only pass and fault it back in on the next one
+    taps = (xm @ kf).reshape(B, H, W, Cout, KH, KW)
     yp = np.empty(yshape)
     yp[:] = b.data
-    _gemm_scatter(yp, windows, xm, kt)
+    for a in range(KH):
+        for c in range(KW):
+            yp[:, p + a : p + a + u * H : u, p + c : p + c + u * W : u] += taps[..., a, c]
     out = yp[crop].transpose(0, 3, 1, 2)
 
     def backward(g):
         grads = []
         gp = np.zeros(yshape)
         gp[crop] = g.transpose(0, 2, 3, 1)
+        # tap (a, c) of pixel (i, j) reads the gradient at row p + u*i + a, column p + u*j + c of gp
+        windows = np.lib.stride_tricks.sliding_window_view(gp, (KH, KW), axis=(1, 2))
+        gc = windows[:, p : p + u * H : u, p : p + u * W : u].reshape(rows, Cout * KH * KW)
         if x._track:
-            dx = np.zeros((rows, Cin))
-            _gather_gemm(dx, gp, windows, kt.swapaxes(2, 3))
-            grads.append((x, dx.reshape(B, H, W, Cin).transpose(0, 3, 1, 2)))
+            grads.append((x, (gc @ kf.T).reshape(B, H, W, Cin).transpose(0, 3, 1, 2)))
         if k._track:
-            dk = np.empty_like(k.data)
-            for (ki, kj), win in windows.items():
-                dk[:, :, ki, kj] = gp[win].reshape(rows, Cout).T @ xm
-            grads.append((k, dk))
+            dk = (xm.T @ gc).reshape(Cin, Cout, KH, KW)
+            grads.append((k, dk.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
         if b._track:
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return grads
