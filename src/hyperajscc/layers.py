@@ -10,6 +10,10 @@ The base op is tensor.linear, conv2d or upconv2d; the scale and the
 activation then run as one graph node, tensor.scale_act (a softmax runs
 after it as its own op, and a layer without a scale runs its activation
 alone).
+Conv activations are NCHW tensors over batch-last memory: conv2d,
+upconv2d and scale_act work on [C, H, W, B] arrays and hand on NCHW views
+of them, so the next conv reads its input without a transposing copy.
+Dense activations are plain [B, C] rows.
 For convolutions, scaling output channels is mathematically identical to
 row-scaling the kernels and commutes with the convolution; the output is
 the side that gets scaled, because s differs per sample and the kernels

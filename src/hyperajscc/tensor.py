@@ -19,11 +19,36 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+def _keep_the_heap() -> None:
+    """Fix glibc's malloc thresholds, so freed conv scratch stays mapped between passes.
+
+    conv2d and upconv2d allocate scratch arrays of up to a few MB on every
+    pass and free them at its end.  With glibc's dynamic thresholds the heap
+    is trimmed whenever the free block at its top outgrows twice the largest
+    mmapped block freed so far, and the next pass faults the same pages back
+    in: tens to hundreds of minor faults per train step or sweep chunk, in
+    some runs and not in others, as it depends on where the heap starts.
+    The fixed values are the largest the dynamic ones reach.  A C library
+    without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: trim only when 64 MiB at its top are free
+
+
+_keep_the_heap()
 
 
 class Tensor:
@@ -315,11 +340,13 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
     """act(y * s) with s[b, j] = omega_t[b] * nu[j] + c[j]: one graph node.
 
     The same numbers as activation(act, scale_channels(y, affine_outer(omega_t,
-    nu, c))), computed channels-last: y [B, C, ...] is read as [B, ..., C],
-    which for a conv output is its contiguous accumulator, scaled into one
-    new array and activated in place.  The result is an NCHW view of it, and
-    so is the gradient handed back to y, which conv2d's backward reads
-    channels-last without a copy.  softmax is not fused: on NCHW data it
+    nu, c))), computed batch-last: y [B, C, H, W] is read as [C, H, W, B],
+    which for a conv or deconv output is the memory under it, scaled by s.T
+    broadcast as [C, 1, 1, B] into one new array and activated in place, so
+    every loop runs over the batch, not over a few channels.  The result is
+    an NCHW view of that array, and so is the gradient handed back to y,
+    which the conv ops read batch-last without a copy.  Dense rows y [B, C]
+    are computed as they are.  softmax is not fused: on NCHW data it
     normalizes over W, not over the channels.
     """
     omega_t = np.asarray(omega_t, dtype=np.float64)
@@ -333,13 +360,14 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
         raise ConfigError(f"scale_act: y {y.shape}, omega {omega_t.shape}, nu {nu.shape}, c {c.shape}")
     if act not in SCALE_ACTIVATIONS:
         raise ConfigError(f"scale_act: activation {act!r} is not one of {SCALE_ACTIVATIONS}")
-    spatial = tuple(range(1, y.data.ndim - 1))
-    to_last = (0,) + tuple(range(2, y.data.ndim)) + (1,)  # [B, C, ...] -> [B, ..., C]
-    to_first = (0, y.data.ndim - 1) + spatial
-    dims = "b" + "hwxyz"[: len(spatial)] + "c"  # einsum subscripts of the channels-last layout
-    s = omega_t[:, None] * nu.data[None, :] + c.data[None, :]
-    sl = s.reshape((s.shape[0],) + (1,) * len(spatial) + (s.shape[1],))
-    yl = y.data.transpose(to_last)
+    nd = y.data.ndim
+    spatial = nd > 2
+    to_work = tuple(range(1, nd)) + (0,) if spatial else (0, 1)  # [B, C, ...] -> [C, ..., B]
+    to_nchw = (nd - 1,) + tuple(range(nd - 1)) if spatial else (0, 1)
+    dims = "c" + "hwxyz"[: nd - 2] + "b"  # einsum subscripts of the batch-last layout
+    s = omega_t[:, None] * nu.data + c.data
+    sl = np.ascontiguousarray(s.reshape(s.shape + (1,) * (nd - 2)).transpose(to_work))
+    yl = y.data.transpose(to_work)
     z = np.multiply(yl, sl, out=np.empty(yl.shape))
     if act == "relu":
         np.maximum(z, 0.0, out=z)
@@ -352,8 +380,8 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
         z *= 0.5
 
     def backward(g):
-        gl = g.transpose(to_last)
-        ga = np.empty_like(z)  # d loss / d (y * s), channels-last
+        gl = g.transpose(to_work)
+        ga = np.empty_like(z)  # d loss / d (y * s), in z's layout
         if act == "relu":
             np.multiply(gl, z > 0, out=ga)
         elif act == "tanh":
@@ -365,17 +393,17 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
             ga[...] = gl
         grads = []
         if nu._track or c._track:
-            ds = np.einsum(f"{dims},{dims}->bc", ga, yl) if spatial else ga * yl
+            ds = np.einsum(f"{dims},{dims}->bc", ga, yl) if spatial else ga * yl  # [B, C]
             if nu._track:
                 grads.append((nu, omega_t @ ds))
             if c._track:
                 grads.append((c, ds.sum(axis=0)))
         if y._track:
             ga *= sl
-            grads.append((y, ga.transpose(to_first)))
+            grads.append((y, ga.transpose(to_nchw)))
         return grads
 
-    return _make(z.transpose(to_first), (y, nu, c), backward)
+    return _make(z.transpose(to_nchw), (y, nu, c), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +446,16 @@ def _conv_dims(op: str, x: Tensor, k: Tensor, b: Tensor) -> tuple[int, ...]:
 def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout].
 
-    One BLAS GEMM per kernel row on a channels-last copy of the padded
-    input.  Row ki's band, the KW strided windows it multiplies, copied as
-    [B*Ho*Wo, KW*Cin] rows, times that row's [KW*Cin, Cout] kernel slice is
-    added into one [B*Ho*Wo, Cout] accumulator; dk takes one GEMM per row on
-    the same bands.  dx takes one GEMM per kernel offset, each product
-    slice-added into a channels-last dx.  The largest scratch buffer is one
-    band, 1/KH of an im2col column matrix (about KW/stride**2 times the
-    input), so forward plus backward peak at a few times the input's bytes.
+    Computed batch-last: the input is padded into [Cin, Hp, Wp, B], so every
+    window copy and slice-add runs its inner loop over the batch.  One BLAS
+    GEMM per kernel row: row ki's [Cout, Cin*KW] kernel slice times its band,
+    the KW strided windows it multiplies copied as [Cin*KW, Ho*Wo*B], is
+    added into one [Cout, Ho*Wo*B] accumulator, whose NCHW view is the
+    output; dk takes one GEMM per row on the same bands.  dx takes one GEMM
+    per kernel offset, each product slice-added into a batch-last dx.  The
+    largest scratch buffer is one band, 1/KH of an im2col column matrix
+    (about KW/stride**2 times the input), so forward plus backward peak at a
+    few times the input's bytes.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
@@ -441,40 +471,40 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if Ho < 1 or Wo < 1:
         raise ConfigError(f"conv2d: empty output ({Ho}x{Wo})")
 
-    xp = np.zeros((B, H + 2 * padding, W + 2 * padding, Cin))
-    xp[:, padding : padding + H, padding : padding + W] = x.data.transpose(0, 2, 3, 1)
-    kt = k.data.transpose(2, 3, 1, 0).reshape(KH, KW * Cin, Cout)
-    rows = B * Ho * Wo
-    # [B, Hp, Wo, KW, Cin]: at output column j, the KW input columns from s*j
-    view = np.lib.stride_tricks.sliding_window_view(xp, KW, axis=2)[:, :, : s * Wo : s].swapaxes(3, 4)
+    xp = np.zeros((Cin, H + 2 * padding, W + 2 * padding, B))
+    xp[:, padding : padding + H, padding : padding + W] = x.data.transpose(1, 2, 3, 0)
+    kr = k.data.transpose(2, 0, 1, 3).reshape(KH, Cout, Cin * KW)
+    cols = Ho * Wo * B
+    # [Cin, KW, Hp, Wo, B]: at output column j, the KW input columns from s*j
+    view = np.lib.stride_tricks.sliding_window_view(xp, KW, axis=2)[:, :, : s * Wo : s].transpose(0, 4, 1, 2, 3)
 
     def band(ki):
-        return view[:, ki : ki + s * Ho : s].reshape(rows, KW * Cin)
+        return view[:, :, ki : ki + s * Ho : s].reshape(Cin * KW, cols)
 
-    acc = np.empty((rows, Cout))
-    acc[:] = b.data
+    acc = np.empty((Cout, cols))
+    acc[:] = b.data[:, None]
     for ki in range(KH):
-        acc += band(ki) @ kt[ki]
-    out = acc.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
+        acc += kr[ki] @ band(ki)
+    out = acc.reshape(Cout, Ho, Wo, B).transpose(3, 0, 1, 2)
 
     def backward(g):
         grads = []
-        gm = g.transpose(0, 2, 3, 1).reshape(rows, Cout)
+        gm = g.transpose(1, 2, 3, 0).reshape(Cout, cols)
         if x._track:
             dxp = np.zeros_like(xp)
-            k4 = kt.reshape(KH, KW, Cin, Cout)
+            kt = k.data.transpose(2, 3, 1, 0)  # [KH, KW, Cin, Cout]
             for ki in range(KH):
                 for kj in range(KW):
                     window = dxp[:, ki : ki + s * Ho : s, kj : kj + s * Wo : s]
-                    window += (gm @ k4[ki, kj].T).reshape(window.shape)
-            grads.append((x, dxp[:, padding : padding + H, padding : padding + W].transpose(0, 3, 1, 2)))
+                    window += (kt[ki, kj] @ gm).reshape(window.shape)
+            grads.append((x, dxp[:, padding : padding + H, padding : padding + W].transpose(3, 0, 1, 2)))
         if k._track:
-            dk = np.empty_like(kt)
+            dk = np.empty_like(kr)
             for ki in range(KH):
-                dk[ki] = band(ki).T @ gm
-            grads.append((k, dk.reshape(KH, KW, Cin, Cout).transpose(3, 2, 0, 1)))
+                dk[ki] = gm @ band(ki).T
+            grads.append((k, dk.reshape(KH, Cout, Cin, KW).transpose(1, 2, 0, 3)))
         if b._track:
-            grads.append((b, g.sum(axis=(0, 2, 3))))
+            grads.append((b, gm.sum(axis=1)))
         return grads
 
     return _make(out, (x, k, b), backward)
@@ -485,13 +515,14 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
 
     Only the real pixels are multiplied.  Pixel i sits at upsample*i of the
     upsampled grid, so kernel tap a of the flipped kernel sends it to output
-    row upsample*i + padding - (KH-1) + a (columns likewise).  Forward is one
-    BLAS GEMM, the [B*H*W, Cin] input rows times the flipped kernel as a
-    [Cin, Cout*KH*KW] matrix; each tap's [B, H, W, Cout] block of the product
-    is slice-added at step `upsample` into a channels-last output with a
-    margin of KH-1 rows and KW-1 columns on each side, which is then cropped.
-    Backward gathers the output gradient's KH x KW windows at the pixels once,
-    as a [B*H*W, Cout*KH*KW] column matrix, and takes one GEMM each for dx and
+    row upsample*i + padding - (KH-1) + a (columns likewise).  Computed
+    batch-last, like conv2d.  Forward is one BLAS GEMM, the flipped kernel as
+    a [KH*KW*Cout, Cin] matrix times the [Cin, H*W*B] input; each tap's
+    contiguous [Cout, H, W, B] block of the product is slice-added at step
+    `upsample` into a [Cout, Hp, Wp, B] output with a margin of KH-1 rows and
+    KW-1 columns on each side, which is then cropped.  Backward gathers the
+    output gradient's KH x KW windows at the pixels once, as a
+    [KH*KW*Cout, H*W*B] column matrix, and takes one GEMM each for dx and
     dk.  The product and the column matrix are KH*KW/upsample**2 times the
     output's bytes; the upsampled input is never built, while the
     zero-inserted conv's input alone is upsample**2 times x.
@@ -506,35 +537,35 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
 
     # output row r lives at row r + KH - 1 of yp; the margins take the
     # products that land outside the output
-    yshape = (B, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), Cout)
+    yshape = (Cout, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), B)
     crop = (slice(None), slice(KH - 1, KH - 1 + Ho), slice(KW - 1, KW - 1 + Wo))
-    rows = B * H * W
-    xm = x.data.transpose(0, 2, 3, 1).reshape(rows, Cin)
-    kf = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * KH * KW)
+    cols = H * W * B
+    xm = x.data.transpose(1, 2, 3, 0).reshape(Cin, cols)
+    kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(KH * KW * Cout, Cin)
 
     # the product is allocated before yp, so that freeing it leaves a hole
     # under yp: freed at the heap top instead, it let glibc trim the heap
     # after every forward-only pass and fault it back in on the next one
-    taps = (xm @ kf).reshape(B, H, W, Cout, KH, KW)
+    taps = (kf @ xm).reshape(KH, KW, Cout, H, W, B)
     yp = np.empty(yshape)
-    yp[:] = b.data
+    yp[:] = b.data[:, None, None, None]
     for a in range(KH):
         for c in range(KW):
-            yp[:, p + a : p + a + u * H : u, p + c : p + c + u * W : u] += taps[..., a, c]
-    out = yp[crop].transpose(0, 3, 1, 2)
+            yp[:, p + a : p + a + u * H : u, p + c : p + c + u * W : u] += taps[a, c]
+    out = yp[crop].transpose(3, 0, 1, 2)
 
     def backward(g):
         grads = []
         gp = np.zeros(yshape)
-        gp[crop] = g.transpose(0, 2, 3, 1)
+        gp[crop] = g.transpose(1, 2, 3, 0)
         # tap (a, c) of pixel (i, j) reads the gradient at row p + u*i + a, column p + u*j + c of gp
         windows = np.lib.stride_tricks.sliding_window_view(gp, (KH, KW), axis=(1, 2))
-        gc = windows[:, p : p + u * H : u, p : p + u * W : u].reshape(rows, Cout * KH * KW)
+        gc = windows[:, p : p + u * H : u, p : p + u * W : u].transpose(4, 5, 0, 1, 2, 3).reshape(KH * KW * Cout, cols)
         if x._track:
-            grads.append((x, (gc @ kf.T).reshape(B, H, W, Cin).transpose(0, 3, 1, 2)))
+            grads.append((x, (kf.T @ gc).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
         if k._track:
-            dk = (xm.T @ gc).reshape(Cin, Cout, KH, KW)
-            grads.append((k, dk.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
+            dk = (gc @ xm.T).reshape(KH, KW, Cout, Cin)
+            grads.append((k, dk.transpose(2, 3, 0, 1)[:, :, ::-1, ::-1]))
         if b._track:
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return grads

@@ -196,8 +196,8 @@ def test_conv2d_matches_einsum_reference(dims, kernel, stride, padding, seed):
 def test_conv2d_scratch_memory_is_a_few_inputs():
     """Forward and backward of a 3x3 conv from 16 to 3 channels over an 8x8 input, B=64.
 
-    Live at the backward peak: the padded channels-last input (kept for dk),
-    its gradient, one kernel row's [B*Ho*Wo, KW*Cin] band (KW = 3x the
+    Live at the backward peak: the padded batch-last input (kept for dk),
+    its gradient, one kernel row's [KW*Cin, Ho*Wo*B] band (KW = 3x the
     input) or a per-offset dx product, plus small arrays, about 6.7x
     x.data.nbytes.  An im2col column matrix alone is KH*KW = 9x, so the
     bound of 8x admits the per-row bands and refuses im2col.
@@ -256,7 +256,7 @@ class TestUpconv2d:
         """Forward and backward of the decoder's last layer (16->3, 4x4 -> 8x8, B=64).
 
         The zero-inserted conv holds the 4x larger upsampled input, its padded
-        channels-last copy and their gradients; upconv2d multiplies the real
+        batch-last copy and their gradients; upconv2d multiplies the real
         pixels only.
         """
         rng = np.random.default_rng(0)
@@ -281,7 +281,7 @@ class TestUpconv2d:
     def test_scratch_memory_of_a_widening_deconv_is_a_few_outputs(self):
         """Forward and backward of a 4->32 channel deconv (k3, u2, p1), 4x4 -> 8x8, B=64.
 
-        Its forward product and backward column matrix are [B*H*W, Cout*KH*KW],
+        Its forward product and backward column matrix are [KH*KW*Cout, H*W*B],
         KH*KW/upsample**2 = 2.25x the output; with the padded output, its
         gradient and the kept result the peak is about 8x the output's bytes.
         """
@@ -306,7 +306,7 @@ def pulled(out: Tensor, g: np.ndarray) -> Tensor:
 
 
 # (base op, input shape, kernel shape): a dense output, a conv2d output (an NCHW
-# view of its channels-last accumulator) and an upconv2d output (a strided crop)
+# view of its batch-last accumulator) and an upconv2d output (a strided crop)
 BASE_OPS = {
     "dense": (lambda x, k, b: T.linear(x, k, b), (3, 4), (5, 4)),
     "conv2d": (lambda x, k, b: T.conv2d(x, k, b, 1, 1), (3, 2, 4, 5), (5, 2, 3, 3)),
@@ -345,7 +345,9 @@ class TestScaleAct:
             np.testing.assert_allclose(got_g, want_g, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("base", sorted(BASE_OPS))
-    def test_input_gradient_is_a_view_of_a_channels_last_array(self, base):
+    def test_output_and_input_gradient_are_views_of_a_batch_last_array(self, base):
+        # conv outputs and their gradients are NCHW views of [C, H, W, B] memory;
+        # dense rows stay [B, C]
         op, xshape, kshape = BASE_OPS[base]
         rng = np.random.default_rng(3)
         y = op(*(Tensor(rng.standard_normal(shape)) for shape in (xshape, kshape, (5,))))
@@ -353,8 +355,11 @@ class TestScaleAct:
         out = T.scale_act(y, rng.uniform(-1, 1, 3), t(np.ones(5)), t(np.ones(5)), "tanh")
         ((parent, dy),) = out._backward_fn(np.ones(out.shape))
         assert parent is y
-        assert np.moveaxis(dy, 1, -1).flags.c_contiguous
-        assert np.moveaxis(out.data, 1, -1).flags.c_contiguous
+        for a in (dy, out.data):
+            if base == "dense":
+                assert a.flags.c_contiguous
+            else:
+                assert np.moveaxis(a, 0, -1).flags.c_contiguous
 
     def test_relu_propagates_nan(self):
         y = t([[np.nan, -1.0, 2.0]], grad=True)
@@ -370,6 +375,45 @@ class TestScaleAct:
             T.scale_act(y, np.zeros(2), t(np.ones(4)), t(np.ones(4)), "tanh")
         with pytest.raises(ConfigError, match="softmax"):
             T.scale_act(y, np.zeros(2), ones, ones, "softmax")
+
+
+# every memory layout an op can be handed: C-contiguous NCHW, an NCHW view of
+# channels-last or of batch-last memory, and the reversed-axes (Fortran) view
+LAYOUTS = {
+    "nchw": np.ascontiguousarray,
+    "channels_last": lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1),
+    "batch_last": lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0),
+    "reversed": np.asfortranarray,
+}
+OMEGA = np.array([-0.7, 0.2, 0.9])
+# (op, shapes of its arguments): the first argument is the input whose layout varies
+LAYOUT_OPS = {
+    "linear": (T.linear, [(3, 4), (5, 4), (5,)]),
+    "conv2d": (lambda x, k, b: T.conv2d(x, k, b, 2, 1), [(3, 2, 5, 4), (5, 2, 3, 2), (5,)]),
+    "upconv2d": (lambda x, k, b: T.upconv2d(x, k, b, 2, 1), [(3, 2, 3, 4), (5, 2, 3, 2), (5,)]),
+    "scale_act_dense": (lambda y, nu, c: T.scale_act(y, OMEGA, nu, c, "tanh"), [(3, 5), (5,), (5,)]),
+    "scale_act_conv": (lambda y, nu, c: T.scale_act(y, OMEGA, nu, c, "sigmoid"), [(3, 5, 4, 2), (5,), (5,)]),
+}
+
+
+@pytest.mark.parametrize("g_layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+def test_results_do_not_depend_on_memory_layout(op, x_layout, g_layout):
+    """Values and gradients are those of C-contiguous NCHW input and gradient."""
+    fn, shapes = LAYOUT_OPS[op]
+    rng = np.random.default_rng(12)
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    results = []
+    for xl, gl in (("nchw", "nchw"), (x_layout, g_layout)):
+        args = [Tensor(LAYOUTS[xl](arrays[0]), requires_grad=True)]
+        args += [Tensor(a.copy(), requires_grad=True) for a in arrays[1:]]
+        out = fn(*args)
+        g = np.random.default_rng(13).standard_normal(out.shape)
+        pulled(out, LAYOUTS[gl](g)).backward()
+        results.append([out.data] + [a.grad for a in args])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestNoTape:
