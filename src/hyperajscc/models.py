@@ -129,13 +129,7 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
             if len(cur) != 3:
                 raise ConfigError(f"{where}: conv needs [C,H,W] input, got {cur}")
             h, w = cur[1] * s.upsample, cur[2] * s.upsample  # 1 unless deconv
-            if (h + 2 * s.padding - s.kernel) % s.stride or (w + 2 * s.padding - s.kernel) % s.stride:
-                raise ConfigError(f"{where}: non-integral output size from {cur}")
-            ho = (h + 2 * s.padding - s.kernel) // s.stride + 1
-            wo = (w + 2 * s.padding - s.kernel) // s.stride + 1
-            if ho < 1 or wo < 1:
-                raise ConfigError(f"{where}: empty output from {cur}")
-            cur = (s.out, ho, wo)
+            cur = (s.out, *T.conv_output_size(where, h, w, s.kernel, s.kernel, s.stride, s.padding))
         elif s.kind == "resblock":
             if len(cur) != 3:
                 raise ConfigError(f"{where}: resblock needs [C,H,W] input, got {cur}")

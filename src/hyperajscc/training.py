@@ -88,7 +88,6 @@ class Adam:
             offset += p.size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._g = None  # the last step's gradient vector; see step()
         self._step = np.empty_like(self.flat)
         self._denom = np.empty_like(self.flat)
 
@@ -103,14 +102,7 @@ class Adam:
                 raise ConfigError(f"Adam: parameter {i} {p.shape} was rebound after the optimizer was built")
         if not self.params:
             return
-        # The gradient vector is allocated anew and kept alive until the next
-        # step.  That live block near the heap top stops glibc from trimming
-        # the space the conv temporaries free at the end of every step: when
-        # Adam's vectors were all freed within the step, or all allocated
-        # once here, a default_recon step page-faulted that space back in
-        # (330-380 minor faults and +20% step time on each of ten seeds,
-        # against none with the pin).
-        g = self._g = np.concatenate(
+        g = np.concatenate(
             [p.grad if p.grad is not None else np.zeros(p.size) for p in self.params], axis=None
         )
         # Same float operations, in the same order, as the per-tensor form

@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module (no linter is a dependency).
+"""Every name a module imports is used in that module, and every private
+module-level name in src/ is used somewhere in src/ (no linter is a dependency).
 
-__init__.py is exempt: its imports are the package's re-exports.
+__init__.py is exempt from the import scan: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -9,6 +11,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "hyperajscc").glob("*.py"))
 MODULES = sorted(
     p for p in [*(ROOT / "src" / "hyperajscc").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
@@ -37,3 +40,45 @@ def test_no_unused_import(path):
 def test_guard_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
     assert unused_imports(source) == ["d", "os"]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """`module:name` of each module-level private function, class or constant that no module reads.
+
+    A read is a name loaded anywhere in any of the sources, or an attribute
+    of that name (`T._make`).  Dunder names are not private.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{module}:{n}" for n in names if n.startswith("_") and not n.startswith("__") and n not in read]
+    return sorted(unread)
+
+
+def test_every_private_module_level_name_in_src_is_read():
+    assert unreferenced_privates({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_guard_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_unused: int = 0\nclass _Spare:\n    pass\ndef _helper():\n    return _LIMIT\n"
+                "def __getattr__(name):\n    pass\n",
+        "b.py": "from . import a\ndef _dead():\n    a._helper()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py:_Spare", "a.py:_unused", "b.py:_dead"]

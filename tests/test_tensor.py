@@ -193,14 +193,46 @@ def test_conv2d_matches_einsum_reference(dims, kernel, stride, padding, seed):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@FUZZ
+@given(
+    dims=st.tuples(*[st.integers(1, 4)] * 7),  # C, M, KH, KW, h, w, B
+    step=st.integers(1, 3),
+    origin=st.integers(0, 2),
+    margin=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scatter_is_the_adjoint_of_gather(dims, step, origin, margin, seed):
+    """<scatter(g), a> = <g, gather(a, k)>, and both outputs are plain einsums over the windows.
+
+    The operands are nonnegative, so no sum cancels and rtol 1e-12 measures
+    only rounding.
+    """
+    C, M, KH, KW, h, w, B = dims
+    Hp, Wp = origin + step * (h - 1) + KH + margin[0], origin + step * (w - 1) + KW + margin[1]
+    rng = np.random.default_rng(seed)
+    a, k, g = rng.random((C, Hp, Wp, B)), rng.random((M, C, KH, KW)), rng.random((M, h * w * B))
+    y, dk = T._gather(a, KH, KW, h, w, step, origin, k=k, g=g)
+    dst = np.zeros_like(a)
+    T._scatter(dst, k, g, h, w, step, origin)
+    np.testing.assert_allclose(np.vdot(dst, a), np.vdot(g, y), rtol=1e-12)
+    windows = np.lib.stride_tricks.sliding_window_view(a, (KH, KW), axis=(1, 2))
+    windows = windows[:, origin : origin + step * h : step, origin : origin + step * w : step]  # [C, h, w, B, KH, KW]
+    gw = g.reshape(M, h, w, B)
+    np.testing.assert_allclose(y, np.einsum("mckl,chwbkl->mhwb", k, windows).reshape(M, -1), rtol=1e-12)
+    np.testing.assert_allclose(dk, np.einsum("mhwb,chwbkl->mckl", gw, windows), rtol=1e-12)
+    assert T._gather(a, KH, KW, h, w, step, origin, g=g)[0] is None
+    assert T._gather(a, KH, KW, h, w, step, origin, k=k)[1] is None
+
+
 def test_conv2d_scratch_memory_is_a_few_inputs():
     """Forward and backward of a 3x3 conv from 16 to 3 channels over an 8x8 input, B=64.
 
     Live at the backward peak: the padded batch-last input (kept for dk),
-    its gradient, one kernel row's [KW*Cin, Ho*Wo*B] band (KW = 3x the
-    input) or a per-offset dx product, plus small arrays, about 6.7x
-    x.data.nbytes.  An im2col column matrix alone is KH*KW = 9x, so the
-    bound of 8x admits the per-row bands and refuses im2col.
+    its gradient, and one kernel row's [KW*Cin, Ho*Wo*B] buffer (KW = 3x
+    the input), dx's products or dk's band, which every row reuses, plus
+    small arrays: 6.95x x.data.nbytes as measured.  An im2col column matrix
+    alone is KH*KW = 9x, so the bound of 8x admits one row's buffer and
+    refuses im2col; a second row's buffer live at once reads 9.7x.
     """
     rng = np.random.default_rng(0)
     x = T.upsample_zero(Tensor(rng.standard_normal((64, 16, 4, 4)), requires_grad=True), 2)
@@ -257,7 +289,7 @@ class TestUpconv2d:
 
         The zero-inserted conv holds the 4x larger upsampled input, its padded
         batch-last copy and their gradients; upconv2d multiplies the real
-        pixels only.
+        pixels only.  Measured: 7.8x against 31.8x the input's bytes.
         """
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 16, 4, 4)), requires_grad=True)
@@ -281,9 +313,10 @@ class TestUpconv2d:
     def test_scratch_memory_of_a_widening_deconv_is_a_few_outputs(self):
         """Forward and backward of a 4->32 channel deconv (k3, u2, p1), 4x4 -> 8x8, B=64.
 
-        Its forward product and backward column matrix are [KH*KW*Cout, H*W*B],
-        KH*KW/upsample**2 = 2.25x the output; with the padded output, its
-        gradient and the kept result the peak is about 8x the output's bytes.
+        One kernel row's forward product or backward band is [KW*Cout, H*W*B],
+        KW/upsample**2 = 0.75x the output; with the padded output and the
+        padded gradient (2.25x each) and the loss's ones the measured peak is
+        6.4x the output's bytes.
         """
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 4, 4, 4)), requires_grad=True)
