@@ -9,6 +9,8 @@ Layout (little-endian):
     u32            tensor count
     per tensor:    u16 name length, name bytes, u8 rank, u32 dims..., f32 values
 
+read_checkpoint refuses a file whose tensors hold a NaN or an infinity.
+
 Parameters are stored as float32 (4 bytes each) even though compute is
 float64; load_model widens them back.  So a reloaded model is the trained
 model with every parameter rounded to float32: its outputs (and a sweep of
@@ -92,6 +94,8 @@ def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.n
             count = int(np.prod(dims)) if rank else 1
             values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
             off += 4 * count
+            if not np.isfinite(values).all():
+                raise CorruptArtifactError(f"{path}: tensor {name} holds a non-finite value")
             tensors[name] = values.astype(np.float64).reshape(dims)
         if off != len(blob):
             raise CorruptArtifactError(f"{path}: {len(blob) - off} trailing bytes")

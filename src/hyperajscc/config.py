@@ -151,7 +151,8 @@ def parse_snr_grid(value: str) -> tuple[float, ...]:
         steps = (hi - lo) / step  # may be inf, so checked before the grid is built
         if steps >= MAX_SNR_POINTS:
             raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
-        nums = [lo + i * step for i in range(int(round(steps)) + 1)]
+        # the last point is at or below hi; the tolerance keeps 0:0.3:0.1's 0.3
+        nums = [lo + i * step for i in range(math.floor(steps * (1 + 1e-9)) + 1)]
     if min(nums) < SNR_FLOOR_DB:
         raise ConfigError(f"bad snr grid {value!r}: SNRs below {SNR_FLOOR_DB:g} dB are not supported")
     if len(nums) > MAX_SNR_POINTS:

@@ -197,7 +197,7 @@ def objective_check(rng: np.random.Generator) -> CheckResult:
     return CheckResult("end_to_end_objective", err, DEFAULT_TOL)
 
 
-def run_suite(size: str = "tiny", seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def run_suite(size: str = "tiny", seed: int = 0) -> list[CheckResult]:
     """Run every check; 'small' uses enough repeats for 100+ cases in total."""
     cases = 2 if size == "tiny" else 8
     rng = np.random.default_rng(seed)
@@ -205,6 +205,6 @@ def run_suite(size: str = "tiny", seed: int = 0, tol: float = DEFAULT_TOL) -> li
     # chain() starts the layer checks' draws only after the op checks are exhausted, as two loops did
     for name, f, params in itertools.chain(_checks(rng, cases), _layer_checks(rng, cases)):
         worst[name] = max(worst.get(name, 0.0), finite_diff_check(f, params))
-    results = [CheckResult(name, err, tol) for name, err in worst.items()]
+    results = [CheckResult(name, err, DEFAULT_TOL) for name, err in worst.items()]
     results.append(objective_check(rng))
     return results

@@ -2,6 +2,8 @@
 
 This module holds only the layer classes; models.build_layer builds each
 layer from its LayerSpec (He-uniform weights, zero biases, nu=0, c=1).
+Layers hold parameters and check no shapes: ModelConfig.validate checks a
+config, and each op named below checks its arguments on every call.
 
 Each adaptive layer is a plain base layer (weights W0/b0 or kernels C0/b0)
 plus a per-sample, per-output-channel scale s[b] = omega_t[b] * nu + c,
@@ -40,8 +42,6 @@ class HyperScale:
     """Per-output-channel affine condition scale: s = omega_t*nu + c."""
 
     def __init__(self, nu: Tensor, c: Tensor):
-        if nu.shape != c.shape or nu.data.ndim != 1:
-            raise ConfigError(f"HyperScale: nu {nu.shape} vs c {c.shape}")
         self.nu = nu
         self.c = c
 
@@ -63,15 +63,9 @@ class HyperScale:
 
 class DenseLayer:
     def __init__(self, w0: Tensor, b0: Tensor, act: str = "linear"):
-        if w0.data.ndim != 2 or b0.shape != (w0.shape[0],):
-            raise ConfigError(f"DenseLayer: W0 {w0.shape} vs b0 {b0.shape}")
         self.w0 = w0
         self.b0 = b0
         self.act = act
-
-    @property
-    def out_channels(self) -> int:
-        return self.w0.shape[0]
 
     def named_params(self):
         return [("W0", self.w0), ("b0", self.b0)]
@@ -94,10 +88,6 @@ class Conv2dLayer:
         upsample: int = 1,
         act: str = "linear",
     ):
-        if c0.data.ndim != 4 or b0.shape != (c0.shape[0],):
-            raise ConfigError(f"Conv2dLayer: C0 {c0.shape} vs b0 {b0.shape}")
-        if c0.shape[2] < 1 or c0.shape[3] < 1:
-            raise ConfigError(f"Conv2dLayer: empty kernel {c0.shape}")
         if upsample > 1 and stride != 1:
             raise ConfigError(f"Conv2dLayer: a deconv (upsample {upsample}) takes no stride, got {stride}")
         self.c0 = c0
@@ -107,10 +97,6 @@ class Conv2dLayer:
         self.upsample = upsample
         self.act = act
 
-    @property
-    def out_channels(self) -> int:
-        return self.c0.shape[0]
-
     def named_params(self):
         return [("C0", self.c0), ("b0", self.b0)]
 
@@ -119,16 +105,8 @@ class HyperLayer:
     """Base layer plus optional condition scale; scale absent = plain layer."""
 
     def __init__(self, base: DenseLayer | Conv2dLayer, scale: HyperScale | None = None):
-        if scale is not None and scale.nu.shape[0] != base.out_channels:
-            raise ConfigError(
-                f"HyperLayer: scale width {scale.nu.shape[0]} vs {base.out_channels} output channels"
-            )
         self.base = base
         self.scale = scale
-
-    @property
-    def out_channels(self) -> int:
-        return self.base.out_channels
 
     def forward(self, f: Tensor, omega_t) -> Tensor:
         """omega_t [B] is the mapped condition, one per sample."""
@@ -163,10 +141,6 @@ class ResNetBlock:
         self.conv2 = conv2
         self.skip = skip
         self.act = act
-
-    @property
-    def out_channels(self) -> int:
-        return self.conv2.out_channels
 
     def forward(self, f: Tensor, omega_t) -> Tensor:
         h = self.conv1.forward(f, omega_t)

@@ -438,6 +438,8 @@ def _conv_dims(op: str, x: Tensor, k: Tensor, b: Tensor) -> tuple[int, ...]:
     Cout, KCin, KH, KW = k.shape
     if KCin != Cin:
         raise ConfigError(f"{op}: input channels {Cin} vs kernel channels {KCin}")
+    if KH < 1 or KW < 1:
+        raise ConfigError(f"{op}: empty kernel {k.shape}")
     if b.shape != (Cout,):
         raise ConfigError(f"{op}: bias {b.shape} vs {Cout} output channels")
     return B, Cin, H, W, Cout, KH, KW

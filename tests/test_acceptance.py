@@ -108,7 +108,7 @@ def test_p1_gradient_oracle(capsys):
         + sum(1 for _ in _layer_checks(np.random.default_rng(0), 8))
         + 1  # end-to-end objective with frozen noise
     )
-    results = run_suite(size="small", seed=0, tol=1e-5)
+    results = run_suite(size="small", seed=0)
     wall = time.perf_counter() - t0
     worst = max(results, key=lambda r: r.max_rel_err)
     ok = all(r.passed for r in results) and n_cases >= 100 and wall < 120

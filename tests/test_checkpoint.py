@@ -26,6 +26,13 @@ def overwrite_omega_map(path, gain, offset):
     open(path, "wb").write(bytes(blob))
 
 
+def overwrite_last_value(path, value):
+    """Replace the file's last float32, the last value of the last tensor."""
+    blob = bytearray(open(path, "rb").read())
+    struct.pack_into("<f", blob, len(blob) - 4, value)
+    open(path, "wb").write(bytes(blob))
+
+
 class TestRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         model, cfg = make_model()
@@ -99,6 +106,16 @@ class TestCorruption:
         blob[12] ^= 0xFF  # inside the embedded config text
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CorruptArtifactError, match="digest"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused(self, tmp_path, value):
+        # a loaded NaN would sweep to nan PSNR rows and exit 0
+        model, cfg = make_model()
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, cfg.text)
+        overwrite_last_value(path, value)
+        with pytest.raises(CorruptArtifactError, match="non-finite"):
             read_checkpoint(path)
 
     def test_omega_map_mismatch_refused(self, tmp_path):

@@ -240,6 +240,18 @@ class TestParseSnrGrid:
     def test_range_length(self):
         assert len(parse_snr_grid("0:20:2")) == 11
 
+    @pytest.mark.parametrize(
+        "value,n_points,last",
+        [
+            ("0:20:3", 7, 18.0), ("-4:10:2.5", 6, 8.5), ("0:0.3:0.1", 4, 0.3), ("0:20:2", 11, 20.0),
+            ("0:999.6:1", 1000, 999.0),
+        ],
+    )
+    def test_range_stops_at_or_below_hi(self, value, n_points, last):
+        # an inclusive range ends at the last point at or below hi
+        grid = parse_snr_grid(value)
+        assert len(grid) == n_points and grid[-1] == pytest.approx(last, abs=1e-12)
+
     def test_comma_form(self):
         assert parse_snr_grid("1,7,19") == (1.0, 7.0, 19.0)
 
@@ -258,7 +270,7 @@ class TestParseSnrGrid:
         with pytest.raises(ConfigError):
             parse_snr_grid(value)
 
-    @pytest.mark.parametrize("value", ["0:1000:1", "0:999.6:1", "0:1e308:1e-308", ",".join(map(str, range(1001)))])
+    @pytest.mark.parametrize("value", ["0:1000:1", "0:999.9999999:1", "0:1e308:1e-308", ",".join(map(str, range(1001)))])
     def test_more_than_1000_points_rejected(self, value):
         with pytest.raises(ConfigError, match="more than 1000 points"):
             parse_snr_grid(value)

@@ -1,5 +1,7 @@
-"""Every name a module imports is used in that module, and every private
-module-level name in src/ is used somewhere in src/ (no linter is a dependency).
+"""Every name a module imports is used in that module, every private
+module-level name in src/ is used somewhere in src/, and every public method
+or property of a class in src/ is read in src/ or perfbench/ (no linter is a
+dependency).  Tests do not count as readers: a member only tests read is dead.
 
 __init__.py is exempt from the import scan: its imports are the package's
 re-exports.
@@ -12,6 +14,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hyperajscc").glob("*.py"))
+PERFBENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
 MODULES = sorted(
     p for p in [*(ROOT / "src" / "hyperajscc").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
@@ -82,3 +85,49 @@ def test_guard_finds_an_unread_private_name():
         "b.py": "from . import a\ndef _dead():\n    a._helper()\n",
     }
     assert unreferenced_privates(sources) == ["a.py:_Spare", "a.py:_unused", "b.py:_dead"]
+
+
+def unread_public_members(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """`module:Class.name` of each public method or property of a class in `sources` that no reader reads.
+
+    A read is an attribute loaded under that name (`layer.forward`) or a string
+    constant equal to it (`setattr(cls, "vector", ...)`) anywhere in `readers`.
+    Reads are matched by name alone, so any attribute of the same name counts.
+    """
+    read = set()
+    for source in readers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                unread += [
+                    f"{module}:{cls.name}.{node.name}" for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.name not in read
+                ]
+    return sorted(unread)
+
+
+def test_every_public_member_in_src_is_read_outside_the_tests():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    readers = {**sources, **{f"perfbench/{p.name}": p.read_text() for p in PERFBENCH}}
+    assert unread_public_members(sources, readers) == []
+
+
+def test_guard_finds_an_unread_public_member():
+    sources = {
+        "a.py": "class Layer:\n    def __init__(self):\n        self.width = 1\n"
+                "    def forward(self):\n        return self._helper()\n"
+                "    def _helper(self):\n        pass\n"
+                "    @property\n    def out_channels(self):\n        return self.width\n"
+                "    def vector(self):\n        pass\n    def spare(self):\n        pass\n",
+        "b.py": "from a import Layer\nLayer().forward()\nsetattr(Layer, 'vector', None)\n",
+    }
+    tests = {"test_a.py": "from a import Layer\nassert Layer().out_channels == Layer().spare()\n"}
+    assert unread_public_members(sources, sources) == ["a.py:Layer.out_channels", "a.py:Layer.spare"]
+    assert unread_public_members(sources, {**sources, **tests}) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperajscc import tensor as T
-from hyperajscc.layers import DenseLayer, HyperLayer, HyperScale
+from hyperajscc.layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale
 from hyperajscc.errors import ConfigError
 from hyperajscc.models import HyperAJSCCModel, LayerSpec, build_layer, count_params
 from hyperajscc.tensor import Tensor, finite_diff_check
@@ -113,6 +113,39 @@ class TestConvForward:
             build_layer(spec, 2, np.random.default_rng(0))
 
 
+# bases with 2 input and 3 output channels, given a bias of the stated width, and an input for them
+BASES = {
+    "dense": (lambda n: DenseLayer(Tensor(np.ones((3, 2))), Tensor(np.zeros(n))), (1, 2)),
+    "conv": (lambda n: Conv2dLayer(Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(n)), padding=1), (1, 2, 4, 4)),
+    "deconv": (
+        lambda n: Conv2dLayer(Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(n)), padding=1, upsample=2),
+        (1, 2, 4, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+class TestShapesCheckedByTheOps:
+    """A layer is built without checks; the op it calls refuses a mismatch on the first forward."""
+
+    def run(self, kind, bias_width, scale=None):
+        make_base, x_shape = BASES[kind]
+        layer = HyperLayer(make_base(bias_width), scale)
+        return layer.forward(Tensor(np.ones(x_shape)), om_t(1, 0.0))
+
+    def test_bias_mismatch(self, kind):
+        with pytest.raises(ConfigError, match="bias"):
+            self.run(kind, 4)
+
+    def test_scale_width_mismatch(self, kind):
+        with pytest.raises(ConfigError, match="scale_act"):
+            self.run(kind, 3, scale_from([0, 0], [1, 1]))
+
+    def test_nu_and_c_widths_differ(self, kind):
+        with pytest.raises(ConfigError, match="scale_act"):
+            self.run(kind, 3, scale_from([0, 0, 0], [1, 1]))
+
+
 class TestParamCounts:
     def test_dense_with_scale(self):
         rng = np.random.default_rng(6)
@@ -161,7 +194,7 @@ class TestResNetBlock:
         rng = np.random.default_rng(11)
         block = build_layer(LayerSpec("resblock", out=3, act="tanh", hyper=True), 2, rng)
         for layer in (block.conv1, block.conv2, block.skip):
-            layer.scale.nu.data = rng.uniform(-0.3, 0.3, layer.out_channels)
+            layer.scale.nu.data = rng.uniform(-0.3, 0.3, layer.scale.nu.shape[0])
         x = Tensor(rng.standard_normal((1, 2, 3, 3)))
         params = [t for _, t in block.named_params()]
         assert finite_diff_check(lambda: T.tsum(block.forward(x, om_t(1, 12.0))), params) < 1e-5

@@ -119,7 +119,7 @@ class TestEncode:
         rng = np.random.default_rng(1)
         for layer in model.encoder:
             if getattr(layer, "scale", None) is not None:
-                layer.scale.nu.data = rng.uniform(0.1, 0.3, layer.out_channels)
+                layer.scale.nu.data = rng.uniform(0.1, 0.3, layer.scale.nu.shape[0])
         x = rand_x(model.config)
         assert not np.array_equal(encode(model, x, 0.0).values.data, encode(model, x, 20.0).values.data)
 
@@ -238,7 +238,7 @@ def excite_scales(model, rng):
     """Move every layer's (nu, c) away from the identity init."""
     for layer in list(model.encoder) + list(model.decoder):
         if getattr(layer, "scale", None) is not None:
-            n = layer.out_channels
+            n = layer.scale.nu.shape[0]
             layer.scale.nu.data = rng.uniform(-0.3, 0.3, n)
             layer.scale.c.data = rng.uniform(0.5, 1.5, n)
 
@@ -267,5 +267,5 @@ def test_range_midpoint_maps_to_zero_omega():
     assert not np.array_equal(encode(model, x, 10.0).values.data, excited)  # nu matters elsewhere
     for layer in model.encoder:
         if getattr(layer, "scale", None) is not None:
-            layer.scale.nu.data = np.zeros(layer.out_channels)
+            layer.scale.nu.data = np.zeros(layer.scale.nu.shape[0])
     assert np.array_equal(encode(model, x, 20.0).values.data, excited)

@@ -333,6 +333,15 @@ class TestUpconv2d:
         assert peak <= 10 * nbytes, f"traced peak {peak / nbytes:.2f}x the output"
 
 
+@pytest.mark.parametrize("kernel", [(3, 2, 0, 3), (3, 2, 3, 0)])
+@pytest.mark.parametrize("op", ["conv2d", "upconv2d"])
+def test_empty_kernel_rejected(op, kernel):
+    # without the check, conv2d returns a bias-only output of the wrong size
+    x, k, b = t(np.ones((1, 2, 4, 4))), t(np.ones(kernel)), t(np.zeros(3))
+    with pytest.raises(ConfigError, match=f"{op}: empty kernel"):
+        T.conv2d(x, k, b, 1, 1) if op == "conv2d" else T.upconv2d(x, k, b, 2, 1)
+
+
 def pulled(out: Tensor, g: np.ndarray) -> Tensor:
     """A scalar whose backward hands `out` exactly `g`, in g's own memory layout."""
     return T._make(np.asarray(0.0), (out,), lambda _: [(out, g)])
