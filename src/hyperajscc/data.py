@@ -2,7 +2,9 @@
 
 All samples are float64 in [-1, 1] (matching the tanh decoder head).
 Synthetic data keeps the test suite hermetic; CIFAR-10 is used only when
-the binary batches are already on disk.
+the binary batches are already on disk.  The smooth synthetic images are
+coarse noise zoomed by a cubic spline, computed as two matrix products
+with numpy alone; they match scipy.ndimage.zoom(order=3) to rounding.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, CorruptArtifactError
 
@@ -61,15 +62,47 @@ def load_cifar10(dir_path: str) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _smooth_image(shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
-    """Random low-frequency image in [-1, 1]: coarse noise upsampled smoothly."""
+def _spline_zoom_matrix(n: int, m: int) -> np.ndarray:
+    """[m, n] matrix of scipy.ndimage.zoom(order=3, mode="constant", grid_mode=False) along one axis.
+
+    Output k samples the cubic B-spline through the n input points at
+    x_k = k*(n-1)/(m-1).  The spline's coefficients solve the prefilter
+    system (4/6 on the diagonal, 1/6 on each side) and both the system and
+    the weights fold out-of-range neighbours back in by whole-sample mirror
+    symmetry (d c b | a b c d | c b a).  Needs n >= 2.
+    """
+
+    def fold(j):
+        j = np.abs(j) % (2 * n - 2)
+        return np.where(j < n, j, 2 * n - 2 - j)
+
+    def bspline3(t):
+        t = np.abs(t)
+        return np.where(t < 1, 2 / 3 - t**2 + t**3 / 2, np.where(t < 2, (2 - t) ** 3 / 6, 0.0))
+
+    i = np.arange(n)
+    prefilter = np.zeros((n, n))
+    for offset, weight in ((-1, 1 / 6), (0, 4 / 6), (1, 1 / 6)):
+        np.add.at(prefilter, (i, fold(i + offset)), weight)
+    x = np.arange(m) * ((n - 1) / (m - 1) if m > 1 else 0.0)
+    weights = np.zeros((m, n))
+    for offset in range(-1, 3):  # the four knots whose splines cover x
+        knot = np.floor(x).astype(int) + offset
+        np.add.at(weights, (np.arange(m), fold(knot)), bspline3(x - knot))
+    weights[x > n - 1] = 0.0  # "constant" mode: a sample that rounding puts past the last point reads 0
+    return np.linalg.solve(prefilter.T, weights.T).T
+
+
+def _smooth_images(n: int, shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    """n random low-frequency images [n, C, H, W] in [-1, 1]: coarse noise upsampled by a cubic spline.
+
+    Each image is scaled so that its peak magnitude is 0.9.
+    """
     c, h, w = shape
-    coarse = rng.standard_normal((c, max(h // 4, 2), max(w // 4, 2)))
-    img = np.stack(
-        [ndimage.zoom(coarse[ch], (h / coarse.shape[1], w / coarse.shape[2]), order=3) for ch in range(c)]
-    )
-    peak = np.abs(img).max()
-    return 0.9 * img / peak if peak > 0 else img
+    coarse = rng.standard_normal((n, c, max(h // 4, 2), max(w // 4, 2)))
+    imgs = _spline_zoom_matrix(coarse.shape[2], h) @ coarse @ _spline_zoom_matrix(coarse.shape[3], w).T
+    peak = np.abs(imgs).max(axis=(1, 2, 3), keepdims=True)
+    return 0.9 * imgs / np.where(peak > 0, peak, 1.0)
 
 
 def synthetic_dataset(
@@ -84,7 +117,7 @@ def synthetic_dataset(
         raise ConfigError("n_items must be positive")
     rng = np.random.default_rng(seed)
     if kind == "gaussian-blobs-images":
-        samples = np.stack([_smooth_image(shape, rng) for _ in range(n_items)])
+        samples = _smooth_images(n_items, shape, rng)
         return Dataset(samples, None, kind, "any")
     if kind == "pattern-classes":
         # One fixed smooth prototype per class, plus small per-item noise.
@@ -92,7 +125,7 @@ def synthetic_dataset(
         # train/validation splits drawn with different seeds share the same
         # class definitions and generalization is measurable.
         protos = [
-            _smooth_image(shape, np.random.default_rng(np.random.SeedSequence((0xC1A55, k))))
+            _smooth_images(1, shape, np.random.default_rng(np.random.SeedSequence((0xC1A55, k))))[0]
             for k in range(num_classes)
         ]
         labels = rng.integers(0, num_classes, size=n_items).tolist()

@@ -26,11 +26,10 @@ DEFAULT_TOL = 1e-5
 class CheckResult:
     op: str
     max_rel_err: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < DEFAULT_TOL
 
 
 def _param(rng, *shape, away_from_zero=False):
@@ -194,7 +193,7 @@ def objective_check(rng: np.random.Generator) -> CheckResult:
 
     params = model.parameters()
     err = finite_diff_check(loss, params)
-    return CheckResult("end_to_end_objective", err, DEFAULT_TOL)
+    return CheckResult("end_to_end_objective", err)
 
 
 def run_suite(size: str = "tiny", seed: int = 0) -> list[CheckResult]:
@@ -205,6 +204,6 @@ def run_suite(size: str = "tiny", seed: int = 0) -> list[CheckResult]:
     # chain() starts the layer checks' draws only after the op checks are exhausted, as two loops did
     for name, f, params in itertools.chain(_checks(rng, cases), _layer_checks(rng, cases)):
         worst[name] = max(worst.get(name, 0.0), finite_diff_check(f, params))
-    results = [CheckResult(name, err, DEFAULT_TOL) for name, err in worst.items()]
+    results = [CheckResult(name, err) for name, err in worst.items()]
     results.append(objective_check(rng))
     return results

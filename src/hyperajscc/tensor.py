@@ -464,21 +464,28 @@ def _gather(a, KH: int, KW: int, h: int, w: int, step: int, origin: int, k=None,
     origin + step*j.  y [M, h*w*B] is the correlation with k [M, C, KH, KW],
     dk [M, C, KH, KW] that of an output gradient g [M, h*w*B] with the
     windows; each is None when its operand is.  One GEMM per kernel row and
-    operand, on the row's band: its KW windows, copied as [KW*C, h*w*B]
-    into one buffer that every row reuses.
+    operand, on the row's band: its KW windows, copied from one strided
+    view as [KW*C, h*w*B] into one buffer that every row reuses.
     """
+    a = np.ascontiguousarray(a)
     C, B = a.shape[0], a.shape[3]
+    s0, s1, s2, s3 = a.strides
+    # win[ki, kj] is tap (ki, kj) of every window: [C, h, w, B]
+    win = np.ndarray(
+        (KH, KW, C, h, w, B), a.dtype, a, origin * (s1 + s2), (s1, s2, s0, step * s1, step * s2, s3)
+    )
     band = np.empty((KW, C, h, w, B))
     rows = band.reshape(KW * C, h * w * B)
     kr = None if k is None else k.transpose(2, 0, 3, 1).reshape(KH, len(k), KW * C)
-    y = None if k is None else np.zeros((len(k), h * w * B))
+    y = None if k is None else np.empty((len(k), h * w * B))
     dk = None if g is None else np.empty((KH, len(g), KW * C))
     for ki in range(KH):
-        for kj in range(KW):
-            r, c = origin + ki, origin + kj
-            band[kj] = a[:, r : r + step * h : step, c : c + step * w : step]
+        np.copyto(band, win[ki])
         if k is not None:
-            y += kr[ki] @ rows
+            if ki:
+                y += kr[ki] @ rows
+            else:
+                np.matmul(kr[0], rows, out=y)
         if g is not None:
             np.matmul(g, rows.T, out=dk[ki])
     if dk is not None:
@@ -486,33 +493,44 @@ def _gather(a, KH: int, KW: int, h: int, w: int, step: int, origin: int, k=None,
     return y, dk
 
 
-def _scatter(dst, k, g, h: int, w: int, step: int, origin: int) -> None:
-    """_gather's adjoint: add what k [M, C, KH, KW] spreads g [M, h*w*B] to into batch-last dst [C, Hp, Wp, B].
+def _scatter(dst, k, g, h: int, w: int, step: int, oh: int, ow: int) -> None:
+    """_gather's adjoint: add what k [M, C, KH, KW] spreads g [M, h*w*B] to into batch-last dst [C, Hd, Wd, B].
 
-    Tap (ki, kj) of grid pixel (i, j) lands at row origin + step*i + ki,
-    column origin + step*j + kj.  One GEMM per kernel row: its [KW*C, M]
-    kernel slice times g, into one buffer that every row reuses, holds a
-    contiguous [C, h, w, B] block per tap, which is slice-added into dst.
+    Tap (ki, kj) of grid pixel (i, j) lands at row oh + step*i + ki, column
+    ow + step*j + kj; the origins may be negative, and a tap's products
+    that land outside dst are dropped.  One GEMM per kernel row: its
+    [KW*C, M] kernel slice times g, into one buffer that every row reuses,
+    holds a contiguous [C, h, w, B] block per tap, whose part inside dst is
+    slice-added into it.
     """
     M, C, KH, KW = k.shape
     kr = k.transpose(2, 0, 3, 1).reshape(KH, M, KW * C)
     taps = np.empty((KW, C, h, w, dst.shape[3]))
+
+    def inside(start: int, n: int, size: int) -> tuple[slice, slice]:
+        """(grid slice, dst slice) of the points start + step*i, i < n, that fall in [0, size)."""
+        lo = max(0, -(start // step))
+        hi = max(lo, min(n, -((start - size) // step)))
+        return slice(lo, hi), slice(start + step * lo, start + step * hi, step)
+
     for ki in range(KH):
+        gi, di = inside(oh + ki, h, dst.shape[1])
         np.matmul(kr[ki].T, g, out=taps.reshape(KW * C, -1))
         for kj in range(KW):
-            r, c = origin + ki, origin + kj
-            dst[:, r : r + step * h : step, c : c + step * w : step] += taps[kj]
+            gj, dj = inside(ow + kj, w, dst.shape[2])
+            dst[:, di, dj] += taps[kj][:, gi, gj]
 
 
 def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout].
 
     Computed batch-last on the input padded into [Cin, Hp, Wp, B]: the
-    forward and dk are one _gather, dx one _scatter into a padded dx, and
-    the output is an NCHW view of the [Cout, Ho*Wo*B] result.  The scratch
-    is one kernel row's band or product, [Cin*KW, Ho*Wo*B], about
-    KW/stride**2 times the input, so forward plus backward peak at a few
-    times the input's bytes: 6.95x for a 3x3 conv from 16 channels.
+    forward and dk are one _gather, dx one _scatter that drops the taps on
+    the padding, and the output is an NCHW view of the [Cout, Ho*Wo*B]
+    result.  The scratch is one kernel row's band or product,
+    [Cin*KW, Ho*Wo*B], about KW/stride**2 times the input, so forward plus
+    backward peak at a few times the input's bytes: 6.51x for a 3x3 conv
+    from 16 channels.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
@@ -529,9 +547,9 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         grads = []
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
-            dxp = np.zeros_like(xp)
-            _scatter(dxp, k.data, gm, Ho, Wo, s, 0)
-            grads.append((x, dxp[:, p : p + H, p : p + W].transpose(3, 0, 1, 2)))
+            dx = np.zeros((Cin, H, W, B))
+            _scatter(dx, k.data, gm, Ho, Wo, s, -p, -p)
+            grads.append((x, dx.transpose(3, 0, 1, 2)))
         if k._track:
             grads.append((k, _gather(xp, KH, KW, Ho, Wo, s, 0, g=gm)[1]))
         if b._track:
@@ -548,33 +566,30 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
     upsampled grid, so tap a of the flipped kernel sends it to output row
     upsample*i + padding - (KH-1) + a (columns likewise).  Batch-last, on
     conv2d's two kernels the other way round: the forward is one _scatter
-    of the input by the flipped kernel into an output with a margin of KH-1
-    rows and KW-1 columns on each side, then cropped; dx and dk are one
-    _gather of the output gradient, padded the same way.  A row's product
-    or band is [Cout*KW, H*W*B], KW/upsample**2 times the output: forward
-    plus backward peak at 6.4x the output for a 4 -> 32 channel deconv
-    (k3, u2), while the zero-inserted conv's input alone is upsample**2
-    times x.
+    of the input by the flipped kernel into the bias-filled output, which
+    drops the taps that land outside it; dx and dk are one _gather of the
+    output gradient padded by KH-1 rows and KW-1 columns on each side.  A
+    row's product or band is [Cout*KW, H*W*B], KW/upsample**2 times the
+    output: forward plus backward peak at 5.1x the output for a 4 -> 32
+    channel deconv (k3, u2), while the zero-inserted conv's input alone is
+    upsample**2 times x.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("upconv2d", x, k, b)
     if upsample < 1 or padding < 0:
         raise ConfigError(f"upconv2d: bad upsample/padding ({upsample}, {padding})")
     u, p = upsample, padding
     Ho, Wo = conv_output_size("upconv2d", u * H, u * W, KH, KW, 1, p)
-    # output row r lives at row r + KH - 1 of yp; the margins take the
-    # products that land outside the output
-    yshape = (Cout, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), B)
-    crop = (slice(None), slice(KH - 1, KH - 1 + Ho), slice(KW - 1, KW - 1 + Wo))
     xm = x.data.transpose(1, 2, 3, 0).reshape(Cin, H * W * B)
     kt = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [Cin, Cout, KH, KW]: the flipped kernel, a conv from Cout to Cin
-    yp = np.broadcast_to(b.data[:, None, None, None], yshape).copy()
-    _scatter(yp, kt, xm, H, W, u, p)
-    out = yp[crop].transpose(3, 0, 1, 2)
+    y = np.broadcast_to(b.data[:, None, None, None], (Cout, Ho, Wo, B)).copy()
+    _scatter(y, kt, xm, H, W, u, p - (KH - 1), p - (KW - 1))
+    out = y.transpose(3, 0, 1, 2)
 
     def backward(g):
         grads = []
-        gp = np.zeros(yshape)
-        gp[crop] = g.transpose(1, 2, 3, 0)
+        # output row r lives at row r + KH - 1 of gp
+        gp = np.zeros((Cout, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), B))
+        gp[:, KH - 1 : KH - 1 + Ho, KW - 1 : KW - 1 + Wo] = g.transpose(1, 2, 3, 0)
         dx, dkt = _gather(gp, KH, KW, H, W, u, p, k=kt if x._track else None, g=xm if k._track else None)
         if x._track:
             grads.append((x, dx.reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))

@@ -2,8 +2,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from hyperajscc.data import RECORD_BYTES, Dataset, batches, load_cifar10, synthetic_dataset
+from hyperajscc.data import RECORD_BYTES, Dataset, _spline_zoom_matrix, batches, load_cifar10, synthetic_dataset
 from hyperajscc.errors import ConfigError, CorruptArtifactError
 
 
@@ -96,6 +97,43 @@ class TestSyntheticDataset:
         protos = np.stack([x[y == k].mean(axis=0) for k in (0, 1)])
         pred = np.argmin(((x[:, None, :] - protos[None]) ** 2).sum(axis=2), axis=1)
         assert (pred == y).mean() > 0.9
+
+
+def ndimage_dataset(kind, n_items, shape, num_classes, seed):
+    """synthetic_dataset's samples and labels built one image and one channel at a time with ndimage.zoom."""
+
+    def smooth(rng):
+        c, h, w = shape
+        coarse = rng.standard_normal((c, max(h // 4, 2), max(w // 4, 2)))
+        img = np.stack([ndimage.zoom(ch, (h / ch.shape[0], w / ch.shape[1]), order=3) for ch in coarse])
+        peak = np.abs(img).max()
+        return 0.9 * img / peak if peak > 0 else img
+
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian-blobs-images":
+        return np.stack([smooth(rng) for _ in range(n_items)]), None
+    protos = [smooth(np.random.default_rng(np.random.SeedSequence((0xC1A55, k)))) for k in range(num_classes)]
+    labels = rng.integers(0, num_classes, size=n_items).tolist()
+    samples = np.stack([np.clip(protos[lab] + 0.15 * rng.standard_normal(shape), -1.0, 1.0) for lab in labels])
+    return samples, labels
+
+
+class TestSplineZoom:
+    def test_matrix_matches_ndimage_zoom(self):
+        # column j is the zoom of the j-th unit impulse
+        for n in range(2, 11):
+            eye = np.eye(n)
+            for m in range(1, 41):
+                want = np.stack([ndimage.zoom(eye[j], m / n, order=3) for j in range(n)], axis=1)
+                np.testing.assert_allclose(_spline_zoom_matrix(n, m), want, rtol=0, atol=1e-13, err_msg=f"n={n} m={m}")
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 8, 8), (3, 32, 32)])
+    @pytest.mark.parametrize("kind", ["gaussian-blobs-images", "pattern-classes"])
+    def test_dataset_matches_ndimage_zoom(self, kind, shape):
+        ds = synthetic_dataset(kind, 24, shape, num_classes=3, seed=11)
+        samples, labels = ndimage_dataset(kind, 24, shape, num_classes=3, seed=11)
+        np.testing.assert_allclose(ds.samples, samples, rtol=0, atol=1e-14)
+        assert ds.labels == labels
 
 
 class TestBatches:

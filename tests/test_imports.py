@@ -2,13 +2,18 @@
 module-level name in src/ is used somewhere in src/, and every public method
 or property of a class in src/ is read in src/ or perfbench/ (no linter is a
 dependency).  Tests do not count as readers: a member only tests read is dead.
+A fresh interpreter that imports the package and its CLI loads no scipy
+module: numpy is the one run-time dependency.
 
 __init__.py is exempt from the import scan: its imports are the package's
 re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +136,11 @@ def test_guard_finds_an_unread_public_member():
     tests = {"test_a.py": "from a import Layer\nassert Layer().out_channels == Layer().spare()\n"}
     assert unread_public_members(sources, sources) == ["a.py:Layer.out_channels", "a.py:Layer.spare"]
     assert unread_public_members(sources, {**sources, **tests}) == []
+
+
+def test_the_package_loads_no_scipy_module():
+    probe = "import sys, hyperajscc, hyperajscc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -199,13 +199,16 @@ def test_conv2d_matches_einsum_reference(dims, kernel, stride, padding, seed):
     step=st.integers(1, 3),
     origin=st.integers(0, 2),
     margin=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    crop=st.tuples(*[st.integers(0, 4)] * 4),  # rows off the top and bottom, columns off the left and right
     seed=st.integers(0, 2**32 - 1),
 )
-def test_scatter_is_the_adjoint_of_gather(dims, step, origin, margin, seed):
+def test_scatter_is_the_adjoint_of_gather(dims, step, origin, margin, crop, seed):
     """<scatter(g), a> = <g, gather(a, k)>, and both outputs are plain einsums over the windows.
 
-    The operands are nonnegative, so no sum cancels and rtol 1e-12 measures
-    only rounding.
+    Scattered into a cropped dst, with the origins shifted by the crop (so
+    often negative), scatter drops the taps outside it and gives exactly
+    the crop of the full scatter.  The operands are nonnegative, so no sum
+    cancels and rtol 1e-12 measures only rounding.
     """
     C, M, KH, KW, h, w, B = dims
     Hp, Wp = origin + step * (h - 1) + KH + margin[0], origin + step * (w - 1) + KW + margin[1]
@@ -213,8 +216,13 @@ def test_scatter_is_the_adjoint_of_gather(dims, step, origin, margin, seed):
     a, k, g = rng.random((C, Hp, Wp, B)), rng.random((M, C, KH, KW)), rng.random((M, h * w * B))
     y, dk = T._gather(a, KH, KW, h, w, step, origin, k=k, g=g)
     dst = np.zeros_like(a)
-    T._scatter(dst, k, g, h, w, step, origin)
+    T._scatter(dst, k, g, h, w, step, origin, origin)
     np.testing.assert_allclose(np.vdot(dst, a), np.vdot(g, y), rtol=1e-12)
+    top, bottom, left, right = crop
+    inner = dst[:, top : Hp - bottom, left : Wp - right]
+    clipped = np.zeros_like(inner)
+    T._scatter(clipped, k, g, h, w, step, origin - top, origin - left)
+    assert np.array_equal(clipped, inner)
     windows = np.lib.stride_tricks.sliding_window_view(a, (KH, KW), axis=(1, 2))
     windows = windows[:, origin : origin + step * h : step, origin : origin + step * w : step]  # [C, h, w, B, KH, KW]
     gw = g.reshape(M, h, w, B)
@@ -228,11 +236,12 @@ def test_conv2d_scratch_memory_is_a_few_inputs():
     """Forward and backward of a 3x3 conv from 16 to 3 channels over an 8x8 input, B=64.
 
     Live at the backward peak: the padded batch-last input (kept for dk),
-    its gradient, and one kernel row's [KW*Cin, Ho*Wo*B] buffer (KW = 3x
-    the input), dx's products or dk's band, which every row reuses, plus
-    small arrays: 6.95x x.data.nbytes as measured.  An im2col column matrix
-    alone is KH*KW = 9x, so the bound of 8x admits one row's buffer and
-    refuses im2col; a second row's buffer live at once reads 9.7x.
+    the unpadded input gradient, and one kernel row's [KW*Cin, Ho*Wo*B]
+    buffer (KW = 3x the input), dx's products or dk's band, which every row
+    reuses, plus small arrays: 6.51x x.data.nbytes as measured.  An im2col
+    column matrix alone is KH*KW = 9x, so the bound of 8x admits one row's
+    buffer and refuses im2col; a second row's buffer live at once reads
+    9.7x.
     """
     rng = np.random.default_rng(0)
     x = T.upsample_zero(Tensor(rng.standard_normal((64, 16, 4, 4)), requires_grad=True), 2)
@@ -289,7 +298,7 @@ class TestUpconv2d:
 
         The zero-inserted conv holds the 4x larger upsampled input, its padded
         batch-last copy and their gradients; upconv2d multiplies the real
-        pixels only.  Measured: 7.8x against 31.8x the input's bytes.
+        pixels only.  Measured: 6.8x against 30.0x the input's bytes.
         """
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 16, 4, 4)), requires_grad=True)
@@ -314,9 +323,9 @@ class TestUpconv2d:
         """Forward and backward of a 4->32 channel deconv (k3, u2, p1), 4x4 -> 8x8, B=64.
 
         One kernel row's forward product or backward band is [KW*Cout, H*W*B],
-        KW/upsample**2 = 0.75x the output; with the padded output and the
-        padded gradient (2.25x each) and the loss's ones the measured peak is
-        6.4x the output's bytes.
+        KW/upsample**2 = 0.75x the output; with the output, the padded
+        gradient (2.25x) and the loss's ones the measured peak is 5.1x the
+        output's bytes.
         """
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 4, 4, 4)), requires_grad=True)
