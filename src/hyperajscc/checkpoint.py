@@ -1,15 +1,18 @@
-"""Binary checkpoint: magic 'HAJ1', embedded config text, float32 tensors.
+"""Binary checkpoint: magic 'HAJ1', embedded config text, float32 tensors, file digest.
 
-Layout (little-endian):
+Layout, format version 2 (little-endian):
     magic  4s      b"HAJ1"
-    u16            format version (1)
+    u16            format version (2)
     u32            config text length, then UTF-8 bytes
-    32s            sha256 digest of the config text
     f64, f64       omega map (gain, offset); load_model checks it against the config
     u32            tensor count
     per tensor:    u16 name length, name bytes, u8 rank, u32 dims..., f32 values
+    32s            sha256 of every byte before it
 
-read_checkpoint refuses a file whose tensors hold a NaN or an infinity.
+read_checkpoint reads the magic and the version, then checks the digest
+before it parses anything else, so a flipped bit anywhere is refused.  It
+also refuses a file whose tensors hold a NaN or an infinity.  Version 1,
+which digested only the config text, is refused as unsupported.
 
 Parameters are stored as float32 (4 bytes each) even though compute is
 float64; load_model widens them back.  So a reloaded model is the trained
@@ -30,30 +33,42 @@ from .errors import ConfigError, CorruptArtifactError
 from .models import HyperAJSCCModel, build_model
 
 MAGIC = b"HAJ1"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path: str, model: HyperAJSCCModel, config_text: str) -> None:
     cfg_bytes = config_text.encode()
+    named = model.named_parameters()
     parts = [
         MAGIC,
-        struct.pack("<H", VERSION),
-        struct.pack("<I", len(cfg_bytes)),
+        struct.pack("<HI", VERSION, len(cfg_bytes)),
         cfg_bytes,
-        hashlib.sha256(cfg_bytes).digest(),
-        struct.pack("<dd", model.config.omega_gain, model.config.omega_offset),
+        struct.pack("<ddI", model.config.omega_gain, model.config.omega_offset, len(named)),
     ]
-    named = model.named_parameters()
-    parts.append(struct.pack("<I", len(named)))
     for name, t in named:
         nb = name.encode()
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", t.data.ndim))
-        parts.append(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-        parts.append(t.data.astype("<f4").tobytes())
+        shape = struct.pack(f"<B{t.data.ndim}I", t.data.ndim, *t.data.shape)
+        parts += [struct.pack("<H", len(nb)), nb, shape, t.data.astype("<f4").tobytes()]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(body + hashlib.sha256(body).digest())
+
+
+class _Cursor:
+    """Reads consecutive little-endian fields; a read past the end raises struct.error or ValueError."""
+
+    def __init__(self, blob, off: int):
+        self.blob, self.off = blob, off
+
+    def take(self, fmt: str) -> tuple:
+        values = struct.unpack_from("<" + fmt, self.blob, self.off)
+        self.off += struct.calcsize("<" + fmt)
+        return values
+
+    def floats(self, count: int) -> np.ndarray:
+        values = np.frombuffer(self.blob, dtype="<f4", count=count, offset=self.off)
+        self.off += 4 * count
+        return values
 
 
 def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.ndarray]]:
@@ -63,42 +78,28 @@ def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.n
     try:
         if blob[:4] != MAGIC:
             raise CorruptArtifactError(f"{path}: bad magic {blob[:4]!r}")
-        off = 4
-        (version,) = struct.unpack_from("<H", blob, off)
-        off += 2
+        (version,) = struct.unpack_from("<H", blob, 4)
         if version != VERSION:
             raise CorruptArtifactError(f"{path}: unsupported version {version}")
-        (cfg_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        cfg_bytes = blob[off : off + cfg_len]
-        off += cfg_len
-        digest = blob[off : off + 32]
-        off += 32
-        if hashlib.sha256(cfg_bytes).digest() != digest:
-            raise CorruptArtifactError(f"{path}: embedded config digest mismatch")
-        config_text = cfg_bytes.decode()
-        gain, offset = struct.unpack_from("<dd", blob, off)
-        off += 16
-        (n_tensors,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        body, digest = memoryview(blob)[:-32], blob[-32:]
+        if hashlib.sha256(body).digest() != digest:
+            raise CorruptArtifactError(f"{path}: file digest mismatch")
+        cur = _Cursor(body, 6)
+        (cfg_len,) = cur.take("I")
+        config_text = cur.take(f"{cfg_len}s")[0].decode()
+        gain, offset, n_tensors = cur.take("ddI")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off : off + name_len].decode()
-            off += name_len
-            (rank,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, off)
-            off += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-            off += 4 * count
+            (name_len,) = cur.take("H")
+            name = cur.take(f"{name_len}s")[0].decode()
+            (rank,) = cur.take("B")
+            dims = cur.take(f"{rank}I")
+            values = cur.floats(int(np.prod(dims)))
             if not np.isfinite(values).all():
                 raise CorruptArtifactError(f"{path}: tensor {name} holds a non-finite value")
             tensors[name] = values.astype(np.float64).reshape(dims)
-        if off != len(blob):
-            raise CorruptArtifactError(f"{path}: {len(blob) - off} trailing bytes")
+        if cur.off != len(body):
+            raise CorruptArtifactError(f"{path}: {len(body) - cur.off} trailing bytes")
     except (struct.error, ValueError, IndexError) as exc:
         raise CorruptArtifactError(f"{path}: truncated or corrupt ({exc})") from None
     return config_text, (gain, offset), tensors
@@ -108,7 +109,7 @@ def load_model(path: str, expected_config_text: str | None = None):
     """Rebuild a model from a checkpoint; returns (model, run_config)."""
     config_text, omega_map, tensors = read_checkpoint(path)
     if expected_config_text is not None and expected_config_text != config_text:
-        raise CorruptArtifactError(f"{path}: config digest differs from the provided config")
+        raise CorruptArtifactError(f"{path}: embedded config differs from the provided config")
     try:
         run_cfg = parse_run_config(config_text)
     except ConfigError as exc:

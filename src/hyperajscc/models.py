@@ -258,20 +258,21 @@ def count_params(model: HyperAJSCCModel) -> dict:
     """Parameter accounting: base vs introduced counts and 32-bit storage.
 
     The scale vectors (parameters named nu and c) are the introduced ones.
+    Each row is one config layer, (enc.i or dec.i, its kind, base, introduced),
+    summed over the parameters whose names start with its prefix.
     """
-    per_layer = []
-    total_base = total_intro = 0
-    for half, layers_ in (("enc", model.encoder), ("dec", model.decoder)):
-        for i, layer in enumerate(layers_):
-            base = intro = 0
-            for name, t in layer.named_params():
-                if name.rsplit(".", 1)[-1] in ("nu", "c"):
-                    intro += t.size
-                else:
-                    base += t.size
-            per_layer.append((f"{half}.{i}", type(layer).__name__, base, intro))
-            total_base += base
-            total_intro += intro
+    sizes: dict[str, list[int]] = {}
+    for name, t in model.named_parameters():
+        half, i, *_, leaf = name.split(".")
+        row = sizes.setdefault(f"{half}.{i}", [0, 0])  # [base, introduced]
+        row[leaf in ("nu", "c")] += t.size
+    per_layer = [
+        (f"{half}.{i}", spec.kind, *sizes.get(f"{half}.{i}", (0, 0)))
+        for half, specs in (("enc", model.config.encoder), ("dec", model.config.decoder))
+        for i, spec in enumerate(specs)
+    ]
+    total_base = sum(row[2] for row in per_layer)
+    total_intro = sum(row[3] for row in per_layer)
     return {
         "per_layer": per_layer,
         "total_base": total_base,

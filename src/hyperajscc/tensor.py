@@ -288,52 +288,61 @@ def affine_outer(omega: np.ndarray, nu: Tensor, c: Tensor) -> Tensor:
 # activations
 
 
+def _sigmoid(a, out):
+    """0.5 * (1 + tanh(0.5 * a)) into out: one tanh, no exp to overflow."""
+    np.tanh(np.multiply(a, 0.5, out=out), out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _softmax(a, out):
+    """exp(a - max) / sum over the last axis, into out."""
+    np.exp(np.subtract(a, a.max(axis=-1, keepdims=True), out=out), out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+# name -> (forward, derivative).  forward(a, out) writes act(a) into out, which
+# may be a (linear runs only in place and writes nothing); derivative(g, z, out)
+# writes g * act'(a), from the output z = act(a), into out or, if None, a new array.
+_ACTS = {
+    "linear": (lambda a, out: a, lambda g, z, out: np.copyto(out, g) or out),  # a copy; copyto returns None
+    "relu": (lambda a, out: np.maximum(a, 0.0, out=out), lambda g, z, out: np.multiply(g, z > 0, out=out)),
+    "tanh": (lambda a, out: np.tanh(a, out=out), lambda g, z, out: np.multiply(g, 1.0 - z * z, out=out)),
+    "sigmoid": (_sigmoid, lambda g, z, out: np.multiply(np.multiply(g, z, out=out), 1.0 - z, out=out)),
+    "softmax": (_softmax, lambda g, z, out: np.multiply(z, g - (g * z).sum(axis=-1, keepdims=True), out=out)),
+}
+ACTIVATIONS = tuple(_ACTS)
+SCALE_ACTIVATIONS = tuple(kind for kind in _ACTS if kind != "softmax")  # softmax would normalize NCHW data over W
+
+
+def _act_node(kind: str, x: Tensor) -> Tensor:
+    forward, derivative = _ACTS[kind]
+    out = forward(x.data, np.empty_like(x.data))
+    return _make(out, (x,), lambda g: [(x, derivative(g, out, None))])
+
+
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0): a NaN input stays NaN; the gradient mask is x > 0."""
-    return _make(np.maximum(x.data, 0.0), (x,), lambda g: [(x, g * (x.data > 0))])
+    return _act_node("relu", x)
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _make(out, (x,), lambda g: [(x, g * (1.0 - out * out))])
+    return _act_node("tanh", x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-    return _make(out, (x,), lambda g: [(x, g * out * (1.0 - out))])
+    return _act_node("sigmoid", x)
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis; output rows sum to 1."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return [(x, out * (g - inner))]
-
-    return _make(out, (x,), backward)
-
-
-ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid", "softmax")
+    return _act_node("softmax", x)
 
 
 def activation(kind: str, x: Tensor) -> Tensor:
-    if kind == "linear":
-        return x
-    if kind == "relu":
-        return relu(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "softmax":
-        return softmax(x)
-    raise ConfigError(f"unknown activation kind: {kind!r}")
-
-
-SCALE_ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
+    if kind not in _ACTS:
+        raise ConfigError(f"unknown activation kind: {kind!r}")
+    return x if kind == "linear" else _act_node(kind, x)
 
 
 def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
@@ -369,28 +378,11 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
     sl = np.ascontiguousarray(s.reshape(s.shape + (1,) * (nd - 2)).transpose(to_work))
     yl = y.data.transpose(to_work)
     z = np.multiply(yl, sl, out=np.empty(yl.shape))
-    if act == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif act == "tanh":
-        np.tanh(z, out=z)
-    elif act == "sigmoid":  # 0.5 * (1 + tanh(0.5 * z)), as sigmoid() computes it
-        z *= 0.5
-        np.tanh(z, out=z)
-        z += 1.0
-        z *= 0.5
+    forward, derivative = _ACTS[act]
+    forward(z, z)
 
     def backward(g):
-        gl = g.transpose(to_work)
-        ga = np.empty_like(z)  # d loss / d (y * s), in z's layout
-        if act == "relu":
-            np.multiply(gl, z > 0, out=ga)
-        elif act == "tanh":
-            np.multiply(gl, 1.0 - z * z, out=ga)
-        elif act == "sigmoid":
-            np.multiply(gl, z, out=ga)
-            ga *= 1.0 - z
-        else:
-            ga[...] = gl
+        ga = derivative(g.transpose(to_work), z, np.empty_like(z))  # d loss / d (y * s), in z's layout
         grads = []
         if nu._track or c._track:
             ds = np.einsum(f"{dims},{dims}->bc", ga, yl) if spatial else ga * yl  # [B, C]
@@ -627,8 +619,11 @@ def upsample_zero(x: Tensor, factor: int) -> Tensor:
 def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Max relative error between tape gradients and central differences (step 1e-5).
 
-    `f` must rebuild the forward pass from scratch on every call and be
-    deterministic (freeze any RNG before calling).
+    Each element's error is relative to its larger gradient, floored at 1e-3
+    of its parameter's largest tape |gradient| (and at 1e-8): the rounding
+    noise of the differences, ~1e-11 on a loss near 1, is no error of a
+    correct gradient however small the element.  `f` must rebuild the
+    forward pass on every call and be deterministic (freeze any RNG).
     """
     for p in params:
         p.grad = None
@@ -639,8 +634,8 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> floa
     h = 1e-5
     max_err = 0.0
     for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        aflat = a.reshape(-1)
+        flat, aflat = p.data.reshape(-1), a.reshape(-1)
+        floor = max(1e-3 * np.abs(aflat).max(initial=0.0), 1e-8)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -649,6 +644,5 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> floa
             fm = float(f().data)
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * h)
-            denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            max_err = max(max_err, abs(aflat[i] - numeric) / denom)
+            max_err = max(max_err, abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), floor))
     return max_err

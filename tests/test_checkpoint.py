@@ -18,19 +18,35 @@ def make_model():
     return build_model(cfg.model, seed=cfg.train.seed), cfg
 
 
+def edit_body(path, edit):
+    """Apply edit to the bytes before the file digest, then seal them with a fresh digest."""
+    body = bytearray(open(path, "rb").read()[:-32])
+    edit(body)
+    open(path, "wb").write(bytes(body) + hashlib.sha256(body).digest())
+
+
 def overwrite_omega_map(path, gain, offset):
-    """Replace the stored (gain, offset) that follows the config text and its digest."""
-    blob = bytearray(open(path, "rb").read())
-    (cfg_len,) = struct.unpack_from("<I", blob, 6)
-    struct.pack_into("<dd", blob, 10 + cfg_len + 32, gain, offset)
-    open(path, "wb").write(bytes(blob))
+    """Replace the stored (gain, offset) that follows the config text."""
+
+    def edit(body):
+        (cfg_len,) = struct.unpack_from("<I", body, 6)
+        struct.pack_into("<dd", body, 10 + cfg_len, gain, offset)
+
+    edit_body(path, edit)
 
 
 def overwrite_last_value(path, value):
-    """Replace the file's last float32, the last value of the last tensor."""
-    blob = bytearray(open(path, "rb").read())
-    struct.pack_into("<f", blob, len(blob) - 4, value)
-    open(path, "wb").write(bytes(blob))
+    """Replace the last float32 before the digest, the last value of the last tensor."""
+    edit_body(path, lambda body: struct.pack_into("<f", body, len(body) - 4, value))
+
+
+def as_version_1(path):
+    """Rewrite a saved checkpoint in format 1: a digest of the config text after it, none of the file."""
+    body = open(path, "rb").read()[:-32]
+    (cfg_len,) = struct.unpack_from("<I", body, 6)
+    end = 10 + cfg_len
+    config_digest = hashlib.sha256(body[10:end]).digest()
+    open(path, "wb").write(body[:4] + struct.pack("<H", 1) + body[6:end] + config_digest + body[end:])
 
 
 class TestRoundTrip:
@@ -91,11 +107,35 @@ class TestCorruption:
             read_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
+        # sealed with a fresh digest, so the tensor table's end is what refuses it
         model, cfg = make_model()
         path = str(tmp_path / "m.haj")
         save_checkpoint(path, model, cfg.text)
-        open(path, "ab").write(b"\x00\x01\x02")
+        edit_body(path, lambda body: body.extend(b"\x00\x01\x02"))
         with pytest.raises(CorruptArtifactError, match="trailing"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["append", "flip-tensor-bit", "flip-digest-bit"])
+    def test_any_unsealed_edit_breaks_the_file_digest(self, tmp_path, edit):
+        # a flipped weight bit used to load silently as a different model
+        model, cfg = make_model()
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, cfg.text)
+        blob = bytearray(open(path, "rb").read())
+        if edit == "append":
+            blob += b"\x00\x01\x02"
+        else:
+            blob[-32 - 100 if edit == "flip-tensor-bit" else -1] ^= 0x40  # a tensor value, or the digest's last byte
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CorruptArtifactError, match="digest"):
+            read_checkpoint(path)
+
+    def test_version_1_refused(self, tmp_path):
+        model, cfg = make_model()
+        path = str(tmp_path / "m.haj")
+        save_checkpoint(path, model, cfg.text)
+        as_version_1(path)
+        with pytest.raises(CorruptArtifactError, match="unsupported version 1"):
             read_checkpoint(path)
 
     def test_flipped_config_byte_breaks_digest(self, tmp_path):
@@ -147,10 +187,10 @@ class TestCorruption:
         model, cfg = make_model()
         path = str(tmp_path / "m.haj")
         save_checkpoint(path, model, cfg.text)
-        blob = bytearray(open(path, "rb").read())
-        (cfg_len,) = struct.unpack_from("<I", blob, 6)
-        blob[10] = 0xFF
-        blob[10 + cfg_len : 10 + cfg_len + 32] = hashlib.sha256(blob[10 : 10 + cfg_len]).digest()
-        open(path, "wb").write(bytes(blob))
+
+        def undecodable(body):
+            body[10] = 0xFF  # the first byte of the config text
+
+        edit_body(path, undecodable)
         with pytest.raises(CorruptArtifactError, match="corrupt"):
             read_checkpoint(path)

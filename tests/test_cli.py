@@ -23,7 +23,7 @@ from hyperajscc.config import parse_run_config
 from hyperajscc.errors import ConfigError, CorruptArtifactError, NumericAbortError
 from hyperajscc.models import build_model
 
-from test_checkpoint import overwrite_last_value, overwrite_omega_map
+from test_checkpoint import as_version_1, overwrite_last_value, overwrite_omega_map
 from test_config import CONFIGS, GOOD
 from test_data import write_fake_cifar
 
@@ -223,6 +223,24 @@ def _nan_tensor(tmp_path):
     return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
 
 
+def _flipped_tensor_bit(tmp_path):
+    cfg = parse_run_config(DEFAULT_RECON)
+    ckpt = str(tmp_path / "m.haj")
+    save_checkpoint(ckpt, build_model(cfg.model, seed=0), DEFAULT_RECON)
+    blob = bytearray(open(ckpt, "rb").read())
+    blob[-32 - 100] ^= 0x40  # a dec.3.C0 weight, 100 bytes before the file digest
+    open(ckpt, "wb").write(bytes(blob))
+    return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
+
+
+def _version_1(tmp_path):
+    cfg = parse_run_config(GOOD)
+    ckpt = str(tmp_path / "m.haj")
+    save_checkpoint(ckpt, build_model(cfg.model, seed=0), GOOD)
+    as_version_1(ckpt)
+    return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
+
+
 def _empty_omega_range(tmp_path):
     path = tmp_path / "omega.cfg"
     path.write_text(GOOD.replace("bandwidth = 4", "bandwidth = 4\nomega_lo_db = 10\nomega_hi_db = 10"))
@@ -288,6 +306,8 @@ def _binary_config(tmp_path):
         (_edited_good("kind = synthetic-class", "kind = synthetic-recon", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
         (_unparsable_embedded_config, EXIT_CORRUPT, "artifact error"),
         (_nan_tensor, EXIT_CORRUPT, "artifact error"),
+        (_flipped_tensor_bit, EXIT_CORRUPT, "artifact error"),
+        (_version_1, EXIT_CORRUPT, "artifact error"),
         (_empty_omega_range, EXIT_CONFIG, "config error"),
         (_binary_config, EXIT_CONFIG, "config error"),
         (_edited_good("seed = 0\n", "seed = -1\n"), EXIT_CONFIG, "config error"),
@@ -321,7 +341,8 @@ def _binary_config(tmp_path):
     ],
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
-        "classification-on-recon-data", "unparsable-embedded-config", "nan-tensor", "empty-omega-range",
+        "classification-on-recon-data", "unparsable-embedded-config", "nan-tensor", "flipped-tensor-bit",
+        "version-1", "empty-omega-range",
         "binary-config",
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",

@@ -4,7 +4,7 @@ import pytest
 from hyperajscc import tensor as T
 from hyperajscc.layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale
 from hyperajscc.errors import ConfigError
-from hyperajscc.models import HyperAJSCCModel, LayerSpec, build_layer, count_params
+from hyperajscc.models import HyperAJSCCModel, LayerSpec, ModelConfig, build_layer, count_params
 from hyperajscc.tensor import Tensor, finite_diff_check
 
 
@@ -20,9 +20,12 @@ def om_t(batch, snr_db):
     return np.full(batch, 0.1 * snr_db - 1.0)
 
 
-def param_counts(layer):
-    """(base, introduced) of one layer, as count_params reports it."""
-    ((_, _, base, introduced),) = count_params(HyperAJSCCModel([layer], [], None))["per_layer"]
+def param_counts(spec, c_in, rng):
+    """(base, introduced) of the one layer built from spec, as count_params reports it."""
+    config = ModelConfig("reconstruction", (c_in, 1, 1), 1, [spec], [])
+    model = HyperAJSCCModel([build_layer(spec, c_in, rng)], [], config)
+    ((name, kind, base, introduced),) = count_params(model)["per_layer"]
+    assert (name, kind) == ("enc.0", spec.kind)
     return base, introduced
 
 
@@ -149,17 +152,16 @@ class TestShapesCheckedByTheOps:
 class TestParamCounts:
     def test_dense_with_scale(self):
         rng = np.random.default_rng(6)
-        layer = build_layer(LayerSpec("dense", out=8, act="relu", hyper=True), 4, rng)
-        assert param_counts(layer) == (40, 16)
+        assert param_counts(LayerSpec("dense", out=8, act="relu", hyper=True), 4, rng) == (40, 16)
 
     def test_conv_with_scale(self):
         rng = np.random.default_rng(7)
-        layer = build_layer(LayerSpec("conv", out=16, padding=1, act="relu", hyper=True), 3, rng)
-        assert param_counts(layer) == (3 * 16 * 9 + 16, 32)
+        spec = LayerSpec("conv", out=16, padding=1, act="relu", hyper=True)
+        assert param_counts(spec, 3, rng) == (3 * 16 * 9 + 16, 32)
 
     def test_scale_absent(self):
         rng = np.random.default_rng(8)
-        assert param_counts(build_layer(LayerSpec("conv", out=16, padding=1, act="relu"), 3, rng))[1] == 0
+        assert param_counts(LayerSpec("conv", out=16, padding=1, act="relu"), 3, rng)[1] == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_introduced_is_twice_out_channels(self, seed):
@@ -167,8 +169,7 @@ class TestParamCounts:
         c_out = int(rng.integers(1, 20))
         kind = "dense" if seed % 2 else "conv"
         spec = LayerSpec(kind, out=c_out, padding=1, act="relu", hyper=True)
-        layer = build_layer(spec, int(rng.integers(1, 10 if kind == "dense" else 5)), rng)
-        assert param_counts(layer)[1] == 2 * c_out
+        assert param_counts(spec, int(rng.integers(1, 10 if kind == "dense" else 5)), rng)[1] == 2 * c_out
 
 
 class TestResNetBlock:

@@ -58,7 +58,8 @@ class TestBuildModel:
         # dense base: 64*32+32, 32*8+8, 8*32+32, 32*64+64
         assert report["total_base"] == (64 * 32 + 32) + (32 * 8 + 8) + (8 * 32 + 32) + (32 * 64 + 64)
         assert report["total_introduced"] == 2 * (32 + 8 + 32 + 64)
-        assert report["per_layer"][0] == ("enc.0", "Reshape", 0, 0)  # the flatten layer
+        assert report["per_layer"][0] == ("enc.0", "flatten", 0, 0)
+        assert report["per_layer"][1] == ("enc.1", "dense", 64 * 32 + 32, 2 * 32)
 
     def test_same_seed_bit_identical(self):
         a = build_model(toy_dense_config(), 5)

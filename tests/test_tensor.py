@@ -84,6 +84,11 @@ class TestElementwise:
             T.scale_rowwise(t(np.ones((2, 2))), t([1, 2, 3]))
 
 
+def softmax_closed_form(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestActivations:
     def test_relu(self):
         np.testing.assert_array_equal(T.relu(t([-1, 0, 2])).data, [0, 0, 2])
@@ -109,6 +114,41 @@ class TestActivations:
         np.testing.assert_array_equal(out.data, [np.nan, 0, 0, 2])
         T.tsum(T.mul(out, t([0.0, 1.0, 1.0, 1.0]))).backward()
         np.testing.assert_array_equal(x.grad, [0, 0, 0, 1])
+
+    # each activation's output and input gradient, as functions of the input x,
+    # the output and the incoming gradient g
+    CLOSED_FORMS = {
+        "relu": (lambda x: np.maximum(x, 0.0), lambda x, out, g: g * (x > 0)),
+        "tanh": (np.tanh, lambda x, out, g: g * (1.0 - out * out)),
+        "sigmoid": (lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)), lambda x, out, g: g * out * (1.0 - out)),
+        "softmax": (
+            softmax_closed_form,
+            lambda x, out, g: out * (g - (g * out).sum(axis=-1, keepdims=True)),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 5, 4, 2)], ids=["dense", "nchw_of_batch_last"])
+    @pytest.mark.parametrize("kind", T.ACTIVATIONS)
+    def test_closed_form_bit_for_bit(self, kind, shape):
+        rng = np.random.default_rng(len(kind) + len(shape))
+        x = 3.0 * rng.standard_normal(shape)
+        x.flat[0] = 0.0  # relu's kink
+        if kind == "relu":
+            x.flat[1] = np.nan
+        g = rng.standard_normal(shape)
+        if len(shape) == 4:  # NCHW views of [C, H, W, B] memory, as the conv ops hand them on
+            x, g = (np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0) for a in (x, g))
+        xt = t(x, grad=True)
+        out = T.activation(kind, xt)
+        if kind == "linear":
+            assert out is xt
+            return
+        forward, derivative = self.CLOSED_FORMS[kind]
+        ((parent, dx),) = out._backward_fn(g)
+        assert parent is xt
+        plain_op = getattr(T, kind)(xt).data
+        for got, want in ((out.data, forward(x)), (dx, derivative(x, out.data, g)), (plain_op, out.data)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestConv2d:
@@ -413,9 +453,11 @@ class TestScaleAct:
                 assert np.moveaxis(a, 0, -1).flags.c_contiguous
 
     def test_relu_propagates_nan(self):
-        y = t([[np.nan, -1.0, 2.0]], grad=True)
-        out = T.scale_act(y, np.array([0.5]), t(np.zeros(3)), t(np.ones(3)), "relu")
-        np.testing.assert_array_equal(out.data, [[np.nan, 0, 2]])
+        y = t([[np.nan, -1.0, 0.0, 2.0]], grad=True)
+        out = T.scale_act(y, np.array([0.5]), t(np.zeros(4)), t(np.ones(4)), "relu")
+        np.testing.assert_array_equal(out.data, [[np.nan, 0, 0, 2]])
+        pulled(out, np.full((1, 4), 3.0)).backward()
+        np.testing.assert_array_equal(y.grad, [[0, 0, 0, 3]])  # g * (y > 0), as relu's
 
     def test_bad_shapes_and_softmax_rejected(self):
         y = t(np.ones((2, 3, 4, 4)))
@@ -572,6 +614,39 @@ class TestFiniteDiffCheck:
         b = Tensor(np.full(2, 0.5), requires_grad=True)
         err = finite_diff_check(lambda: T.tsum(T.relu(T.conv2d(x, k, b, 1, 1))), [k, b])
         assert err < 1e-6
+
+    @staticmethod
+    def tiny_first_factor(rng):
+        """p ~ U(-1, 1) and q whose first element is 1e-7, so d/dp[0] of tanh(p * q) is about 1e-7."""
+        p = Tensor(rng.uniform(-1.0, 1.0, 8), requires_grad=True)
+        q = Tensor(np.concatenate([[1e-7], rng.uniform(-1.0, 1.0, 7)]), requires_grad=True)
+        return p, q
+
+    def test_a_tiny_correct_gradient_element_is_no_error(self):
+        # the differences' rounding noise on a 1e-7 element read 1.3e-4 under a plain relative error
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(20):
+            p, q = self.tiny_first_factor(rng)
+            worst = max(worst, finite_diff_check(lambda: T.tsum(T.tanh(T.mul(p, q))), [p, q]))
+        assert worst < 1e-5
+
+    def test_a_relative_1e4_error_on_one_element_is_caught(self):
+        def mul_off(a, b):
+            """mul whose gradient for a[3] is off by a relative 1e-4."""
+
+            def backward(g):
+                ga = g * b.data
+                ga[3] *= 1.0 + 1e-4
+                return [(a, ga), (b, g * a.data)]
+
+            return T._make(a.data * b.data, (a, b), backward)
+
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            p, q = self.tiny_first_factor(rng)
+            q.data[3] = 0.8  # d/dp[3] = 0.8 * (1 - tanh(0.8 * p[3])**2) is in [0.45, 0.8]
+            assert finite_diff_check(lambda: T.tsum(T.tanh(mul_off(p, q))), [p, q]) > 1e-5
 
 
 @pytest.mark.parametrize("seed", range(20))
