@@ -1,4 +1,11 @@
-"""Desk-scale laboratory for channel-adaptive joint source-channel coding."""
+"""Desk-scale laboratory for channel-adaptive joint source-channel coding.
+
+Importing the package sets two glibc malloc parameters for the whole host
+process (tensor._keep_the_heap): M_MMAP_THRESHOLD to 32 MiB and
+M_TRIM_THRESHOLD to 64 MiB, so the conv ops' scratch stays mapped between
+passes.  Other code in the process allocates under the same settings.  On
+a C library without mallopt nothing is changed.
+"""
 
 from .channel import ChannelSymbols, awgn_transmit, power_normalize, snr_to_sigma2
 from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, ResNetBlock

@@ -83,8 +83,17 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
 
 
 def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) -> SweepReport:
-    """Full-dataset metric at each grid SNR, aggregated over noise seeds."""
+    """Full-dataset metric at each grid SNR, aggregated over noise seeds.
+
+    A ConfigError if the grid is empty or not increasing, there is no noise
+    seed, or the dataset has no samples: no such sweep has a metric.
+    """
     grid = check_snr_grid(snr_grid)
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigError("snr_sweep: no noise seeds")
+    if dataset.samples.shape[0] == 0:
+        raise ConfigError("snr_sweep: dataset is empty")
     metric = "psnr_db" if model.config.task == "reconstruction" else "top1_accuracy"
     report = SweepReport(metric=metric)
     for gi, snr in enumerate(grid):

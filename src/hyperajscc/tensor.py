@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -449,15 +450,22 @@ def conv_output_size(where: str, h: int, w: int, kh: int, kw: int, stride: int, 
     raise ConfigError(f"{where}: {problem} for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, padding {padding}")
 
 
-def _gather(a, KH: int, KW: int, h: int, w: int, step: int, origin: int, k=None, g=None):
-    """(y, dk): batch-last a [C, Hp, Wp, B] correlated with k, and the kernel gradient of g.
+def _kernel_rows(k):
+    """k [M, C, KH, KW] reordered as the engine's row-major kernel [KH, M, KW*C]: row ki's [M, KW*C] slice."""
+    M, C, KH, KW = k.shape
+    return k.transpose(2, 0, 3, 1).reshape(KH, M, KW * C)
+
+
+def _gather(a, KH: int, KW: int, h: int, w: int, step: int, origin: int, kr=None, g=None):
+    """(y, dk): batch-last a [C, Hp, Wp, B] correlated with a kernel, and the kernel gradient of g.
 
     Window (i, j) of the h x w grid starts at row origin + step*i, column
-    origin + step*j.  y [M, h*w*B] is the correlation with k [M, C, KH, KW],
-    dk [M, C, KH, KW] that of an output gradient g [M, h*w*B] with the
-    windows; each is None when its operand is.  One GEMM per kernel row and
-    operand, on the row's band: its KW windows, copied from one strided
-    view as [KW*C, h*w*B] into one buffer that every row reuses.
+    origin + step*j.  y [M, h*w*B] is the correlation with the kernel given
+    row-major as kr [KH, M, KW*C] (_kernel_rows), dk [M, C, KH, KW] that of
+    an output gradient g [M, h*w*B] with the windows; each is None when its
+    operand is.  One GEMM per kernel row and operand, on the row's band: its
+    KW windows, copied from one strided view as [KW*C, h*w*B] into one
+    buffer that every row reuses.
     """
     a = np.ascontiguousarray(a)
     C, B = a.shape[0], a.shape[3]
@@ -468,12 +476,11 @@ def _gather(a, KH: int, KW: int, h: int, w: int, step: int, origin: int, k=None,
     )
     band = np.empty((KW, C, h, w, B))
     rows = band.reshape(KW * C, h * w * B)
-    kr = None if k is None else k.transpose(2, 0, 3, 1).reshape(KH, len(k), KW * C)
-    y = None if k is None else np.empty((len(k), h * w * B))
+    y = None if kr is None else np.empty((kr.shape[1], h * w * B))
     dk = None if g is None else np.empty((KH, len(g), KW * C))
     for ki in range(KH):
         np.copyto(band, win[ki])
-        if k is not None:
+        if kr is not None:
             if ki:
                 y += kr[ki] @ rows
             else:
@@ -485,19 +492,15 @@ def _gather(a, KH: int, KW: int, h: int, w: int, step: int, origin: int, k=None,
     return y, dk
 
 
-def _scatter(dst, k, g, h: int, w: int, step: int, oh: int, ow: int) -> None:
-    """_gather's adjoint: add what k [M, C, KH, KW] spreads g [M, h*w*B] to into batch-last dst [C, Hd, Wd, B].
+@functools.lru_cache(maxsize=256)
+def _scatter_plan(Hd: int, Wd: int, KH: int, KW: int, h: int, w: int, step: int, oh: int, ow: int) -> tuple:
+    """Per kernel row, the (dst index, taps index) pair of each of its KW taps, for _scatter.
 
     Tap (ki, kj) of grid pixel (i, j) lands at row oh + step*i + ki, column
-    ow + step*j + kj; the origins may be negative, and a tap's products
-    that land outside dst are dropped.  One GEMM per kernel row: its
-    [KW*C, M] kernel slice times g, into one buffer that every row reuses,
-    holds a contiguous [C, h, w, B] block per tap, whose part inside dst is
-    slice-added into it.
+    ow + step*j + kj of an Hd x Wd dst; each pair selects the grid points
+    that land inside it and the dst points they land on.  The plan depends
+    on the geometry alone, so it is built once per geometry.
     """
-    M, C, KH, KW = k.shape
-    kr = k.transpose(2, 0, 3, 1).reshape(KH, M, KW * C)
-    taps = np.empty((KW, C, h, w, dst.shape[3]))
 
     def inside(start: int, n: int, size: int) -> tuple[slice, slice]:
         """(grid slice, dst slice) of the points start + step*i, i < n, that fall in [0, size)."""
@@ -505,12 +508,33 @@ def _scatter(dst, k, g, h: int, w: int, step: int, oh: int, ow: int) -> None:
         hi = max(lo, min(n, -((start - size) // step)))
         return slice(lo, hi), slice(start + step * lo, start + step * hi, step)
 
+    cols = [inside(ow + kj, w, Wd) for kj in range(KW)]
+    plan = []
     for ki in range(KH):
-        gi, di = inside(oh + ki, h, dst.shape[1])
-        np.matmul(kr[ki].T, g, out=taps.reshape(KW * C, -1))
-        for kj in range(KW):
-            gj, dj = inside(ow + kj, w, dst.shape[2])
-            dst[:, di, dj] += taps[kj][:, gi, gj]
+        gi, di = inside(oh + ki, h, Hd)
+        plan.append(tuple(((slice(None), di, dj), (kj, slice(None), gi, gj)) for kj, (gj, dj) in enumerate(cols)))
+    return tuple(plan)
+
+
+def _scatter(dst, kr, g, h: int, w: int, step: int, oh: int, ow: int) -> None:
+    """_gather's adjoint: add what kr [KH, M, KW*C] spreads g [M, h*w*B] to into batch-last dst [C, Hd, Wd, B].
+
+    kr is the row-major kernel (_kernel_rows).  Tap (ki, kj) of grid pixel
+    (i, j) lands at row oh + step*i + ki, column ow + step*j + kj; the
+    origins may be negative, and a tap's products that land outside dst are
+    dropped, as _scatter_plan's memoized slices say.  One GEMM per kernel
+    row: its [KW*C, M] kernel slice times g, into one buffer that every row
+    reuses, holds a contiguous [C, h, w, B] block per tap, whose part inside
+    dst is slice-added into it.
+    """
+    C, Hd, Wd, B = dst.shape
+    KH, KW = len(kr), kr.shape[2] // C
+    taps = np.empty((KW, C, h, w, B))
+    flat = taps.reshape(KW * C, h * w * B)
+    for row, plan in zip(kr, _scatter_plan(Hd, Wd, KH, KW, h, w, step, oh, ow)):
+        np.matmul(row.T, g, out=flat)
+        for d, t in plan:
+            dst[d] += taps[t]
 
 
 def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -519,10 +543,11 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     Computed batch-last on the input padded into [Cin, Hp, Wp, B]: the
     forward and dk are one _gather, dx one _scatter that drops the taps on
     the padding, and the output is an NCHW view of the [Cout, Ho*Wo*B]
-    result.  The scratch is one kernel row's band or product,
-    [Cin*KW, Ho*Wo*B], about KW/stride**2 times the input, so forward plus
-    backward peak at a few times the input's bytes: 6.51x for a 3x3 conv
-    from 16 channels.
+    result.  The kernel is reordered row-major once, in the forward, and
+    the backward's _scatter reuses that copy.  The scratch is one kernel
+    row's band or product, [Cin*KW, Ho*Wo*B], about KW/stride**2 times the
+    input, so forward plus backward peak at a few times the input's bytes:
+    6.51x for a 3x3 conv from 16 channels.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
@@ -531,7 +556,8 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     Ho, Wo = conv_output_size("conv2d", H, W, KH, KW, s, p)
     xp = np.zeros((Cin, H + 2 * p, W + 2 * p, B))
     xp[:, p : p + H, p : p + W] = x.data.transpose(1, 2, 3, 0)
-    y, _ = _gather(xp, KH, KW, Ho, Wo, s, 0, k=k.data)
+    kr = _kernel_rows(k.data)
+    y, _ = _gather(xp, KH, KW, Ho, Wo, s, 0, kr=kr)
     y += b.data[:, None]
     out = y.reshape(Cout, Ho, Wo, B).transpose(3, 0, 1, 2)
 
@@ -540,7 +566,7 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
             dx = np.zeros((Cin, H, W, B))
-            _scatter(dx, k.data, gm, Ho, Wo, s, -p, -p)
+            _scatter(dx, kr, gm, Ho, Wo, s, -p, -p)
             grads.append((x, dx.transpose(3, 0, 1, 2)))
         if k._track:
             grads.append((k, _gather(xp, KH, KW, Ho, Wo, s, 0, g=gm)[1]))
@@ -560,11 +586,12 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
     conv2d's two kernels the other way round: the forward is one _scatter
     of the input by the flipped kernel into the bias-filled output, which
     drops the taps that land outside it; dx and dk are one _gather of the
-    output gradient padded by KH-1 rows and KW-1 columns on each side.  A
-    row's product or band is [Cout*KW, H*W*B], KW/upsample**2 times the
-    output: forward plus backward peak at 5.1x the output for a 4 -> 32
-    channel deconv (k3, u2), while the zero-inserted conv's input alone is
-    upsample**2 times x.
+    output gradient padded by KH-1 rows and KW-1 columns on each side.  The
+    flipped kernel is reordered row-major once, in the forward, and the
+    backward's _gather reuses that copy.  A row's product or band is
+    [Cout*KW, H*W*B], KW/upsample**2 times the output: forward plus
+    backward peak at 5.1x the output for a 4 -> 32 channel deconv (k3, u2),
+    while the zero-inserted conv's input alone is upsample**2 times x.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("upconv2d", x, k, b)
     if upsample < 1 or padding < 0:
@@ -572,9 +599,10 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
     u, p = upsample, padding
     Ho, Wo = conv_output_size("upconv2d", u * H, u * W, KH, KW, 1, p)
     xm = x.data.transpose(1, 2, 3, 0).reshape(Cin, H * W * B)
-    kt = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [Cin, Cout, KH, KW]: the flipped kernel, a conv from Cout to Cin
+    # the flipped kernel [Cin, Cout, KH, KW], a conv from Cout to Cin, row-major
+    krt = _kernel_rows(k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     y = np.broadcast_to(b.data[:, None, None, None], (Cout, Ho, Wo, B)).copy()
-    _scatter(y, kt, xm, H, W, u, p - (KH - 1), p - (KW - 1))
+    _scatter(y, krt, xm, H, W, u, p - (KH - 1), p - (KW - 1))
     out = y.transpose(3, 0, 1, 2)
 
     def backward(g):
@@ -582,7 +610,7 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
         # output row r lives at row r + KH - 1 of gp
         gp = np.zeros((Cout, Ho + 2 * (KH - 1), Wo + 2 * (KW - 1), B))
         gp[:, KH - 1 : KH - 1 + Ho, KW - 1 : KW - 1 + Wo] = g.transpose(1, 2, 3, 0)
-        dx, dkt = _gather(gp, KH, KW, H, W, u, p, k=kt if x._track else None, g=xm if k._track else None)
+        dx, dkt = _gather(gp, KH, KW, H, W, u, p, kr=krt if x._track else None, g=xm if k._track else None)
         if x._track:
             grads.append((x, dx.reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
         if k._track:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestSnrSweep:
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
             snr_sweep(self.model, self.ds, [10.0, 5.0])
+
+    def test_no_seeds_refused(self):
+        # without the check: rows of nan and "Mean of empty slice" warnings
+        with pytest.raises(ConfigError, match="no noise seeds"):
+            snr_sweep(self.model, self.ds, [0.0, 10.0], seeds=())
+
+    def test_empty_dataset_refused(self):
+        # without the check: a bare ZeroDivisionError from the metric
+        empty = dataclasses.replace(self.ds, samples=self.ds.samples[:0])
+        with pytest.raises(ConfigError, match="dataset is empty"):
+            snr_sweep(self.model, empty, [0.0, 10.0])
 
     def test_close_grid_points_get_distinct_labels(self):
         csv = snr_sweep(self.model, self.ds, [1.0000001, 1.0000002]).to_csv()

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -254,14 +255,15 @@ def test_scatter_is_the_adjoint_of_gather(dims, step, origin, margin, crop, seed
     Hp, Wp = origin + step * (h - 1) + KH + margin[0], origin + step * (w - 1) + KW + margin[1]
     rng = np.random.default_rng(seed)
     a, k, g = rng.random((C, Hp, Wp, B)), rng.random((M, C, KH, KW)), rng.random((M, h * w * B))
-    y, dk = T._gather(a, KH, KW, h, w, step, origin, k=k, g=g)
+    kr = k.transpose(2, 0, 3, 1).reshape(KH, M, KW * C)  # the engine's row-major kernel
+    y, dk = T._gather(a, KH, KW, h, w, step, origin, kr=kr, g=g)
     dst = np.zeros_like(a)
-    T._scatter(dst, k, g, h, w, step, origin, origin)
+    T._scatter(dst, kr, g, h, w, step, origin, origin)
     np.testing.assert_allclose(np.vdot(dst, a), np.vdot(g, y), rtol=1e-12)
     top, bottom, left, right = crop
     inner = dst[:, top : Hp - bottom, left : Wp - right]
     clipped = np.zeros_like(inner)
-    T._scatter(clipped, k, g, h, w, step, origin - top, origin - left)
+    T._scatter(clipped, kr, g, h, w, step, origin - top, origin - left)
     assert np.array_equal(clipped, inner)
     windows = np.lib.stride_tricks.sliding_window_view(a, (KH, KW), axis=(1, 2))
     windows = windows[:, origin : origin + step * h : step, origin : origin + step * w : step]  # [C, h, w, B, KH, KW]
@@ -269,7 +271,61 @@ def test_scatter_is_the_adjoint_of_gather(dims, step, origin, margin, crop, seed
     np.testing.assert_allclose(y, np.einsum("mckl,chwbkl->mhwb", k, windows).reshape(M, -1), rtol=1e-12)
     np.testing.assert_allclose(dk, np.einsum("mhwb,chwbkl->mckl", gw, windows), rtol=1e-12)
     assert T._gather(a, KH, KW, h, w, step, origin, g=g)[0] is None
-    assert T._gather(a, KH, KW, h, w, step, origin, k=k)[1] is None
+    assert T._gather(a, KH, KW, h, w, step, origin, kr=kr)[1] is None
+
+
+@FUZZ
+@given(
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),  # conv2d's output, upconv2d's input
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True),  # KH and KW
+    steps=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    paddings=st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_ops_through_one_plan_cache_at_interleaved_geometries(grid, sizes, steps, paddings, seed):
+    """conv2d and upconv2d at every drawn kernel, step and padding, all run twice in a shuffled turn.
+
+    Every call goes through the one process-wide plan cache.  The
+    geometries share a grid, so many pairs of them agree on all but a few
+    fields of _scatter_plan's key: a plan keyed on too few of them, or a
+    stale one, moves or drops taps.  Every call's output and its three
+    gradients are held to plain numpy: conv2d_reference, and for upconv2d
+    the same over the zero-inserted input.  A key without the step, or
+    without both of (oh, ow), (Hd, Wd), (KH, KW), (Hd, oh) or (Wd, ow),
+    fails it, and so does a plan reused whatever the key.  (For the
+    geometries these two ops make, h and w together, or any one of the
+    other fields but the step, follow from the rest of the key.)
+    """
+    h, w = grid
+    rng = np.random.default_rng(seed)
+    cases = []
+    for up, KH, KW, s, p in itertools.product((False, True), sizes, sizes, steps, paddings):
+        conv_in = s * (h - 1) + KH - 2 * p, s * (w - 1) + KW - 2 * p  # gives an h x w output
+        upconv_out = s * h + 2 * p - KH + 1, s * w + 2 * p - KW + 1  # of an h x w input
+        if min(upconv_out if up else conv_in) < 1:
+            continue
+        H, W = (h, w) if up else conv_in
+        B, Cin, Cout = rng.integers(1, 4, size=3)
+        arrays = rng.standard_normal((B, Cin, H, W)), rng.standard_normal((Cout, Cin, KH, KW)), rng.standard_normal(Cout)
+        cases.append((up, s, p, *arrays))
+    assume(len(cases) >= 2)
+    for i in [*rng.permutation(len(cases)), *rng.permutation(len(cases))]:
+        up, s, p, xd, kd, bd = cases[i]
+        x, k, b = (Tensor(a, requires_grad=True) for a in (xd, kd, bd))
+        out = T.upconv2d(x, k, b, s, p) if up else T.conv2d(x, k, b, s, p)
+        g = rng.standard_normal(out.shape)
+        T.tsum(T.mul(out, Tensor(g))).backward()  # the output gradient is exactly g
+        if up:
+            xu = np.zeros(xd.shape[:2] + (s * xd.shape[2], s * xd.shape[3]))
+            xu[:, :, ::s, ::s] = xd
+            want, dxu, dk, db = conv2d_reference(xu, kd, bd, g, 1, p)
+            expected = want, dxu[:, :, ::s, ::s], dk, db
+        else:
+            expected = conv2d_reference(xd, kd, bd, g, s, p)
+        for got, want in zip((out.data, x.grad, k.grad, b.grad), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    info = T._scatter_plan.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_conv2d_scratch_memory_is_a_few_inputs():
