@@ -6,13 +6,13 @@ fixed list, not a registry of ops:
 - ops: matmul, linear, mul, add and sub, scale_rowwise, mul_rowvec,
   scale_channels (2-d and 4-d), affine_outer, relu, tanh, sigmoid, softmax
   under cross_entropy_loss, conv2d (stride 1, stride 2, a 3x2 kernel),
-  upconv2d (a 3x3 and a 2x3 kernel), power_normalize and mse_loss;
+  upconv2d (a 3x3 and a 2x3 kernel), power_normalize, mse_loss and tmean;
 - layers: a dense and a conv hyper layer, a resblock, and scale_act after
   each of dense, conv2d and upconv2d for every activation in
   SCALE_ACTIVATIONS, with nu and c off the identity;
 - the end-to-end training objective of a tiny model with frozen noise.
-tsum, tmean (in mse_loss) and reshape (in the model's flatten) are checked
-only inside other cases; scale and upsample_zero have no case.  Inputs
+tsum (as most cases' reduction) and reshape (in the model's flatten) are
+checked only inside other cases; scale and upsample_zero have no case.  Inputs
 for relu checks are nudged away from the kink at 0, and a relu layer's
 draw is repeated until its pre-activations are.
 """
@@ -116,6 +116,8 @@ def _checks(rng: np.random.Generator, cases: int):
         xm = _param(rng, 2, 3)
         ym = _param(rng, 2, 3)
         yield "mse_loss", (lambda xm=xm, ym=ym: mse_loss(xm, ym)), [xm, ym]
+        # mse_loss is one node of its own, so tmean needs a case; it reuses xm to keep the draws
+        yield "tmean", (lambda xm=xm: T.tmean(T.tanh(xm))), [xm]
 
 
 def _layer_checks(rng: np.random.Generator, cases: int):

@@ -80,9 +80,25 @@ class Tensor:
         return self.data.size
 
     def backward(self) -> None:
-        """Reverse-topological gradient sweep from a scalar loss."""
+        """Reverse-topological gradient sweep from a scalar loss.
+
+        Only op results enter the sort.  A leaf (a tensor with
+        ``requires_grad`` and no parents) takes each contribution as soon as
+        an op's backward returns it: the first is copied when its ``grad`` is
+        None, later ones are added into ``grad`` in place.  So gradients
+        accumulate across calls, and into whatever array ``grad`` holds,
+        such as the optimizer's view of its flat gradient (see
+        training.Adam.zero_grad).
+        """
         if self.data.size != 1:
             raise ConfigError(f"backward requires a scalar loss, got shape {self.shape}")
+        if not self._parents:  # the loss is itself a leaf
+            if self.requires_grad:
+                if self.grad is None:
+                    self.grad = np.ones_like(self.data)
+                else:
+                    self.grad += 1.0
+            return
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -96,24 +112,22 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited and p._track:
+                if p._parents and id(p) not in visited:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad = node.grad + g
-            if node._backward_fn is not None:
-                for parent, pg in node._backward_fn(g):
-                    if not parent._track:
-                        continue
+            for parent, pg in node._backward_fn(g):
+                if parent._parents:
                     acc = grads.get(id(parent))
                     grads[id(parent)] = pg if acc is None else acc + pg
+                elif parent.requires_grad:
+                    if parent.grad is None:
+                        parent.grad = pg.copy()
+                    else:
+                        parent.grad += pg
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -27,8 +27,16 @@ from .tensor import Tensor
 def mse_loss(x: Tensor, x_hat: Tensor) -> Tensor:
     if x.shape != x_hat.shape:
         raise ConfigError(f"mse_loss: shapes differ: {x.shape} vs {x_hat.shape}")
-    diff = T.sub(x_hat, x)
-    return T.tmean(T.mul(diff, diff))
+    diff = x_hat.data - x.data
+    n = diff.size
+
+    def backward(g):
+        # the float operations of tmean(mul(d, d)) for d = sub(x_hat, x), so the gradients are bit-equal
+        t = (g / n) * diff
+        gd = t + t
+        return [(x_hat, gd), (x, -gd)] if x._track else [(x_hat, gd)]
+
+    return T._make(np.asarray((diff * diff).mean()), (x_hat, x), backward)
 
 
 PROB_FLOOR = 1e-12
@@ -67,6 +75,13 @@ class Adam:
     of its slice, so a step is a few whole-vector ops.  Rebinding a
     parameter's `.data` after the optimizer is built is a ConfigError at
     the next step, since the update would no longer reach it.
+
+    It owns the gradient too: `grad` is a flat vector beside `flat`.
+    `zero_grad` zeroes it and makes each `p.grad` a view of that
+    parameter's slice, into which `Tensor.backward` adds the leaf's
+    gradient in place, and `step` reads the vector as it is.  A `p.grad`
+    that the caller rebound is copied into its slice at `step`, and a None
+    one reads as zero.
     """
 
     beta1 = 0.9
@@ -80,11 +95,13 @@ class Adam:
         self.lr = lr
         self.t = 0
         self.flat = np.concatenate([p.data for p in self.params], axis=None) if self.params else np.zeros(0)
-        self._views = []
+        self.grad = np.zeros_like(self.flat)
+        self._views, self._grads = [], []
         offset = 0
         for p in self.params:
             p.data = self.flat[offset : offset + p.size].reshape(p.shape)
             self._views.append(p.data)
+            self._grads.append(self.grad[offset : offset + p.size].reshape(p.shape))
             offset += p.size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -92,19 +109,20 @@ class Adam:
         self._denom = np.empty_like(self.flat)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
+        for p, gview in zip(self.params, self._grads):
+            p.grad = gview
 
     def step(self) -> None:
         self.t += 1
-        for i, (p, view) in enumerate(zip(self.params, self._views)):
+        for i, (p, view, gview) in enumerate(zip(self.params, self._views, self._grads)):
             if p.data is not view:
                 raise ConfigError(f"Adam: parameter {i} {p.shape} was rebound after the optimizer was built")
+            if p.grad is not gview:
+                gview[...] = 0.0 if p.grad is None else p.grad
         if not self.params:
             return
-        g = np.concatenate(
-            [p.grad if p.grad is not None else np.zeros(p.size) for p in self.params], axis=None
-        )
+        g = self.grad
         # Same float operations, in the same order, as the per-tensor form
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= lr*m_hat / sqrt(v_hat + eps).
         m, v, step, denom = self.m, self.v, self._step, self._denom
@@ -168,15 +186,17 @@ def train(
 ) -> list[dict]:
     """Epochs of shuffled mini-batches with per-sample condition draws; trains `model` in place.
 
-    Returns one record per epoch: `epoch`, mean batch `loss`, `wall_s`, and on
-    every `val_every`-th epoch `val_<snr>dB` per `val_grid` SNR, the metric
-    `snr_sweep` reports on `val_dataset` with the run's seed as noise seed.
+    Returns one record per epoch: `epoch`, mean batch `loss`, `grad_norm` (the
+    mean over the epoch's steps of the L2 norm of the optimizer's flat
+    gradient), `wall_s`, and on every `val_every`-th epoch `val_<snr>dB` per
+    `val_grid` SNR, the metric `snr_sweep` reports on `val_dataset` with the
+    run's seed as noise seed.
     """
     config.validate()
     if dataset.samples.shape[0] == 0:
         raise ConfigError("dataset is empty")
-    if config.val_every and val_dataset is None:
-        raise ConfigError(f"val_every = {config.val_every} needs a validation dataset")
+    if config.val_every and (val_dataset is None or val_dataset.samples.shape[0] == 0):
+        raise ConfigError(f"val_every = {config.val_every} needs a validation dataset with samples")
     ss = np.random.SeedSequence(config.seed)
     s_prior, s_noise = ss.spawn(2)
     rng_prior = np.random.default_rng(s_prior)
@@ -189,7 +209,7 @@ def train(
     step = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        epoch_losses = []
+        epoch_losses, grad_norms = [], []
         for idx in batches(dataset, config.batch_size, config.seed, epoch):
             xb = dataset.samples[idx]
             labels = [dataset.labels[i] for i in idx] if dataset.labels is not None else None
@@ -199,7 +219,8 @@ def train(
             if not np.isfinite(loss):
                 raise NumericAbortError(f"non-finite loss at epoch {epoch}, step {step}")
             epoch_losses.append(loss)
-        record = {"epoch": epoch, "loss": float(np.mean(epoch_losses))}
+            grad_norms.append(np.linalg.norm(opt.grad))
+        record = {"epoch": epoch, "loss": float(np.mean(epoch_losses)), "grad_norm": float(np.mean(grad_norms))}
         if config.val_every and epoch % config.val_every == 0:
             report = snr_sweep(model, val_dataset, config.val_grid, seeds=(config.seed,))
             record.update((f"val_{snr_label(snr)}dB", mean) for snr, mean, _, _ in report.rows)

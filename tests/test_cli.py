@@ -69,7 +69,7 @@ class TestTrainCommand:
         assert not os.path.exists(os.path.join(out, "train_log.csv"))
         records = [json.loads(line) for line in open(os.path.join(out, "train_log.jsonl"))]
         # GOOD sets no val_every, so no epoch validates
-        assert [list(r) for r in records] == [["epoch", "loss", "wall_s"]] * 2  # 2 epochs
+        assert [list(r) for r in records] == [["epoch", "loss", "grad_norm", "wall_s"]] * 2  # 2 epochs
         assert [r["epoch"] for r in records] == [1, 2]
         assert "trained reconstruction model" in capsys.readouterr().out
 

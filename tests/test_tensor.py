@@ -638,6 +638,40 @@ class TestBackward:
         separate = alpha * grad_of(1.0, 0.0) + beta * grad_of(0.0, 1.0)
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
+    def test_a_leaf_read_by_two_ops_gets_both_contributions(self):
+        q = t([3.0, 0.5])
+        expected = q.data + (1.0 - np.tanh([1.0, -2.0]) ** 2)
+        owned = np.zeros(2)
+        for start in (None, owned):
+            p = t([1.0, -2.0], grad=True)
+            p.grad = start
+            T.tsum(T.add(T.mul(p, q), T.tanh(p))).backward()
+            np.testing.assert_allclose(p.grad, expected, rtol=1e-15)
+        # an array the leaf's grad already holds takes both in place, as an optimizer's view does
+        assert p.grad is owned
+
+    def test_gradients_accumulate_across_calls(self):
+        x = t([3.0], grad=True)
+        for _ in range(2):
+            T.tsum(T.mul(x, x)).backward()
+        np.testing.assert_array_equal(x.grad, [12.0])
+
+    def test_a_first_contribution_is_copied(self):
+        # add returns the same array for both parents; each leaf must own its gradient
+        a, b = t([1.0], grad=True), t([2.0], grad=True)
+        T.tsum(T.add(a, b)).backward()
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [1.0])
+
+    def test_a_scalar_leaf_is_its_own_loss(self):
+        s = t(2.0, grad=True)
+        s.backward()
+        s.backward()
+        assert s.grad.shape == () and float(s.grad) == 2.0
+        plain = t(2.0)
+        plain.backward()
+        assert plain.grad is None
+
     def test_forward_bit_identical_across_runs(self):
         rng = np.random.default_rng(11)
         xd = rng.standard_normal((3, 3))

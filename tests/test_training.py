@@ -64,6 +64,23 @@ class TestCrossEntropyLoss:
         assert err < 1e-6
 
 
+def reference_adam_step(params, grads, m, v, t, lr):
+    """The step before Adam owned the gradient: concatenate the per-leaf
+    copies (zeros for None), then the per-tensor recurrence on the vectors.
+    Updates `m` and `v` in place and returns the new parameter values."""
+    b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    g = np.concatenate([np.zeros(p.size) if gp is None else gp for p, gp in zip(params, grads)], axis=None)
+    m[:] = b1 * m + (1 - b1) * g
+    v[:] = b2 * v + (1 - b2) * g * g
+    flat = np.concatenate([p.data for p in params], axis=None)
+    flat -= lr * (m / (1 - b1**t)) / np.sqrt(v / (1 - b2**t) + eps)
+    return flat
+
+
+def bits(params):
+    return b"".join(np.ascontiguousarray(p.data).tobytes() for p in params)
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -162,6 +179,93 @@ class TestAdam:
         opt.step()
         opt.step()
         assert opt.flat.size == 0
+
+    def test_backward_writes_into_the_owned_gradient(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([0.5]), requires_grad=True)
+        opt = Adam([a, b])
+        opt.grad[:] = 7.0  # zero_grad clears whatever the vector held
+        opt.zero_grad()
+        assert np.shares_memory(a.grad, opt.grad) and np.shares_memory(b.grad, opt.grad)
+        T.tsum(T.mul(a, a)).backward()
+        np.testing.assert_array_equal(opt.grad, [2.0, -4.0, 0.0])
+
+    def test_negative_zero_gradient_gives_bit_equal_parameters(self):
+        # h feeds relu straight, and its negative entries are dead units that the
+        # loss pulls up, so the tape hands them -0.0 (relu' = 0 times a negative
+        # gradient; numpy's sums start from +0.0, so a bias read through linear
+        # gets +0.0).  The optimizer's zeroed view reads them as +0.0, and the
+        # parameters must come out bit-equal to the old path's.
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.uniform(-1.0, 1.0, (4, 3)))
+        target = Tensor(rng.uniform(5.0, 6.0, (4, 2)))
+        init = [rng.uniform(-1.0, 1.0, (2, 3)), rng.uniform(-0.1, 0.1, 2), np.array([[-9.0, 1.0]] * 4)]
+
+        def params():
+            return [Tensor(a.copy(), requires_grad=True) for a in init]
+
+        def loss(w, b, h):
+            return mse_loss(target, T.add(T.relu(h), T.linear(x, w, b)))
+
+        owned, ref = params(), params()
+        opt = Adam(owned, lr=1e-2)
+        m, v = np.zeros(16), np.zeros(16)
+        for t in range(1, 21):
+            opt.zero_grad()
+            loss(*owned).backward()
+            for p in ref:
+                p.grad = None
+            loss(*ref).backward()
+            dead = ref[2].grad[:, 0]
+            assert np.all(dead == 0.0) and np.all(np.signbit(dead))
+            assert not np.any(np.signbit(owned[2].grad[:, 0]))
+            opt.step()
+            flat = reference_adam_step(ref, [p.grad for p in ref], m, v, t, 1e-2)
+            for p, r in zip(ref, np.split(flat, [6, 8])):
+                p.data = r.reshape(p.shape)
+            assert bits(owned) == bits(ref)
+
+    def test_rebound_and_none_gradients_are_honoured(self):
+        a, b, c = (Tensor(np.array([1.0, -1.0]), requires_grad=True) for _ in range(3))
+        opt = Adam([a, b, c], lr=0.1)
+        opt.zero_grad()
+        T.tsum(T.mul(T.mul(a, b), c)).backward()  # fills all three views
+        ga = a.grad.copy()
+        b.grad = np.array([0.5, -3.0])  # the caller's own array
+        c.grad = None  # reads as zero, whatever the view still holds
+        opt.step()
+        twin = [Tensor(np.array([1.0, -1.0]), requires_grad=True) for _ in range(3)]
+        flat = reference_adam_step(twin, [ga, b.grad, None], np.zeros(6), np.zeros(6), 1, 0.1)
+        np.testing.assert_array_equal(opt.grad, np.concatenate([ga, [0.5, -3.0], [0.0, 0.0]]))
+        assert opt.flat.tobytes() == flat.tobytes()
+        np.testing.assert_array_equal(c.data, [1.0, -1.0])
+
+    def test_finite_diff_check_leaves_the_next_steps_correct(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(-1.0, 1.0, (5, 3)))
+        target = Tensor(rng.uniform(-0.5, 0.5, (5, 2)))
+        w0, b0 = rng.uniform(-1.0, 1.0, (2, 3)), rng.uniform(-0.1, 0.1, 2)
+
+        def model():
+            params = [Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)]
+            return params, Adam(params, lr=1e-2)
+
+        def loss(w, b):
+            return mse_loss(target, T.tanh(T.linear(x, w, b)))
+
+        (checked, opt), (twin, twin_opt) = model(), model()
+        assert finite_diff_check(lambda: loss(*checked), checked) < 1e-6
+        # the check left fresh gradient arrays, not the optimizer's views: a step reads them
+        opt.step()
+        twin_opt.zero_grad()
+        loss(*twin).backward()
+        twin_opt.step()
+        assert bits(checked) == bits(twin)
+        for o, params in ((opt, checked), (twin_opt, twin)):
+            o.zero_grad()
+            loss(*params).backward()
+            o.step()
+        assert bits(checked) == bits(twin)
 
     def test_converges_on_convex_quadratic(self):
         target = np.array([3.0, -2.0, 0.5])
@@ -275,7 +379,7 @@ class TestTrain:
         records = train(model, ds, cfg, val)
         report = snr_sweep(model, val, cfg.val_grid, seeds=(cfg.seed,))
         assert report.metric == "psnr_db"
-        assert list(records[-1]) == ["epoch", "loss", "val_2dB", "val_12dB", "wall_s"]
+        assert list(records[-1]) == ["epoch", "loss", "grad_norm", "val_2dB", "val_12dB", "wall_s"]
         assert records[-1]["epoch"] == 2
         assert [records[-1]["val_2dB"], records[-1]["val_12dB"]] == [report.mean_at(g) for g in cfg.val_grid]
 
@@ -296,7 +400,9 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=8, val_every=2, val_grid=(5.0,))
         records = train(build_model(toy_dense_config(), 0), ds, cfg, val)
         assert [list(r) for r in records] == [
-            ["epoch", "loss", "wall_s"], ["epoch", "loss", "val_5dB", "wall_s"], ["epoch", "loss", "wall_s"],
+            ["epoch", "loss", "grad_norm", "wall_s"],
+            ["epoch", "loss", "grad_norm", "val_5dB", "wall_s"],
+            ["epoch", "loss", "grad_norm", "wall_s"],
         ]
 
     def test_close_grid_points_get_distinct_keys(self):
@@ -306,23 +412,45 @@ class TestTrain:
         assert "val_1.0000001dB" in record and "val_1.0000002dB" in record
 
     @pytest.mark.parametrize(
-        "cfg,with_val,message",
+        "cfg,n_val,message",
         [
-            (TrainConfig(epochs=1, batch_size=8, val_every=1), False, "needs a validation dataset"),
-            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=()), True, "empty SNR grid"),
-            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(5.0, 5.0)), True, "strictly increasing"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1), None, "needs a validation dataset"),
+            (TrainConfig(epochs=5, batch_size=8, val_every=3), 0, "validation dataset with samples"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=()), 8, "empty SNR grid"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(5.0, 5.0)), 8, "strictly increasing"),
         ],
-        ids=["no-val-dataset", "empty-grid", "repeated-grid-point"],
+        ids=["no-val-dataset", "empty-val-dataset", "empty-grid", "repeated-grid-point"],
     )
-    def test_bad_validation_setup_rejected_before_the_first_step(self, cfg, with_val, message, monkeypatch):
+    def test_bad_validation_setup_rejected_before_the_first_step(self, cfg, n_val, message, monkeypatch):
         from hyperajscc import training
+        from hyperajscc.data import Dataset
 
         ds = synthetic_dataset("gaussian-blobs-images", 8, (1, 8, 8), seed=0)
+        val = None if n_val is None else Dataset(ds.samples[:n_val], None, ds.name, "val")
         steps = []
         monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args) or 0.0)
         with pytest.raises(ConfigError, match=message):
-            train(build_model(toy_dense_config(), 0), ds, cfg, ds if with_val else None)
+            train(build_model(toy_dense_config(), 0), ds, cfg, val)
         assert steps == []
+
+    def test_grad_norm_is_the_epoch_mean_of_the_flat_gradient_norm(self, monkeypatch):
+        from hyperajscc import training
+
+        norms = []
+        real_step = training.train_step
+
+        def recording_step(*args):
+            loss = real_step(*args)
+            optimizer = args[5]
+            norms.append(float(np.sqrt(sum(np.sum(p.grad * p.grad) for p in optimizer.params))))
+            return loss
+
+        monkeypatch.setattr(training, "train_step", recording_step)
+        ds = synthetic_dataset("gaussian-blobs-images", 24, (1, 8, 8), seed=0)
+        records = train(build_model(toy_dense_config(), 2), ds, TrainConfig(epochs=2, batch_size=8, val_every=0))
+        assert len(norms) == 6 and min(norms) > 0.0
+        for r, epoch_norms in zip(records, (norms[:3], norms[3:])):
+            assert r["grad_norm"] == pytest.approx(np.mean(epoch_norms), rel=1e-12)
 
     @pytest.mark.parametrize("task,loss_kind", [("reconstruction", "mse"), ("classification", "cross_entropy")])
     def test_loss_follows_the_task(self, task, loss_kind, monkeypatch):
