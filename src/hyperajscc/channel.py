@@ -8,6 +8,7 @@ noise variance sigma^2 = 10^(-omega/10), i.e. sigma^2/2 per real component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,15 @@ def power_normalize(z_raw: Tensor) -> ChannelSymbols:
     if z_raw.data.ndim != 2 or z_raw.shape[1] % 2:
         raise ConfigError(f"power_normalize expects [batch, 2d] input, got {z_raw.shape}")
     d = z_raw.shape[1] // 2
-    norms = np.linalg.norm(z_raw.data, axis=1)
-    if np.any(norms == 0.0):
+    zd = z_raw.data
+    norms = np.sqrt(np.add.reduce(zd * zd, axis=1))  # np.linalg.norm(zd, axis=1), without its dispatch
+    if not norms.all():  # a NaN row is nonzero and passes through
         raise NumericAbortError("all-zero symbol row cannot be power-normalized")
-    factor = np.sqrt(d) / norms
-    out = z_raw.data * factor[:, None]
+    factor = math.sqrt(d) / norms
+    out = zd * factor[:, None]
 
     def backward(g):
         # dz = sqrt(d)/||z|| * (g - (g.z) z / ||z||^2), per row
-        zd = z_raw.data
         inner = (g * zd).sum(axis=1)
         dz = factor[:, None] * (g - (inner / norms**2)[:, None] * zd)
         return [(z_raw, dz)]

@@ -21,6 +21,7 @@ import contextlib
 import contextvars
 import ctypes
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,30 +100,31 @@ class Tensor:
                 else:
                     self.grad += 1.0
             return
+        # Tensor hashes by identity, so nodes key the set and the dict themselves
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p._parents and id(p) not in visited:
+                if p._parents and p not in visited:
                     stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             for parent, pg in node._backward_fn(g):
                 if parent._parents:
-                    acc = grads.get(id(parent))
-                    grads[id(parent)] = pg if acc is None else acc + pg
+                    acc = grads.get(parent)
+                    grads[parent] = pg if acc is None else acc + pg
                 elif parent.requires_grad:
                     if parent.grad is None:
                         parent.grad = pg.copy()
@@ -148,8 +150,10 @@ def no_tape():
 
 def _make(data, parents: tuple, backward_fn: Callable) -> Tensor:
     """Wrap an op result; drop the graph inside no_tape() or when no parent is tracked."""
-    if _recording.get() and any(p._track for p in parents):
-        return Tensor(data, parents=parents, backward_fn=backward_fn)
+    if _recording.get():
+        for p in parents:
+            if p._track:
+                return Tensor(data, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
 
 
@@ -370,7 +374,8 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
     every loop runs over the batch, not over a few channels.  The result is
     an NCHW view of that array, and so is the gradient handed back to y,
     which the conv ops read batch-last without a copy.  Dense rows y [B, C]
-    are computed as they are.  softmax is not fused: on NCHW data it
+    are their own working layout: they are scaled into a new C-ordered
+    array with no transposes.  softmax is not fused: on NCHW data it
     normalizes over W, not over the channels.
     """
     omega_t = np.asarray(omega_t, dtype=np.float64)
@@ -386,18 +391,22 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
         raise ConfigError(f"scale_act: activation {act!r} is not one of {SCALE_ACTIVATIONS}")
     nd = y.data.ndim
     spatial = nd > 2
-    to_work = tuple(range(1, nd)) + (0,) if spatial else (0, 1)  # [B, C, ...] -> [C, ..., B]
-    to_nchw = (nd - 1,) + tuple(range(nd - 1)) if spatial else (0, 1)
-    dims = "c" + "hwxyz"[: nd - 2] + "b"  # einsum subscripts of the batch-last layout
     s = omega_t[:, None] * nu.data + c.data
-    sl = np.ascontiguousarray(s.reshape(s.shape + (1,) * (nd - 2)).transpose(to_work))
-    yl = y.data.transpose(to_work)
+    if spatial:
+        to_work = tuple(range(1, nd)) + (0,)  # [B, C, ...] -> [C, ..., B]
+        to_nchw = (nd - 1,) + tuple(range(nd - 1))
+        dims = "c" + "hwxyz"[: nd - 2] + "b"  # einsum subscripts of the batch-last layout
+        sl = np.ascontiguousarray(s.reshape(s.shape + (1,) * (nd - 2)).transpose(to_work))
+        yl = y.data.transpose(to_work)
+    else:
+        sl, yl = s, y.data
     z = np.multiply(yl, sl, out=np.empty(yl.shape))
     forward, derivative = _ACTS[act]
     forward(z, z)
 
     def backward(g):
-        ga = derivative(g.transpose(to_work), z, np.empty_like(z))  # d loss / d (y * s), in z's layout
+        # d loss / d (y * s), in z's layout
+        ga = derivative(g.transpose(to_work) if spatial else g, z, np.empty_like(z))
         grads = []
         if nu._track or c._track:
             ds = np.einsum(f"{dims},{dims}->bc", ga, yl) if spatial else ga * yl  # [B, C]
@@ -407,10 +416,10 @@ def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
                 grads.append((c, ds.sum(axis=0)))
         if y._track:
             ga *= sl
-            grads.append((y, ga.transpose(to_nchw)))
+            grads.append((y, ga.transpose(to_nchw) if spatial else ga))
         return grads
 
-    return _make(z.transpose(to_nchw), (y, nu, c), backward)
+    return _make(z.transpose(to_nchw) if spatial else z, (y, nu, c), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +437,7 @@ def tmean(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape)) != x.data.size:
+    if any(d < 0 for d in shape) or math.prod(shape) != x.data.size:
         raise ConfigError(f"reshape: cannot view {x.shape} as {shape}")
     return _make(x.data.reshape(shape), (x,), lambda g: [(x, g.reshape(x.shape))])
 

@@ -36,7 +36,8 @@ def mse_loss(x: Tensor, x_hat: Tensor) -> Tensor:
         gd = t + t
         return [(x_hat, gd), (x, -gd)] if x._track else [(x_hat, gd)]
 
-    return T._make(np.asarray((diff * diff).mean()), (x_hat, x), backward)
+    # the float operations of ndarray.mean, without its Python-level dispatch
+    return T._make(np.asarray(np.add.reduce(diff * diff, axis=None) / n), (x_hat, x), backward)
 
 
 PROB_FLOOR = 1e-12

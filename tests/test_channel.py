@@ -37,6 +37,22 @@ class TestPowerNormalize:
         with pytest.raises(NumericAbortError):
             power_normalize(Tensor(np.zeros((2, 4))))
 
+    def test_norms_are_numpys_own_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        mags = 10.0 ** np.arange(-150, 151, 25)
+        z = rng.standard_normal((len(mags), 8)) * mags[:, None]
+        expected = z * (np.sqrt(4) / np.linalg.norm(z, axis=1))[:, None]
+        assert power_normalize(Tensor(z)).values.data.tobytes() == expected.tobytes()
+
+    def test_a_nan_row_passes_through_and_a_zero_row_among_others_is_rejected(self):
+        z = np.ones((3, 4))
+        z[1, 2] = np.nan
+        out = power_normalize(Tensor(z)).values.data
+        assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
+        z[1] = 0.0
+        with pytest.raises(NumericAbortError, match="all-zero symbol row"):
+            power_normalize(Tensor(z))
+
     def test_differentiable(self):
         rng = np.random.default_rng(2)
         z = Tensor(rng.uniform(0.5, 1.5, (2, 6)), requires_grad=True)

@@ -565,6 +565,27 @@ def test_results_do_not_depend_on_memory_layout(op, x_layout, g_layout):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+class TestReshape:
+    def test_views_the_data_and_hands_back_the_gradient_in_the_input_shape(self):
+        x = t(np.arange(6.0), grad=True)
+        y = T.reshape(x, (2, 3))
+        np.testing.assert_array_equal(y.data, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        g = np.arange(6.0).reshape(2, 3) * 10.0
+        T.tsum(T.mul(y, t(g))).backward()
+        np.testing.assert_array_equal(x.grad, g.reshape(6))
+
+    def test_an_empty_shape_is_one_element(self):
+        assert T.reshape(t([5.0]), ()).shape == ()
+        assert T.reshape(t(5.0), (1, 1)).shape == (1, 1)
+        assert T.reshape(t(np.ones((0, 3))), (3, 0)).shape == (3, 0)
+
+    @pytest.mark.parametrize("shape", [(-2, -2), (-4, -1), (-1, 4), (-1,), (3,), (2, 3)])
+    def test_a_negative_or_wrong_size_is_rejected(self, shape):
+        # (-2, -2) and (-4, -1) have the right product; numpy would refuse them with a ValueError
+        with pytest.raises(ConfigError, match=r"reshape: cannot view \(4,\) as"):
+            T.reshape(t(np.ones(4)), shape)
+
+
 class TestNoTape:
     def test_nothing_made_inside_records_a_graph(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -671,6 +692,15 @@ class TestBackward:
         plain = t(2.0)
         plain.backward()
         assert plain.grad is None
+
+    def test_an_interior_node_read_by_two_ops_collects_both_before_its_backward(self):
+        # y = tanh(x) feeds mul and add: d loss / dy = q + 1 must be complete before tanh's backward runs
+        x = t([0.0, 0.0, 1.0], grad=True)
+        q = t([2.0, -0.5, 3.0])
+        y = T.tanh(x)
+        T.tsum(T.add(T.mul(y, q), y)).backward()
+        z = np.tanh(1.0)
+        np.testing.assert_array_equal(x.grad, [3.0, 0.5, 4.0 * (1.0 - z * z)])
 
     def test_forward_bit_identical_across_runs(self):
         rng = np.random.default_rng(11)
