@@ -1,19 +1,23 @@
-"""Print one sha256 over the numbers a rewrite of the ops must leave bit-identical.
+"""Print sha256 digests of the numbers a rewrite of the ops must leave bit-identical.
 
     PYTHONPATH=src python scripts/numerics_digest.py [SEED ...]    # default: seeds 7 and 11
 
-For each seed the digest covers, in this order:
-- the loss of each of 60 `train_step` calls, and the final parameters, of
-  configs/default_recon.cfg (B=32) and configs/tiny_recon.cfg (B=16), each
-  trained from a fresh model on synthetic images;
-- the mean and spread of the PSNR at each point of an 11-SNR x 2-noise-seed
-  `snr_sweep` of a fresh default_recon model whose nu and c are moved off
-  the identity, so the per-channel gain is not a no-op.
+There are three parts, each digested over every seed:
+- `default_recon train`, `tiny_recon train`: the loss of each of 60
+  `train_step` calls, and the final parameters, of configs/default_recon.cfg
+  (B=32) and configs/tiny_recon.cfg (B=16), each trained from a fresh
+  model on synthetic images;
+- `sweep`: the mean and spread of the PSNR at each point of an 11-SNR x
+  2-noise-seed `snr_sweep` of a fresh default_recon model whose nu and c
+  are moved off the identity, so the per-channel gain is not a no-op.
 
+One line per part, `<sha256>  <part>`, then `<sha256>  all`: one digest
+over the same numbers, seed by seed, each seed's parts in the order above.
 A speed-up that keeps every float operation and its order prints the same
-digest before and after; run it on both trees and compare the one line.
-Every input comes from the seed; the script reads only the package and
-configs/.
+lines before and after; run it on both trees and compare.  A change that
+reorders the conv sums moves the two parts that run a conv and leaves
+`tiny_recon train`, which runs none.  Every input comes from the seed; the
+script reads only the package and configs/.
 """
 
 from __future__ import annotations
@@ -77,19 +81,24 @@ def sweep_numbers(seed: int) -> np.ndarray:
     return np.array([row[:3] for row in report.rows])
 
 
-def digest(seeds=SEEDS, steps: int = STEPS) -> str:
-    h = hashlib.sha256()
+def digests(seeds=SEEDS, steps: int = STEPS) -> dict[str, str]:
+    """{part: sha256} for each part over every seed, then "all", over every part."""
+    parts = {f"{name} train": hashlib.sha256() for name, _ in TRAIN_RUNS} | {"sweep": hashlib.sha256()}
+    combined = hashlib.sha256()
     for seed in seeds:
-        for name, batch_size in TRAIN_RUNS:
-            h.update(np.ascontiguousarray(train_numbers(name, batch_size, seed, steps), dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(sweep_numbers(seed), dtype="<f8").tobytes())
-    return h.hexdigest()
+        numbers = [(f"{name} train", train_numbers(name, batch_size, seed, steps)) for name, batch_size in TRAIN_RUNS]
+        for part, values in numbers + [("sweep", sweep_numbers(seed))]:
+            data_bytes = np.ascontiguousarray(values, dtype="<f8").tobytes()
+            parts[part].update(data_bytes)
+            combined.update(data_bytes)
+    return {part: h.hexdigest() for part, h in parts.items()} | {"all": combined.hexdigest()}
 
 
 def main(argv=None, steps: int = STEPS) -> int:
     args = sys.argv[1:] if argv is None else argv
     seeds = tuple(int(a) for a in args) or SEEDS
-    print(digest(seeds, steps))
+    for part, hexdigest in digests(seeds, steps).items():
+        print(f"{hexdigest}  {part}")
     return 0
 
 

@@ -43,10 +43,10 @@ def power_normalize(z_raw: Tensor) -> ChannelSymbols:
 
     Differentiable: the gradient flows through the norm.
     """
-    if z_raw.data.ndim != 2 or z_raw.shape[1] % 2:
-        raise ConfigError(f"power_normalize expects [batch, 2d] input, got {z_raw.shape}")
-    d = z_raw.shape[1] // 2
     zd = z_raw.data
+    if zd.ndim != 2 or zd.shape[1] % 2:
+        raise ConfigError(f"power_normalize expects [batch, 2d] input, got {zd.shape}")
+    d = zd.shape[1] // 2
     norms = np.sqrt(np.add.reduce(zd * zd, axis=1))  # np.linalg.norm(zd, axis=1), without its dispatch
     if not norms.all():  # a NaN row is nonzero and passes through
         raise NumericAbortError("all-zero symbol row cannot be power-normalized")
@@ -70,8 +70,9 @@ def awgn_transmit(symbols: ChannelSymbols, omega_db, rng: np.random.Generator) -
     """
     z = symbols.values
     sigma2 = np.atleast_1d(np.asarray(snr_to_sigma2(omega_db), dtype=np.float64))
-    if sigma2.size not in (1, z.shape[0]):
-        raise ConfigError(f"awgn_transmit: {sigma2.size} conditions for batch of {z.shape[0]}")
-    noise = rng.standard_normal(z.shape) * np.sqrt(sigma2 / 2.0)[:, None]
+    shape = z.data.shape
+    if sigma2.size not in (1, shape[0]):
+        raise ConfigError(f"awgn_transmit: {sigma2.size} conditions for batch of {shape[0]}")
+    noise = rng.standard_normal(shape) * np.sqrt(sigma2 / 2.0)[:, None]
     return _make(z.data + noise, (z,), lambda g: [(z, g)])
 

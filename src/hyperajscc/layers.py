@@ -24,7 +24,7 @@ over the real pixels of its input (tensor.upconv2d); no zero-inserted
 upsampled input is built.
 
 omega_t is the channel SNR mapped affinely into [-1, 1] over the configured
-training range; the model maps it once per pass (models.encode/decode), so
+training range; the model maps it once per pass (models.forward_pipeline), so
 layers receive omega_t [B] and know nothing of dB.  With nu = 0 and c = 1
 every layer is bit-identical to its unscaled base.
 """
@@ -163,7 +163,7 @@ class Reshape:
         self.shape = tuple(shape)
 
     def forward(self, f: Tensor, omega_t) -> Tensor:
-        return T.reshape(f, (f.shape[0],) + self.shape)
+        return T.reshape(f, f.data.shape[:1] + self.shape)
 
     def named_params(self):
         return []

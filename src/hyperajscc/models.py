@@ -7,7 +7,8 @@ depend on omega at all.
 
 The channel SNR in dB is mapped to the layer condition
 omega_t = omega_gain * snr + omega_offset ([-1, 1] over the configured
-training range) once per encode/decode pass; every layer receives omega_t.
+training range) once per pass: once per encode or decode call, and once
+for both halves of forward_pipeline.  Every layer receives omega_t.
 """
 
 from __future__ import annotations
@@ -220,38 +221,49 @@ def _omega_t(cfg: ModelConfig, omega_db, batch: int) -> np.ndarray:
 
 def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
     """Run the encoder stack and power-normalize into d complex symbols."""
+    return _encode(model, x, omega_db)[0]
+
+
+def _encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> tuple[ChannelSymbols, np.ndarray]:
+    """encode, and the omega_t it mapped omega_db to, which the same pass's decoder reuses."""
     cfg = model.config
-    expected = (x.shape[0],) + tuple(cfg.input_shape)
-    if x.shape != expected:
-        raise ConfigError(f"encode: input {x.shape}, expected {expected}")
-    omega_t = _omega_t(cfg, omega_db, x.shape[0])
+    shape = x.data.shape
+    expected = shape[:1] + tuple(cfg.input_shape)
+    if shape != expected:
+        raise ConfigError(f"encode: input {shape}, expected {expected}")
+    omega_t = _omega_t(cfg, omega_db, shape[0])
     f = x
     for layer in model.encoder:
         f = layer.forward(f, omega_t)
     if f.data.ndim > 2:
-        f = T.reshape(f, (f.shape[0], f.size // f.shape[0]))
-    if f.shape[1] != 2 * cfg.bandwidth:
-        raise ConfigError(f"encoder produced width {f.shape[1]}, expected {2 * cfg.bandwidth}")
-    return power_normalize(f)
+        f = T.reshape(f, (shape[0], f.data.size // shape[0]))
+    if f.data.shape[1] != 2 * cfg.bandwidth:
+        raise ConfigError(f"encoder produced width {f.data.shape[1]}, expected {2 * cfg.bandwidth}")
+    return power_normalize(f), omega_t
 
 
 def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
     cfg = model.config
-    if z_hat.data.ndim != 2 or z_hat.shape[1] != 2 * cfg.bandwidth:
-        raise ConfigError(f"decode: input {z_hat.shape}, expected [batch, {2 * cfg.bandwidth}]")
-    omega_t = _omega_t(cfg, omega_db, z_hat.shape[0])
+    shape = z_hat.data.shape
+    if len(shape) != 2 or shape[1] != 2 * cfg.bandwidth:
+        raise ConfigError(f"decode: input {shape}, expected [batch, {2 * cfg.bandwidth}]")
+    return _decode(model, z_hat, _omega_t(cfg, omega_db, shape[0]))
+
+
+def _decode(model: HyperAJSCCModel, z_hat: Tensor, omega_t: np.ndarray) -> Tensor:
+    """decode at an already mapped omega_t, of a z_hat [B, 2d]."""
     f = z_hat
     for layer in model.decoder:
         f = layer.forward(f, omega_t)
-    if cfg.task == "reconstruction" and f.data.ndim == 2:
-        f = T.reshape(f, (f.shape[0],) + tuple(cfg.input_shape))
+    if model.config.task == "reconstruction" and f.data.ndim == 2:
+        f = T.reshape(f, f.data.shape[:1] + tuple(model.config.input_shape))
     return f
 
 
 def forward_pipeline(model: HyperAJSCCModel, x: Tensor, omega_db, rng: np.random.Generator) -> Tensor:
-    """encode -> AWGN at omega -> decode, on one tape. Returns the decoder output."""
-    z_hat = awgn_transmit(encode(model, x, omega_db), omega_db, rng)
-    return decode(model, z_hat, omega_db)
+    """encode -> AWGN at omega -> decode, on one tape, mapping the SNR once. Returns the decoder output."""
+    symbols, omega_t = _encode(model, x, omega_db)
+    return _decode(model, awgn_transmit(symbols, omega_db, rng), omega_t)
 
 
 def count_params(model: HyperAJSCCModel) -> dict:

@@ -25,8 +25,8 @@ from .tensor import Tensor
 
 
 def mse_loss(x: Tensor, x_hat: Tensor) -> Tensor:
-    if x.shape != x_hat.shape:
-        raise ConfigError(f"mse_loss: shapes differ: {x.shape} vs {x_hat.shape}")
+    if x.data.shape != x_hat.data.shape:
+        raise ConfigError(f"mse_loss: shapes differ: {x.data.shape} vs {x_hat.data.shape}")
     diff = x_hat.data - x.data
     n = diff.size
 
@@ -46,12 +46,12 @@ PROB_FLOOR = 1e-12
 def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     """Mean of -log probs[i, label_i], with a 1e-12 probability floor."""
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.data.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise ConfigError(f"cross_entropy_loss: probs {probs.shape}, labels {labels.shape}")
-    k = probs.shape[1]
+    sp = probs.data.shape
+    if len(sp) != 2 or labels.shape != sp[:1]:
+        raise ConfigError(f"cross_entropy_loss: probs {sp}, labels {labels.shape}")
+    n, k = sp
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ConfigError(f"label out of range [0, {k})")
-    n = probs.shape[0]
     picked = probs.data[np.arange(n), labels]
     floored = np.maximum(picked, PROB_FLOOR)
     loss = -np.log(floored).mean()

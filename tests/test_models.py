@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hyperajscc.channel import awgn_transmit
 from hyperajscc.config import parse_run_config
 from hyperajscc.models import (
     LayerSpec,
@@ -157,6 +158,20 @@ class TestForwardPipeline:
         out = forward_pipeline(model, x, 40.0, np.random.default_rng(0))
         direct = decode(model, Tensor(encode(model, x, 40.0).values.data), 40.0)
         assert np.array_equal(out.data, direct.data)
+
+    @pytest.mark.parametrize("name", ["default_recon", "tiny_recon"])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_equals_its_three_public_steps_bit_for_bit(self, name, per_sample):
+        """forward_pipeline maps the SNR once for both halves; encode and decode map it each."""
+        model = build_model(shipped_model_config(name), 0)
+        rng = np.random.default_rng(5)
+        for _, t in model.named_parameters():
+            t.data[...] += rng.normal(0.0, 0.2, t.data.shape)  # nu and c off identity, so omega matters
+        x = rand_x(model.config, batch=5)
+        omega = rng.uniform(0.0, 20.0, 5) if per_sample else 7.5
+        out = forward_pipeline(model, x, omega, np.random.default_rng(3))
+        steps = decode(model, awgn_transmit(encode(model, x, omega), omega, np.random.default_rng(3)), omega)
+        assert np.array_equal(out.data, steps.data)
 
     def test_first_encoder_weight_gets_gradient(self):
         from hyperajscc.training import mse_loss
