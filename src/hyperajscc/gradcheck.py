@@ -7,9 +7,10 @@ fixed list, not a registry of ops:
   scale_channels (2-d and 4-d), affine_outer, relu, tanh, sigmoid, softmax
   under cross_entropy_loss, conv2d (stride 1, stride 2, a 3x2 kernel),
   upconv2d (a 3x3 and a 2x3 kernel), power_normalize, mse_loss and tmean;
-- layers: a dense and a conv hyper layer, a resblock, and scale_act after
-  each of dense, conv2d and upconv2d for every activation in
-  SCALE_ACTIVATIONS, with nu and c off the identity;
+- layers: a resblock, and a dense, conv and deconv layer for every
+  activation in CONV_ACTIVATIONS, once with a scale whose nu and c are off
+  the identity and once without; and a scaled dense softmax under
+  cross_entropy_loss;
 - the end-to-end training objective of a tiny model with frozen noise.
 tsum (as most cases' reduction) and reshape (in the model's flatten) are
 checked only inside other cases; scale and upsample_zero have no case.  Inputs
@@ -122,50 +123,46 @@ def _checks(rng: np.random.Generator, cases: int):
 
 def _layer_checks(rng: np.random.Generator, cases: int):
     for i in range(cases):
-        dense = build_layer(LayerSpec("dense", out=3, act="tanh", hyper=True), 4, rng)
-        dense.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
-        xd = Tensor(rng.uniform(-1, 1, (2, 4)))
         # a 0..20 dB SNR mapped to [-1, 1], one per sample
         om = np.full(2, 0.1 * float(rng.uniform(0, 20)) - 1.0)
-        params = [t for _, t in dense.named_params()]
-        yield "dense_hyper_layer", (lambda dense=dense, xd=xd, om=om: T.tsum(dense.forward(xd, om))), params
-
-        conv = build_layer(LayerSpec("conv", out=3, padding=1, act="tanh", hyper=True), 2, rng)
-        conv.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
         xc = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)))
-        params = [t for _, t in conv.named_params()]
-        yield "conv_hyper_layer", (lambda conv=conv, xc=xc, om=om: T.tsum(conv.forward(xc, om))), params
-
         block = build_layer(LayerSpec("resblock", out=3, act="tanh", hyper=True), 2, rng)
         params = [t for _, t in block.named_params()]
         yield "resnet_block", (lambda block=block, xc=xc, om=om: T.tsum(block.forward(xc, om))), params
 
-        # the fused scale and activation of each base op
-        for kind, act in itertools.product(("dense", "conv", "deconv"), T.SCALE_ACTIVATIONS):
-            layer, xs = _scaled_layer(rng, kind, act, om)
+        # the head each base op applies, with and without a scale
+        for kind, act, hyper in itertools.product(("dense", "conv", "deconv"), T.CONV_ACTIVATIONS, (True, False)):
+            layer, xs = _head_layer(rng, kind, act, hyper, om)
             params = [xs] + [t for _, t in layer.named_params()]
-            yield f"{kind}_scale_act_{act}", (
+            yield f"{kind}_{'scaled_' * hyper}{act}", (
                 lambda layer=layer, xs=xs, om=om: T.tsum(T.tanh(layer.forward(xs, om)))
             ), params
+        layer, xs = _head_layer(rng, "dense", "softmax", True, om)
+        params = [xs] + [t for _, t in layer.named_params()]
+        lab = rng.integers(0, 3, size=2)
+        yield "dense_scaled_softmax_ce", (
+            lambda layer=layer, xs=xs, om=om, lab=lab: cross_entropy_loss(layer.forward(xs, om), lab)
+        ), params
 
 
 RELU_MARGIN = 1e-3  # a relu input this close to 0 may cross the kink under a finite-difference step
 
 
-def _scaled_layer(rng, kind: str, act: str, om):
-    """A hyper layer with nu and c off the identity, and an input for it.
+def _head_layer(rng, kind: str, act: str, hyper: bool, om):
+    """A layer, with nu and c off the identity if it has a scale, and an input for it.
 
     For relu the draw is repeated until no pre-activation (the layer's
     output with a linear activation) is within RELU_MARGIN of the kink.
     """
-    spec = LayerSpec(kind, out=3, padding=1, upsample=2 if kind == "deconv" else 1, hyper=True)
+    spec = LayerSpec(kind, out=3, padding=1, upsample=2 if kind == "deconv" else 1, hyper=hyper)
     while True:
         if kind == "dense":
             layer, xs = build_layer(spec, 4, rng), _param(rng, 2, 4)
         else:
             layer, xs = build_layer(spec, 2, rng), _param(rng, 2, 2, 3, 3)
-        layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
-        layer.scale.c.data = rng.uniform(0.5, 1.5, 3)
+        if hyper:
+            layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
+            layer.scale.c.data = rng.uniform(0.5, 1.5, 3)
         if act != "relu" or np.abs(layer.forward(xs, om).data).min() >= RELU_MARGIN:
             layer.base.act = act
             return layer, xs

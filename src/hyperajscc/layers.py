@@ -8,13 +8,15 @@ config, and each op named below checks its arguments on every call.
 Each adaptive layer is a plain base layer (weights W0/b0 or kernels C0/b0)
 plus a per-sample, per-output-channel scale s[b] = omega_t[b] * nu + c,
 applied to the pre-activation output (a FiLM-style gain without shift).
-The base op is tensor.linear, conv2d or upconv2d; the scale and the
-activation then run as one graph node, tensor.scale_act (a softmax runs
-after it as its own op, and a layer without a scale runs its activation
-alone).
-Conv activations are NCHW tensors over batch-last memory: conv2d,
-upconv2d and scale_act work on [C, H, W, B] arrays and hand on NCHW views
-of them, so the next conv reads its input without a transposing copy.
+A layer is one call of its op, tensor.linear, conv2d or upconv2d, and one
+graph node: the op is handed the activation and, if the layer has a
+scale, (omega_t, nu, c), and applies both to its own result.  A layer
+without a scale is the same call with none.  softmax is a dense layer's
+activation only: it normalizes over the channels, which for NCHW data
+would be over W, so the conv ops and ModelConfig.validate refuse it.
+Conv activations are NCHW tensors over batch-last memory: conv2d and
+upconv2d work on [C, H, W, B] arrays and hand on NCHW views of them, so
+the next conv reads its input without a transposing copy.
 Dense activations are plain [B, C] rows.
 For convolutions, scaling output channels is mathematically identical to
 row-scaling the kernels and commutes with the convolution; the output is
@@ -55,8 +57,8 @@ class HyperScale:
     def vector(self, omega_t) -> Tensor:
         """Per-sample scales [B,D] for per-sample mapped conditions omega_t [B].
 
-        HyperLayer.forward does not call it: tensor.scale_act builds the same
-        s inside its fused node.
+        HyperLayer.forward does not call it: its op builds the same s from
+        (omega_t, nu, c) inside its own graph node.
         """
         return T.affine_outer(omega_t, self.nu, self.c)
 
@@ -111,17 +113,12 @@ class HyperLayer:
     def forward(self, f: Tensor, omega_t) -> Tensor:
         """omega_t [B] is the mapped condition, one per sample."""
         base = self.base
+        scale = None if self.scale is None else (omega_t, self.scale.nu, self.scale.c)
         if isinstance(base, DenseLayer):
-            y = T.linear(f, base.w0, base.b0)
-        elif base.upsample > 1:
-            y = T.upconv2d(f, base.c0, base.b0, base.upsample, base.padding)
-        else:
-            y = T.conv2d(f, base.c0, base.b0, base.stride, base.padding)
-        if self.scale is None:
-            return T.activation(base.act, y)
-        if base.act == "softmax":
-            return T.softmax(T.scale_act(y, omega_t, self.scale.nu, self.scale.c, "linear"))
-        return T.scale_act(y, omega_t, self.scale.nu, self.scale.c, base.act)
+            return T.linear(f, base.w0, base.b0, act=base.act, scale=scale)
+        if base.upsample > 1:
+            return T.upconv2d(f, base.c0, base.b0, base.upsample, base.padding, act=base.act, scale=scale)
+        return T.conv2d(f, base.c0, base.b0, base.stride, base.padding, act=base.act, scale=scale)
 
     def named_params(self):
         out = list(self.base.named_params())

@@ -6,9 +6,10 @@ off, the built model is a plain fixed-condition codec whose outputs do not
 depend on omega at all.
 
 The channel SNR in dB is mapped to the layer condition
-omega_t = omega_gain * snr + omega_offset ([-1, 1] over the configured
-training range) once per pass: once per encode or decode call, and once
-for both halves of forward_pipeline.  Every layer receives omega_t.
+omega_t = min(omega_gain * snr + omega_offset, 1) ([-1, 1] over the
+configured training range; above it, a better channel is coded as the
+best one trained for) once per pass: once per encode or decode call, and
+once for both halves of forward_pipeline.  Every layer receives omega_t.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
     cur = tuple(shape)
     for i, s in enumerate(specs):
         where = f"{half}[{i}] ({s.kind})"
+        if s.act == "softmax" and s.kind != "dense":  # it would normalize each image row over W
+            raise ConfigError(f"{where}: softmax is a dense layer's activation only")
         if s.kind == "dense":
             if len(cur) != 1:
                 raise ConfigError(f"{where}: dense needs a flat input, got {cur}")
@@ -214,8 +217,8 @@ def build_model(config: ModelConfig, seed: int = 0) -> HyperAJSCCModel:
 
 
 def _omega_t(cfg: ModelConfig, omega_db, batch: int) -> np.ndarray:
-    """SNR in dB (scalar or one per sample) -> mapped condition omega_t [B]."""
-    om = cfg.omega_gain * np.asarray(omega_db, dtype=np.float64) + cfg.omega_offset
+    """SNR in dB (scalar or one per sample) -> mapped condition omega_t [B], at most 1."""
+    om = np.minimum(cfg.omega_gain * np.asarray(omega_db, dtype=np.float64) + cfg.omega_offset, 1.0)
     return np.full(batch, om) if om.ndim == 0 else om
 
 

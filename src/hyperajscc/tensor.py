@@ -180,17 +180,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ w.T + b for x [B,Din], w [Dout,Din], b [Dout]."""
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "linear", scale=None) -> Tensor:
+    """act((x @ w.T + b) * s) for x [B,Din], w [Dout,Din], b [Dout]; s is 1 or the scale's (see _head)."""
     sx, sw = x.data.shape, w.data.shape
     if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[1]:
         raise ConfigError(f"linear: input {sx} does not match weight {sw}")
     if b.data.shape != (sw[0],):
         raise ConfigError(f"linear: bias {b.data.shape} does not match weight {sw}")
-    out = x.data @ w.data.T + b.data
+    out, scale_params, head = _head("linear", x.data @ w.data.T + b.data, act, scale)
 
     def backward(g):
-        grads = []
+        g, grads = head(g)
         if x._track:
             grads.append((x, g @ w.data))
         if w._track:
@@ -199,7 +199,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             grads.append((b, g.sum(axis=0)))
         return grads
 
-    return _make(out, (x, w, b), backward)
+    return _make(out, (x, w, b) + scale_params, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ _ACTS = {
     "softmax": (_softmax, lambda g, z, out: np.multiply(z, g - (g * z).sum(axis=-1, keepdims=True), out=out)),
 }
 ACTIVATIONS = tuple(_ACTS)
-SCALE_ACTIVATIONS = tuple(kind for kind in _ACTS if kind != "softmax")  # softmax would normalize NCHW data over W
+CONV_ACTIVATIONS = tuple(kind for kind in _ACTS if kind != "softmax")  # softmax would normalize NCHW data over W
 
 
 def _act_node(kind: str, x: Tensor) -> Tensor:
@@ -370,57 +370,48 @@ def activation(kind: str, x: Tensor) -> Tensor:
     return x if kind == "linear" else _act_node(kind, x)
 
 
-def scale_act(y: Tensor, omega_t, nu: Tensor, c: Tensor, act: str) -> Tensor:
-    """act(y * s) with s[b, j] = omega_t[b] * nu[j] + c[j]: one graph node.
+def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
+    """A layer's head on its op's fresh result y: act(y), or act(y * s) for scale = (omega_t, nu, c).
 
-    The same numbers as activation(act, scale_channels(y, affine_outer(omega_t,
-    nu, c))), computed batch-last: y [B, C, H, W] is read as [C, H, W, B],
-    which for a conv or deconv output is the memory under it, scaled by s.T
-    broadcast as [C, 1, 1, B] into one new array and activated in place, so
-    every loop runs over the batch, not over a few channels.  The result is
-    an NCHW view of that array, and so is the gradient handed back to y,
-    which the conv ops read batch-last without a copy.  Dense rows y [B, C]
-    are their own working layout: they are scaled into a new C-ordered
-    array with no transposes.  softmax is not fused: on NCHW data it
-    normalizes over W, not over the channels.
+    y is in the op's working layout, rows [B, C] or a conv's batch-last
+    [C, H, W, B], and s[b, j] = omega_t[b] * nu[j] + c[j].  Returns (z as
+    rows or an NCHW view, the scale's parameters, back), where back maps
+    z's gradient to y's and the nu/c gradients, in z's layout.  Unscaled,
+    y is activated in place.  The float operations and their order are
+    those of activation(act, scale_channels(y, affine_outer(omega_t, nu,
+    c))).  A conv refuses softmax, which would normalize NCHW data over W.
     """
-    omega_t = np.asarray(omega_t, dtype=np.float64)
-    sy, sn = y.data.shape, nu.data.shape
-    if len(sy) < 2 or omega_t.shape != sy[:1] or len(sn) != 1 or sn != c.data.shape or sn[0] != sy[1]:
-        raise ConfigError(f"scale_act: y {sy}, omega {omega_t.shape}, nu {sn}, c {c.data.shape}")
-    if act not in SCALE_ACTIVATIONS:
-        raise ConfigError(f"scale_act: activation {act!r} is not one of {SCALE_ACTIVATIONS}")
-    nd = len(sy)
-    spatial = nd > 2
-    s = omega_t[:, None] * nu.data + c.data
-    if spatial:
-        to_work = tuple(range(1, nd)) + (0,)  # [B, C, ...] -> [C, ..., B]
-        to_nchw = (nd - 1,) + tuple(range(nd - 1))
-        dims = "c" + "hwxyz"[: nd - 2] + "b"  # einsum subscripts of the batch-last layout
-        sl = np.ascontiguousarray(s.reshape(s.shape + (1,) * (nd - 2)).transpose(to_work))
-        yl = y.data.transpose(to_work)
-    else:
-        sl, yl = s, y.data
-    z = np.multiply(yl, sl, out=np.empty(yl.shape))
+    spatial = y.ndim == 4
+    if act not in (CONV_ACTIVATIONS if spatial else ACTIVATIONS):
+        raise ConfigError(f"{op}: activation {act!r} is not one of {CONV_ACTIVATIONS if spatial else ACTIVATIONS}")
     forward, derivative = _ACTS[act]
+    nchw = (lambda a: a.transpose(3, 0, 1, 2)) if spatial else (lambda a: a)
+    if scale is None:
+        z = nchw(forward(y, y))
+        return z, (), (lambda g: (g, [])) if act == "linear" else (lambda g: (derivative(g, z, None), []))
+    omega_t, nu, c = scale
+    omega_t = np.asarray(omega_t, dtype=np.float64)
+    C, B = (y.shape[0], y.shape[3]) if spatial else (y.shape[1], y.shape[0])
+    if omega_t.shape != (B,) or nu.data.shape != (C,) or c.data.shape != (C,):
+        raise ConfigError(f"{op}: scale omega {omega_t.shape}, nu {nu.data.shape}, c {c.data.shape} vs {B}x{C}")
+    s = omega_t[:, None] * nu.data + c.data
+    sl = np.ascontiguousarray(s.T).reshape(C, 1, 1, B) if spatial else s
+    z = np.multiply(y, sl, out=np.empty(y.shape))
     forward(z, z)
 
-    def backward(g):
-        # d loss / d (y * s), in z's layout
-        ga = derivative(g.transpose(to_work) if spatial else g, z, np.empty_like(z))
+    def back(g):
+        ga = derivative(g.transpose(1, 2, 3, 0) if spatial else g, z, np.empty_like(z))  # d loss / d (y * s)
         grads = []
         if nu._track or c._track:
-            ds = np.einsum(f"{dims},{dims}->bc", ga, yl) if spatial else ga * yl  # [B, C]
+            ds = np.einsum("chwb,chwb->bc", ga, y) if spatial else ga * y  # [B, C]
             if nu._track:
                 grads.append((nu, omega_t @ ds))
             if c._track:
                 grads.append((c, ds.sum(axis=0)))
-        if y._track:
-            ga *= sl
-            grads.append((y, ga.transpose(to_nchw) if spatial else ga))
-        return grads
+        ga *= sl
+        return nchw(ga), grads
 
-    return _make(z.transpose(to_nchw) if spatial else z, (y, nu, c), backward)
+    return nchw(z), (nu, c), back
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +515,10 @@ def _tap_sum(kf, g, inv, B: int):
     return out
 
 
-def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout].
+def conv2d(
+    x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0, act: str = "linear", scale=None
+) -> Tensor:
+    """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout], then _head.
 
     Computed batch-last, on one memoized _tap_plan: the columns
     [KH*KW*Cin, Ho*Wo*B] are one take of the input's rows through idx (a
@@ -534,9 +527,10 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     reuses both: dk is one GEMM with the columns, and dx one GEMM into tap
     rows, summed onto the input's pixels through inv.  The output is an
     NCHW view of the [Cout, Ho*Wo*B] result.  The columns stay live from
-    the forward to the backward, KH*KW/stride**2 times the input, and dx's
-    tap rows are as large, so forward plus backward peak at 20.9x the
-    input's bytes for a 3x3 conv from 16 channels.
+    the forward to the backward (inside no_tape() only until the head),
+    KH*KW/stride**2 times the input, and dx's tap rows are as large, so
+    forward plus backward peak at 20.9x the input's bytes for a 3x3 conv
+    from 16 channels.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
@@ -547,9 +541,12 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     kf = k.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * Cin)
     y = kf @ cols
     y += b.data[:, None]
+    if not _recording.get():
+        cols = None  # no backward will read them
+    out, scale_params, head = _head("conv2d", y.reshape(Cout, Ho, Wo, B), act, scale)
 
     def backward(g):
-        grads = []
+        g, grads = head(g)
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
             grads.append((x, _tap_sum(kf, gm, inv, B).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
@@ -559,11 +556,11 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             grads.append((b, gm.sum(axis=1)))
         return grads
 
-    return _make(y.reshape(Cout, Ho, Wo, B).transpose(3, 0, 1, 2), (x, k, b), backward)
+    return _make(out, (x, k, b) + scale_params, backward)
 
 
-def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Tensor:
-    """conv2d(upsample_zero(x, upsample), k, b, 1, padding), computed as a transposed conv.
+def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: str = "linear", scale=None) -> Tensor:
+    """conv2d(upsample_zero(x, upsample), k, b, 1, padding, ...), computed as a transposed conv.
 
     Only the real pixels are multiplied: pixel i sits at upsample*i of the
     upsampled grid, so tap a of the flipped kernel sends it to output row
@@ -585,9 +582,10 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
     kf = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(Cin, KH * KW * Cout)
     y = _tap_sum(kf, xm, inv, B).reshape(Cout, Ho * Wo * B)
     y += b.data[:, None]
+    out, scale_params, head = _head("upconv2d", y.reshape(Cout, Ho, Wo, B), act, scale)
 
     def backward(g):
-        grads = []
+        g, grads = head(g)
         cols = _zero_row_below(g.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cout, H * W * B)
         if x._track:
             grads.append((x, (kf @ cols).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
@@ -597,7 +595,7 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int) -> Te
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return grads
 
-    return _make(y.reshape(Cout, Ho, Wo, B).transpose(3, 0, 1, 2), (x, k, b), backward)
+    return _make(out, (x, k, b) + scale_params, backward)
 
 
 def upsample_zero(x: Tensor, factor: int) -> Tensor:

@@ -332,6 +332,10 @@ def _binary_config(tmp_path):
         (_edited_good("resblock o16 k3", "resblock o16 k2", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
         (_edited_good("dense o8 linear hyper", "dense o8 relu hyper"), EXIT_CONFIG, "config error"),
         (
+            _edited_good("deconv o16 u2 k3 p1 relu", "deconv o16 u2 k3 p1 softmax", DEFAULT_RECON),
+            EXIT_CONFIG, "config error",
+        ),
+        (
             _edited_good(
                 "bandwidth = 4\nencoder = flatten | dense o32 relu hyper | dense o8 linear hyper",
                 "bandwidth = 8\nencoder = conv o1 k2 s2 p0 linear hyper | flatten",
@@ -347,7 +351,7 @@ def _binary_config(tmp_path):
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
         "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
-        "deconv-stride", "resblock-even-kernel", "relu-last-encoder-layer",
+        "deconv-stride", "resblock-even-kernel", "relu-last-encoder-layer", "softmax-deconv",
         "one-channel-hyper-last-encoder-layer",
     ],
 )

@@ -279,21 +279,28 @@ def test_random_architecture_oracle(workdir, text, seed):
         return mse_loss(xt, out) if mc.task == "reconstruction" else cross_entropy_loss(out, labels)
 
     relu_inputs = []
-    real_activation, real_scale_act = T.activation, T.scale_act
+    real_activation = T.activation
 
     def recording_activation(kind, t):
-        if kind == "relu":  # a plain layer's or a resblock's relu
+        if kind == "relu":  # a resblock's relu after its add
             relu_inputs.append(np.abs(t.data).min())
         return real_activation(kind, t)
 
-    def recording_scale_act(y, omega_t, nu, c, act):
-        if act == "relu":  # a hyper layer's relu input is the scaled base output
-            relu_inputs.append(np.abs(real_scale_act(y, omega_t, nu, c, "linear").data).min())
-        return real_scale_act(y, omega_t, nu, c, act)
+    def recording(op):
+        real_op = getattr(T, op)
+
+        def call(*args, act="linear", scale=None):
+            if act == "relu":  # a layer's relu input is its op's (scaled) output without the activation
+                relu_inputs.append(np.abs(real_op(*args, scale=scale).data).min())
+            return real_op(*args, act=act, scale=scale)
+
+        return mock.patch.object(T, op, call)
 
     with (
         mock.patch.object(T, "activation", recording_activation),
-        mock.patch.object(T, "scale_act", recording_scale_act),
+        recording("linear"),
+        recording("conv2d"),
+        recording("upconv2d"),
     ):
         assert np.isfinite(float(loss().data))
     if n_params > FD_MAX_PARAMS or min(relu_inputs, default=np.inf) < RELU_MARGIN:

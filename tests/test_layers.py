@@ -116,13 +116,16 @@ class TestConvForward:
             build_layer(spec, 2, np.random.default_rng(0))
 
 
-# bases with 2 input and 3 output channels, given a bias of the stated width, and an input for them
+# bases with 2 input and 3 output channels, given a bias of the stated width, an input for them, and their op
 BASES = {
-    "dense": (lambda n: DenseLayer(Tensor(np.ones((3, 2))), Tensor(np.zeros(n))), (1, 2)),
-    "conv": (lambda n: Conv2dLayer(Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(n)), padding=1), (1, 2, 4, 4)),
+    "dense": (lambda n: DenseLayer(Tensor(np.ones((3, 2))), Tensor(np.zeros(n))), (1, 2), "linear"),
+    "conv": (
+        lambda n: Conv2dLayer(Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(n)), padding=1), (1, 2, 4, 4), "conv2d",
+    ),
     "deconv": (
         lambda n: Conv2dLayer(Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(n)), padding=1, upsample=2),
         (1, 2, 4, 4),
+        "upconv2d",
     ),
 }
 
@@ -132,7 +135,7 @@ class TestShapesCheckedByTheOps:
     """A layer is built without checks; the op it calls refuses a mismatch on the first forward."""
 
     def run(self, kind, bias_width, scale=None):
-        make_base, x_shape = BASES[kind]
+        make_base, x_shape, _ = BASES[kind]
         layer = HyperLayer(make_base(bias_width), scale)
         return layer.forward(Tensor(np.ones(x_shape)), om_t(1, 0.0))
 
@@ -141,11 +144,11 @@ class TestShapesCheckedByTheOps:
             self.run(kind, 4)
 
     def test_scale_width_mismatch(self, kind):
-        with pytest.raises(ConfigError, match="scale_act"):
+        with pytest.raises(ConfigError, match=f"^{BASES[kind][2]}: scale"):
             self.run(kind, 3, scale_from([0, 0], [1, 1]))
 
     def test_nu_and_c_widths_differ(self, kind):
-        with pytest.raises(ConfigError, match="scale_act"):
+        with pytest.raises(ConfigError, match=f"^{BASES[kind][2]}: scale"):
             self.run(kind, 3, scale_from([0, 0, 0], [1, 1]))
 
 

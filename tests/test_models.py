@@ -285,3 +285,24 @@ def test_range_midpoint_maps_to_zero_omega():
         if getattr(layer, "scale", None) is not None:
             layer.scale.nu.data = np.zeros(layer.scale.nu.shape[0])
     assert np.array_equal(encode(model, x, 20.0).values.data, excited)
+
+
+def test_omega_saturates_at_the_top_of_the_range():
+    # a better channel than omega_hi_db is coded as omega_hi_db; below the range the map stays linear
+    cfg = toy_dense_config()
+    model = build_model(cfg, 4)
+    excite_scales(model, np.random.default_rng(4))
+    x = rand_x(cfg)
+    top = encode(model, x, cfg.omega_hi_db).values.data
+    assert np.array_equal(encode(model, x, cfg.omega_hi_db + 40.0).values.data, top)
+    bottom = encode(model, x, cfg.omega_lo_db).values.data
+    assert not np.array_equal(encode(model, x, cfg.omega_lo_db - 10.0).values.data, bottom)
+
+
+@pytest.mark.parametrize("kind", ["conv", "deconv", "resblock"])
+def test_softmax_on_a_spatial_layer_is_refused(kind):
+    # on NCHW data it would normalize each image row over W, not over the channels
+    spec = LayerSpec(kind, out=2, padding=1, upsample=2 if kind == "deconv" else 1, act="softmax")
+    cfg = ModelConfig("reconstruction", (1, 4, 4), 16, [spec], [])
+    with pytest.raises(ConfigError, match=rf"^encoder\[0\] \({kind}\): softmax"):
+        cfg.validate()

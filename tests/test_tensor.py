@@ -466,18 +466,22 @@ def pulled(out: Tensor, g: np.ndarray) -> Tensor:
 # (base op, input shape, kernel shape): a dense output, a conv2d output (an NCHW
 # view of its batch-last accumulator) and an upconv2d output (a strided crop)
 BASE_OPS = {
-    "dense": (lambda x, k, b: T.linear(x, k, b), (3, 4), (5, 4)),
-    "conv2d": (lambda x, k, b: T.conv2d(x, k, b, 1, 1), (3, 2, 4, 5), (5, 2, 3, 3)),
-    "upconv2d": (lambda x, k, b: T.upconv2d(x, k, b, 2, 1), (3, 2, 3, 4), (5, 2, 3, 3)),
+    "dense": (T.linear, (3, 4), (5, 4)),
+    "conv2d": (lambda x, k, b, **head: T.conv2d(x, k, b, 1, 1, **head), (3, 2, 4, 5), (5, 2, 3, 3)),
+    "upconv2d": (lambda x, k, b, **head: T.upconv2d(x, k, b, 2, 1, **head), (3, 2, 3, 4), (5, 2, 3, 3)),
 }
 
 
 class TestScaleAct:
-    """scale_act against activation(act, scale_channels(y, affine_outer(omega, nu, c)))."""
+    """The head of linear, conv2d and upconv2d: its scale and activation, in the op's one node."""
 
-    @pytest.mark.parametrize("act", T.SCALE_ACTIVATIONS)
-    @pytest.mark.parametrize("base", sorted(BASE_OPS))
-    def test_matches_the_composed_ops(self, base, act):
+    @staticmethod
+    def fused_and_composed(base, act, scaled):
+        """[output, gradients of x, k, b, nu, c] of the fused op, then of the composed ops.
+
+        The composed reference is activation(act, scale_channels(y, affine_outer(omega,
+        nu, c))) on the op's plain result y, or activation(act, y) without a scale.
+        """
         op, xshape, kshape = BASE_OPS[base]
         rng = np.random.default_rng(len(base) * 10 + len(act))
         arrays = [rng.standard_normal(xshape), rng.standard_normal(kshape), rng.standard_normal(5),
@@ -485,22 +489,42 @@ class TestScaleAct:
         omega = rng.uniform(-1.0, 1.0, 3)
         g = None
         results = []
-        for fused in (False, True):
+        for fused in (True, False):
             x, k, b, nu, c = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-            y = op(x, k, b)
             if fused:
-                out = T.scale_act(y, omega, nu, c, act)
+                out = op(x, k, b, act=act, scale=(omega, nu, c) if scaled else None)
             else:
-                out = T.activation(act, T.scale_channels(y, T.affine_outer(omega, nu, c)))
+                y = op(x, k, b)
+                out = T.activation(act, T.scale_channels(y, T.affine_outer(omega, nu, c)) if scaled else y)
             if g is None:  # a non-contiguous incoming gradient: a transposed array's view
                 g = np.ascontiguousarray(rng.standard_normal(out.shape[::-1])).T
                 assert not g.flags.c_contiguous
             pulled(out, g).backward()
-            results.append((out.data, [p.grad for p in (x, k, b, nu, c)]))
-        (want, want_grads), (got, got_grads) = results
+            results.append([out.data] + [p.grad for p in (x, k, b, nu, c)])
+        return results
+
+    def check(self, base, act, scaled):
+        (got, *got_grads), (want, *want_grads) = self.fused_and_composed(base, act, scaled)
         np.testing.assert_array_equal(got, want)
         for got_g, want_g in zip(got_grads, want_grads):
-            np.testing.assert_allclose(got_g, want_g, rtol=1e-12, atol=1e-12)
+            if scaled:
+                np.testing.assert_allclose(got_g, want_g, rtol=1e-12, atol=1e-12)
+            else:
+                assert got_g is None and want_g is None or np.array_equal(got_g, want_g)
+
+    @pytest.mark.parametrize("act", T.CONV_ACTIVATIONS)
+    @pytest.mark.parametrize("base", sorted(BASE_OPS))
+    def test_matches_the_composed_ops(self, base, act):
+        self.check(base, act, scaled=True)
+
+    @pytest.mark.parametrize("act", T.CONV_ACTIVATIONS)
+    @pytest.mark.parametrize("base", sorted(BASE_OPS))
+    def test_without_a_scale_matches_the_activation_bit_for_bit(self, base, act):
+        self.check(base, act, scaled=False)
+
+    @pytest.mark.parametrize("scaled", [True, False], ids=["scaled", "unscaled"])
+    def test_dense_softmax_matches_the_composed_ops(self, scaled):
+        self.check("dense", "softmax", scaled)
 
     @pytest.mark.parametrize("base", sorted(BASE_OPS))
     def test_output_and_input_gradient_are_views_of_a_batch_last_array(self, base):
@@ -508,33 +532,36 @@ class TestScaleAct:
         # dense rows stay [B, C]
         op, xshape, kshape = BASE_OPS[base]
         rng = np.random.default_rng(3)
-        y = op(*(Tensor(rng.standard_normal(shape)) for shape in (xshape, kshape, (5,))))
-        y = Tensor(y.data, requires_grad=True)
-        out = T.scale_act(y, rng.uniform(-1, 1, 3), t(np.ones(5)), t(np.ones(5)), "tanh")
-        ((parent, dy),) = out._backward_fn(np.ones(out.shape))
-        assert parent is y
-        for a in (dy, out.data):
+        x = Tensor(rng.standard_normal(xshape), requires_grad=True)
+        out = op(x, t(rng.standard_normal(kshape)), t(rng.standard_normal(5)),
+                 act="tanh", scale=(rng.uniform(-1, 1, 3), t(np.ones(5)), t(np.ones(5))))
+        (dx,) = [grad for parent, grad in out._backward_fn(np.ones(out.shape)) if parent is x]
+        for a in (dx, out.data):
             if base == "dense":
                 assert a.flags.c_contiguous
             else:
                 assert np.moveaxis(a, 0, -1).flags.c_contiguous
 
     def test_relu_propagates_nan(self):
-        y = t([[np.nan, -1.0, 0.0, 2.0]], grad=True)
-        out = T.scale_act(y, np.array([0.5]), t(np.zeros(4)), t(np.ones(4)), "relu")
+        # x @ w.T + b is w's column: [nan, -1, 0, 2]
+        w, b = t([[np.nan], [-1.0], [0.0], [2.0]]), t(np.zeros(4), grad=True)
+        out = T.linear(t([[1.0]]), w, b, act="relu", scale=(np.array([0.5]), t(np.zeros(4)), t(np.ones(4))))
         np.testing.assert_array_equal(out.data, [[np.nan, 0, 0, 2]])
         pulled(out, np.full((1, 4), 3.0)).backward()
-        np.testing.assert_array_equal(y.grad, [[0, 0, 0, 3]])  # g * (y > 0), as relu's
+        np.testing.assert_array_equal(b.grad, [0, 0, 0, 3])  # g * (y > 0), as relu's
 
     def test_bad_shapes_and_softmax_rejected(self):
-        y = t(np.ones((2, 3, 4, 4)))
+        x, k, b = t(np.ones((2, 3, 4, 4))), t(np.ones((3, 3, 1, 1))), t(np.zeros(3))
         ones = t(np.ones(3))
-        with pytest.raises(ConfigError, match="scale_act"):
-            T.scale_act(y, np.zeros(3), ones, ones, "tanh")  # one omega per sample
-        with pytest.raises(ConfigError, match="scale_act"):
-            T.scale_act(y, np.zeros(2), t(np.ones(4)), t(np.ones(4)), "tanh")
-        with pytest.raises(ConfigError, match="softmax"):
-            T.scale_act(y, np.zeros(2), ones, ones, "softmax")
+        with pytest.raises(ConfigError, match="conv2d: scale"):
+            T.conv2d(x, k, b, act="tanh", scale=(np.zeros(3), ones, ones))  # one omega per sample
+        with pytest.raises(ConfigError, match="conv2d: scale"):
+            T.conv2d(x, k, b, act="tanh", scale=(np.zeros(2), t(np.ones(4)), t(np.ones(4))))
+        for head in ({"scale": (np.zeros(2), ones, ones)}, {}):
+            with pytest.raises(ConfigError, match="conv2d: activation 'softmax'"):
+                T.conv2d(x, k, b, act="softmax", **head)
+            with pytest.raises(ConfigError, match="upconv2d: activation 'softmax'"):
+                T.upconv2d(x, k, b, 2, 0, act="softmax", **head)
 
 
 # every memory layout an op can be handed: C-contiguous NCHW, an NCHW view of
@@ -551,8 +578,15 @@ LAYOUT_OPS = {
     "linear": (T.linear, [(3, 4), (5, 4), (5,)]),
     "conv2d": (lambda x, k, b: T.conv2d(x, k, b, 2, 1), [(3, 2, 5, 4), (5, 2, 3, 2), (5,)]),
     "upconv2d": (lambda x, k, b: T.upconv2d(x, k, b, 2, 1), [(3, 2, 3, 4), (5, 2, 3, 2), (5,)]),
-    "scale_act_dense": (lambda y, nu, c: T.scale_act(y, OMEGA, nu, c, "tanh"), [(3, 5), (5,), (5,)]),
-    "scale_act_conv": (lambda y, nu, c: T.scale_act(y, OMEGA, nu, c, "sigmoid"), [(3, 5, 4, 2), (5,), (5,)]),
+    # scale_act_*: an op with its head, a scale and an activation
+    "scale_act_dense": (
+        lambda x, w, b, nu, c: T.linear(x, w, b, act="tanh", scale=(OMEGA, nu, c)),
+        [(3, 4), (5, 4), (5,), (5,), (5,)],
+    ),
+    "scale_act_conv": (
+        lambda x, k, b, nu, c: T.conv2d(x, k, b, 2, 1, act="sigmoid", scale=(OMEGA, nu, c)),
+        [(3, 2, 5, 4), (5, 2, 3, 2), (5,), (5,), (5,)],
+    ),
 }
 
 
@@ -611,10 +645,10 @@ class TestNoTape:
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         with T.no_tape():
-            y = T.scale_act(T.conv2d(x, k, b, 1, 1), np.zeros(2), b, c, "relu")
+            y = T.conv2d(x, k, b, 1, 1, act="relu", scale=(np.zeros(2), b, c))
             T.tmean(T.mul(y, T.tanh(y)))
         monkeypatch.undo()
-        assert len(made) == 5
+        assert len(made) == 4
         assert all(m._backward_fn is None and m._parents == () and not m._track for m in made)
         assert T.tanh(x)._backward_fn is not None  # recording again after the block
 
