@@ -140,25 +140,24 @@ def parse_snr_grid(value: str) -> tuple[float, ...]:
         nums = [float(p) for p in value.split(":" if is_range else ",")]
     except ValueError:
         raise ConfigError(f"bad snr grid {value!r}, expected LO:HI:STEP or a comma list of dB values") from None
-    if not all(map(math.isfinite, nums)):
-        raise ConfigError(f"bad snr grid {value!r}: SNRs must be finite")
     if is_range:
         if len(nums) != 3:
             raise ConfigError(f"bad snr grid {value!r}, expected LO:HI:STEP")
         lo, hi, step = nums
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, nums)) or step <= 0 or hi < lo:
             raise ConfigError(f"bad snr grid {value!r}")
         steps = (hi - lo) / step  # may be inf, so checked before the grid is built
         if steps >= MAX_SNR_POINTS:
             raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
         # the last point is at or below hi; the tolerance keeps 0:0.3:0.1's 0.3
         nums = [lo + i * step for i in range(math.floor(steps * (1 + 1e-9)) + 1)]
-    if min(nums) < SNR_FLOOR_DB:
-        raise ConfigError(f"bad snr grid {value!r}: SNRs below {SNR_FLOOR_DB:g} dB are not supported")
     if len(nums) > MAX_SNR_POINTS:
         raise ConfigError(f"bad snr grid {value!r}: more than {MAX_SNR_POINTS} points")
-    # a range too fine for its magnitude rounds to repeated values
-    return tuple(check_snr_grid(nums))
+    try:
+        # a range too fine for its magnitude rounds to repeated values
+        return tuple(check_snr_grid(nums))
+    except ConfigError as exc:
+        raise ConfigError(f"bad snr grid {value!r}: {exc}") from None
 
 
 def parse_seed(value: str) -> int:

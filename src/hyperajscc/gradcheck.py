@@ -7,10 +7,12 @@ fixed list, not a registry of ops:
   scale_channels (2-d and 4-d), affine_outer, relu, tanh, sigmoid, softmax
   under cross_entropy_loss, conv2d (stride 1, stride 2, a 3x2 kernel),
   upconv2d (a 3x3 and a 2x3 kernel), power_normalize, mse_loss and tmean;
-- layers: a resblock, and a dense, conv and deconv layer for every
-  activation in CONV_ACTIVATIONS, once with a scale whose nu and c are off
-  the identity and once without; and a scaled dense softmax under
-  cross_entropy_loss;
+- layers: a resblock, and a dense, conv and deconv layer, its bias off
+  zero, for every activation in CONV_ACTIVATIONS three times: with a scale
+  whose nu and c are off the identity, at one condition per sample
+  (omega_t [B]) and at one 0-d condition that the op folds into its
+  weights, and without a scale; and a dense softmax under
+  cross_entropy_loss with each of the two scales;
 - the end-to-end training objective of a tiny model with frozen noise.
 tsum (as most cases' reduction) and reshape (in the model's flatten) are
 checked only inside other cases; scale and upsample_zero have no case.  Inputs
@@ -123,33 +125,39 @@ def _checks(rng: np.random.Generator, cases: int):
 
 def _layer_checks(rng: np.random.Generator, cases: int):
     for i in range(cases):
-        # a 0..20 dB SNR mapped to [-1, 1], one per sample
+        # a 0..20 dB SNR mapped to [-1, 1], one per sample, and the same SNR as one 0-d condition, which folds
         om = np.full(2, 0.1 * float(rng.uniform(0, 20)) - 1.0)
+        one = np.asarray(om[0])
         xc = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)))
         block = build_layer(LayerSpec("resblock", out=3, act="tanh", hyper=True), 2, rng)
         params = [t for _, t in block.named_params()]
         yield "resnet_block", (lambda block=block, xc=xc, om=om: T.tsum(block.forward(xc, om))), params
 
-        # the head each base op applies, with and without a scale
-        for kind, act, hyper in itertools.product(("dense", "conv", "deconv"), T.CONV_ACTIVATIONS, (True, False)):
-            layer, xs = _head_layer(rng, kind, act, hyper, om)
+        # the head each base op applies: scaled per sample, scaled at one condition (folded), and plain
+        heads = (("scaled_", True, om), ("folded_", True, one), ("", False, om))
+        for kind, act, (tag, hyper, omega) in itertools.product(("dense", "conv", "deconv"), T.CONV_ACTIVATIONS, heads):
+            layer, xs = _head_layer(rng, kind, act, hyper, omega)
             params = [xs] + [t for _, t in layer.named_params()]
-            yield f"{kind}_{'scaled_' * hyper}{act}", (
-                lambda layer=layer, xs=xs, om=om: T.tsum(T.tanh(layer.forward(xs, om)))
+            yield f"{kind}_{tag}{act}", (
+                lambda layer=layer, xs=xs, om=omega: T.tsum(T.tanh(layer.forward(xs, om)))
             ), params
-        layer, xs = _head_layer(rng, "dense", "softmax", True, om)
-        params = [xs] + [t for _, t in layer.named_params()]
-        lab = rng.integers(0, 3, size=2)
-        yield "dense_scaled_softmax_ce", (
-            lambda layer=layer, xs=xs, om=om, lab=lab: cross_entropy_loss(layer.forward(xs, om), lab)
-        ), params
+        for tag, omega in (("scaled", om), ("folded", one)):
+            layer, xs = _head_layer(rng, "dense", "softmax", True, omega)
+            params = [xs] + [t for _, t in layer.named_params()]
+            lab = rng.integers(0, 3, size=2)
+            yield f"dense_{tag}_softmax_ce", (
+                lambda layer=layer, xs=xs, om=omega, lab=lab: cross_entropy_loss(layer.forward(xs, om), lab)
+            ), params
 
 
 RELU_MARGIN = 1e-3  # a relu input this close to 0 may cross the kink under a finite-difference step
 
 
 def _head_layer(rng, kind: str, act: str, hyper: bool, om):
-    """A layer, with nu and c off the identity if it has a scale, and an input for it.
+    """A layer, with its bias off zero and nu and c off the identity if it has a scale, and an input for it.
+
+    A folded scale multiplies the bias too, so a zero bias would hide its
+    part of the nu and c gradients.
 
     For relu the draw is repeated until no pre-activation (the layer's
     output with a linear activation) is within RELU_MARGIN of the kink.
@@ -160,6 +168,7 @@ def _head_layer(rng, kind: str, act: str, hyper: bool, om):
             layer, xs = build_layer(spec, 4, rng), _param(rng, 2, 4)
         else:
             layer, xs = build_layer(spec, 2, rng), _param(rng, 2, 2, 3, 3)
+        layer.base.b0.data = rng.uniform(-0.3, 0.3, 3)
         if hyper:
             layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)
             layer.scale.c.data = rng.uniform(0.5, 1.5, 3)

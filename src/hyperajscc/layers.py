@@ -19,16 +19,18 @@ upconv2d work on [C, H, W, B] arrays and hand on NCHW views of them, so
 the next conv reads its input without a transposing copy.
 Dense activations are plain [B, C] rows.
 For convolutions, scaling output channels is mathematically identical to
-row-scaling the kernels and commutes with the convolution; the output is
-the side that gets scaled, because s differs per sample and the kernels
-are shared by the whole batch.  A deconv is a transposed conv computed
+row-scaling the kernels and commutes with the convolution.  With one
+omega_t per sample the output is the side that gets scaled, because s
+differs per sample and the kernels are shared by the whole batch; with
+one omega_t for the batch, s is one vector, and the op scales its kernel
+and bias instead (tensor._fold).  A deconv is a transposed conv computed
 over the real pixels of its input (tensor.upconv2d); no zero-inserted
 upsampled input is built.
 
 omega_t is the channel SNR mapped affinely into [-1, 1] over the configured
 training range; the model maps it once per pass (models.forward_pipeline), so
-layers receive omega_t [B] and know nothing of dB.  With nu = 0 and c = 1
-every layer is bit-identical to its unscaled base.
+layers receive omega_t, [B] or 0-d for one SNR, and know nothing of dB.
+With nu = 0 and c = 1 every layer is bit-identical to its unscaled base.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class HyperLayer:
         self.scale = scale
 
     def forward(self, f: Tensor, omega_t) -> Tensor:
-        """omega_t [B] is the mapped condition, one per sample."""
+        """omega_t is the mapped condition: [B], one per sample, or 0-d, one for the batch."""
         base = self.base
         scale = None if self.scale is None else (omega_t, self.scale.nu, self.scale.c)
         if isinstance(base, DenseLayer):

@@ -2,16 +2,20 @@
 
 Reconstruction quality is reported as PSNR over [0, 1] pixel values:
 model outputs in [-1, 1] are un-mapped via x01 = (x + 1) / 2 before the
-MSE, so MAX = 1.  Zero MSE is capped at 100 dB to keep CSVs finite.
+MSE, so MAX = 1.  A chunk's squared error over [0, 1] pixels is computed
+as sum((x - out)**2) / 4, the same quantity.  Zero MSE is capped at
+100 dB to keep CSVs finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .channel import SNR_FLOOR_DB
 from .data import Dataset
 from .errors import ConfigError
 from .models import HyperAJSCCModel, forward_pipeline
@@ -55,10 +59,18 @@ def snr_label(snr_db: float) -> str:
 
 
 def check_snr_grid(snr_grid) -> list[float]:
-    """The grid as floats; a ConfigError unless it is non-empty and strictly increasing."""
+    """The grid as floats; a ConfigError unless it is non-empty, finite, at or above SNR_FLOOR_DB and increasing.
+
+    A NaN would pass the order check and sweep to a row of NaNs, and an SNR
+    far below the floor overflows the channel's noise variance.
+    """
     grid = [float(s) for s in snr_grid]
     if not grid:
         raise ConfigError("empty SNR grid")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError("SNRs must be finite")
+    if min(grid) < SNR_FLOOR_DB:
+        raise ConfigError(f"SNRs below {SNR_FLOOR_DB:g} dB are not supported")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("SNRs must be strictly increasing")
     return grid
@@ -76,7 +88,8 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
         with T.no_tape():
             out = forward_pipeline(model, Tensor(xb), omega_db, rng).data
         if recon:
-            total += float((((xb + 1.0) / 2.0 - (out + 1.0) / 2.0) ** 2).sum())
+            d = xb - out  # (xb + 1) / 2 - (out + 1) / 2, times 2
+            total += float(np.add.reduce(d * d, axis=None) / 4.0)
         else:
             total += int((out.argmax(axis=1) == np.asarray(dataset.labels[start : start + EVAL_CHUNK])).sum())
     return psnr_from_mse(total / dataset.samples.size) if recon else total / dataset.samples.shape[0]

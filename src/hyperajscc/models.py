@@ -216,10 +216,13 @@ def build_model(config: ModelConfig, seed: int = 0) -> HyperAJSCCModel:
     return HyperAJSCCModel(encoder, decoder, config)
 
 
-def _omega_t(cfg: ModelConfig, omega_db, batch: int) -> np.ndarray:
-    """SNR in dB (scalar or one per sample) -> mapped condition omega_t [B], at most 1."""
-    om = np.minimum(cfg.omega_gain * np.asarray(omega_db, dtype=np.float64) + cfg.omega_offset, 1.0)
-    return np.full(batch, om) if om.ndim == 0 else om
+def _omega_t(cfg: ModelConfig, omega_db) -> np.ndarray:
+    """SNR in dB -> mapped condition omega_t, at most 1: 0-d for one SNR, [B] for one per sample.
+
+    A 0-d omega_t is one condition for the whole batch, which each scaled
+    layer folds into its weights (tensor._fold).
+    """
+    return np.minimum(cfg.omega_gain * np.asarray(omega_db, dtype=np.float64) + cfg.omega_offset, 1.0)
 
 
 def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
@@ -234,7 +237,7 @@ def _encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> tuple[ChannelSymbols
     expected = shape[:1] + tuple(cfg.input_shape)
     if shape != expected:
         raise ConfigError(f"encode: input {shape}, expected {expected}")
-    omega_t = _omega_t(cfg, omega_db, shape[0])
+    omega_t = _omega_t(cfg, omega_db)
     f = x
     for layer in model.encoder:
         f = layer.forward(f, omega_t)
@@ -250,11 +253,11 @@ def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
     shape = z_hat.data.shape
     if len(shape) != 2 or shape[1] != 2 * cfg.bandwidth:
         raise ConfigError(f"decode: input {shape}, expected [batch, {2 * cfg.bandwidth}]")
-    return _decode(model, z_hat, _omega_t(cfg, omega_db, shape[0]))
+    return _decode(model, z_hat, _omega_t(cfg, omega_db))
 
 
 def _decode(model: HyperAJSCCModel, z_hat: Tensor, omega_t: np.ndarray) -> Tensor:
-    """decode at an already mapped omega_t, of a z_hat [B, 2d]."""
+    """decode at an already mapped omega_t (0-d or [B]), of a z_hat [B, 2d]."""
     f = z_hat
     for layer in model.decoder:
         f = layer.forward(f, omega_t)

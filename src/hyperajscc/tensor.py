@@ -181,23 +181,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "linear", scale=None) -> Tensor:
-    """act((x @ w.T + b) * s) for x [B,Din], w [Dout,Din], b [Dout]; s is 1 or the scale's (see _head)."""
+    """act((x @ w.T + b) * s) for x [B,Din], w [Dout,Din], b [Dout]; s is 1 or the scale's (see _fold, _head)."""
     sx, sw = x.data.shape, w.data.shape
     if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[1]:
         raise ConfigError(f"linear: input {sx} does not match weight {sw}")
     if b.data.shape != (sw[0],):
         raise ConfigError(f"linear: bias {b.data.shape} does not match weight {sw}")
-    out, scale_params, head = _head("linear", x.data @ w.data.T + b.data, act, scale)
+    s, scale_params = _fold("linear", scale, sw[0])
+    ws, bs = (w.data, b.data) if s is None else (w.data * s[:, None], b.data * s)
+    out, head = _head("linear", x.data @ ws.T + bs, act, scale if s is None else None)
 
     def backward(g):
         g, grads = head(g)
         if x._track:
-            grads.append((x, g @ w.data))
-        if w._track:
-            grads.append((w, g.T @ x.data))
-        if b._track:
-            grads.append((b, g.sum(axis=0)))
-        return grads
+            grads.append((x, g @ ws))
+        dw = g.T @ x.data if w._track or s is not None else None
+        db = g.sum(axis=0) if b._track or s is not None else None
+        return _weight_grads(grads, w, b, dw, db, scale, s)
 
     return _make(out, (x, w, b) + scale_params, backward)
 
@@ -375,11 +375,12 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
 
     y is in the op's working layout, rows [B, C] or a conv's batch-last
     [C, H, W, B], and s[b, j] = omega_t[b] * nu[j] + c[j].  Returns (z as
-    rows or an NCHW view, the scale's parameters, back), where back maps
-    z's gradient to y's and the nu/c gradients, in z's layout.  Unscaled,
-    y is activated in place.  The float operations and their order are
-    those of activation(act, scale_channels(y, affine_outer(omega_t, nu,
-    c))).  A conv refuses softmax, which would normalize NCHW data over W.
+    rows or an NCHW view, back), where back maps z's gradient to y's and
+    the nu/c gradients, in z's layout.  Unscaled, y is activated in place.
+    The float operations and their order are those of activation(act,
+    scale_channels(y, affine_outer(omega_t, nu, c))).  omega_t is [B]: an
+    op folds a 0-d one into its weights instead (see _fold).  A conv
+    refuses softmax, which would normalize NCHW data over W.
     """
     spatial = y.ndim == 4
     if act not in (CONV_ACTIVATIONS if spatial else ACTIVATIONS):
@@ -388,7 +389,7 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
     nchw = (lambda a: a.transpose(3, 0, 1, 2)) if spatial else (lambda a: a)
     if scale is None:
         z = nchw(forward(y, y))
-        return z, (), (lambda g: (g, [])) if act == "linear" else (lambda g: (derivative(g, z, None), []))
+        return z, (lambda g: (g, [])) if act == "linear" else (lambda g: (derivative(g, z, None), []))
     omega_t, nu, c = scale
     omega_t = np.asarray(omega_t, dtype=np.float64)
     C, B = (y.shape[0], y.shape[3]) if spatial else (y.shape[1], y.shape[0])
@@ -411,7 +412,57 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
         ga *= sl
         return nchw(ga), grads
 
-    return nchw(z), (nu, c), back
+    return nchw(z), back
+
+
+def _fold(op: str, scale, C: int) -> tuple:
+    """(s, params) of an op's scale: s = omega_t * nu + c [C] for a 0-d omega_t, else None.
+
+    params, (nu, c) or () without a scale, are the node's parents beside
+    its input, kernel and bias.  At one condition, a 0-d omega_t, a scaled
+    layer is a plain layer with kernel k * s and bias b * s, s along the
+    output channels: the op multiplies its weights by s before its GEMM
+    and hands _head no scale, so the head is the activation alone.  A
+    per-sample omega_t [B] leaves the scale to _head.  The two agree up to
+    rounding: here s scales each product before the sum, there the sum.
+    """
+    if scale is None:
+        return None, ()
+    omega_t, nu, c = scale
+    if np.ndim(omega_t):
+        return None, (nu, c)
+    if nu.data.shape != (C,) or c.data.shape != (C,):
+        raise ConfigError(f"{op}: scale nu {nu.data.shape}, c {c.data.shape} vs {C} output channels")
+    return omega_t * nu.data + c.data, (nu, c)
+
+
+def _weight_grads(grads: list, k: Tensor, b: Tensor, dk, db, scale, s) -> list:
+    """grads, plus (k, dk) and (b, db) for those tracked; for a folded s (see _fold), mapped back first.
+
+    dk and db are the gradients of the weights the op ran, in k's and b's
+    layouts.  Folded, those are k * s and b * s with s along k's first
+    axis, so k's gradient is dk * s, b's db * s, and with ds = sum(dk * k)
+    over every axis of k but the first, plus db * b, nu's is omega_t * ds
+    and c's ds.
+    """
+    if s is None:
+        if k._track:
+            grads.append((k, dk))
+        if b._track:
+            grads.append((b, db))
+        return grads
+    omega_t, nu, c = scale
+    if k._track:
+        grads.append((k, dk * s.reshape(s.shape + (1,) * (dk.ndim - 1))))
+    if b._track:
+        grads.append((b, db * s))
+    if nu._track or c._track:
+        ds = (dk * k.data).sum(axis=tuple(range(1, dk.ndim))) + db * b.data
+        if nu._track:
+            grads.append((nu, omega_t * ds))
+        if c._track:
+            grads.append((c, ds))
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +569,7 @@ def _tap_sum(kf, g, inv, B: int):
 def conv2d(
     x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0, act: str = "linear", scale=None
 ) -> Tensor:
-    """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout], then _head.
+    """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout], then _fold and _head.
 
     Computed batch-last, on one memoized _tap_plan: the columns
     [KH*KW*Cin, Ho*Wo*B] are one take of the input's rows through idx (a
@@ -538,23 +589,24 @@ def conv2d(
     Ho, Wo = conv_output_size("conv2d", H, W, KH, KW, stride, padding)
     idx, inv = _tap_plan(Cin, H, W, KH, KW, Ho, Wo, stride, -padding, -padding)
     cols = _zero_row_below(x.data.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cin, Ho * Wo * B)
-    kf = k.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * Cin)
+    s, scale_params = _fold("conv2d", scale, Cout)
+    kt = k.data.transpose(0, 2, 3, 1)
+    kf = kt if s is None else np.multiply(kt, s[:, None, None, None], out=np.empty(kt.shape))
+    kf = kf.reshape(Cout, KH * KW * Cin)
     y = kf @ cols
-    y += b.data[:, None]
+    y += (b.data if s is None else b.data * s)[:, None]
     if not _recording.get():
         cols = None  # no backward will read them
-    out, scale_params, head = _head("conv2d", y.reshape(Cout, Ho, Wo, B), act, scale)
+    out, head = _head("conv2d", y.reshape(Cout, Ho, Wo, B), act, scale if s is None else None)
 
     def backward(g):
         g, grads = head(g)
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
             grads.append((x, _tap_sum(kf, gm, inv, B).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
-        if k._track:
-            grads.append((k, (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2)))
-        if b._track:
-            grads.append((b, gm.sum(axis=1)))
-        return grads
+        dk = (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2) if k._track or s is not None else None
+        db = gm.sum(axis=1) if b._track or s is not None else None
+        return _weight_grads(grads, k, b, dk, db, scale, s)
 
     return _make(out, (x, k, b) + scale_params, backward)
 
@@ -579,21 +631,23 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
     Ho, Wo = conv_output_size("upconv2d", upsample * H, upsample * W, KH, KW, 1, padding)
     idx, inv = _tap_plan(Cout, Ho, Wo, KH, KW, H, W, upsample, padding - KH + 1, padding - KW + 1)
     xm = x.data.transpose(1, 2, 3, 0).reshape(Cin, H * W * B)
-    kf = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(Cin, KH * KW * Cout)
+    s, scale_params = _fold("upconv2d", scale, Cout)
+    kt = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)  # [Cin, KH, KW, Cout]: s runs along the last axis
+    kf = (kt if s is None else np.multiply(kt, s, out=np.empty(kt.shape))).reshape(Cin, KH * KW * Cout)
     y = _tap_sum(kf, xm, inv, B).reshape(Cout, Ho * Wo * B)
-    y += b.data[:, None]
-    out, scale_params, head = _head("upconv2d", y.reshape(Cout, Ho, Wo, B), act, scale)
+    y += (b.data if s is None else b.data * s)[:, None]
+    out, head = _head("upconv2d", y.reshape(Cout, Ho, Wo, B), act, scale if s is None else None)
 
     def backward(g):
         g, grads = head(g)
         cols = _zero_row_below(g.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cout, H * W * B)
         if x._track:
             grads.append((x, (kf @ cols).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
-        if k._track:
-            grads.append((k, (xm @ cols.T).reshape(Cin, KH, KW, Cout).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]))
-        if b._track:
-            grads.append((b, g.sum(axis=(0, 2, 3))))
-        return grads
+        dk = None
+        if k._track or s is not None:
+            dk = (xm @ cols.T).reshape(Cin, KH, KW, Cout).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]
+        db = g.sum(axis=(0, 2, 3)) if b._track or s is not None else None
+        return _weight_grads(grads, k, b, dk, db, scale, s)
 
     return _make(out, (x, k, b) + scale_params, backward)
 

@@ -213,7 +213,7 @@ def excite(model, rng):
 
 def check_layer_shapes(model, f, omegas, half, specs, shape):
     """Runs one half layer by layer; every output shape must be the one _propagate infers."""
-    omega_t = _omega_t(model.config, omegas, f.shape[0])
+    omega_t = _omega_t(model.config, omegas)
     for i, (layer, spec) in enumerate(zip(getattr(model, half), specs)):
         shape = _propagate(shape, [spec], half)
         f = layer.forward(f, omega_t)

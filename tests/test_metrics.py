@@ -75,6 +75,17 @@ class TestSnrSweep:
         with pytest.raises(ConfigError):
             snr_sweep(self.model, self.ds, [10.0, 5.0])
 
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_refused(self, snr):
+        # without the check: a row of NaNs and RuntimeWarnings
+        with pytest.raises(ConfigError, match="must be finite"):
+            snr_sweep(self.model, self.ds, [0.0, snr])
+
+    def test_snr_below_the_floor_refused(self):
+        # without the check: sigma^2 overflows to inf and the row is NaN
+        with pytest.raises(ConfigError, match="below -100 dB"):
+            snr_sweep(self.model, self.ds, [-5000.0])
+
     def test_no_seeds_refused(self):
         # without the check: rows of nan and "Mean of empty slice" warnings
         with pytest.raises(ConfigError, match="no noise seeds"):
@@ -162,7 +173,8 @@ class TestSweepDefinesTheMetric:
         ds = synthetic_dataset("gaussian-blobs-images", EVAL_CHUNK + 16, (1, 8, 8), seed=3)
 
         def squared_error(xb, out, start):
-            return float((((xb + 1.0) / 2.0 - (out + 1.0) / 2.0) ** 2).sum())
+            d = xb - out  # (xb + 1) / 2 - (out + 1) / 2, times 2
+            return float(np.add.reduce(d * d, axis=None) / 4.0)
 
         expected = sweep_by_hand(
             model, ds, self.grid, self.seeds, squared_error, lambda total: psnr_from_mse(total / ds.samples.size)

@@ -259,17 +259,40 @@ def excite_scales(model, rng):
             layer.scale.c.data = rng.uniform(0.5, 1.5, n)
 
 
+def scalar_and_per_sample(model, cfg, seed, om):
+    """[(encode at om dB, encode at om dB per sample), the same for decode], for a batch of 5 drawn from seed."""
+    x = rand_x(cfg, batch=5, seed=seed)
+    z = Tensor(np.random.default_rng(seed).standard_normal((5, 2 * cfg.bandwidth)))
+    return [
+        (encode(model, x, om).values.data, encode(model, x, np.full(5, om)).values.data),
+        (decode(model, z, om).data, decode(model, z, np.full(5, om)).data),
+    ]
+
+
 @pytest.mark.parametrize("kind", ["dense", "conv"])
-def test_scalar_omega_is_bit_equal_to_per_sample_omega(kind):
+def test_scalar_omega_folds_into_the_weights_up_to_rounding(kind):
+    # one SNR for the batch folds s into each layer's kernel and bias; one per sample scales the accumulator
+    cfg = toy_dense_config() if kind == "dense" else shipped_model_config("default_recon")
+    for seed in range(10, 20):
+        model = build_model(cfg, seed)
+        excite_scales(model, np.random.default_rng(seed))
+        for om in (0.0, 7.3, 20.0):
+            for folded, per_sample in scalar_and_per_sample(model, cfg, seed, om):
+                assert np.abs(folded - per_sample).max() <= 1e-13 * np.abs(per_sample).max()
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_scalar_omega_is_bit_equal_to_per_sample_omega_at_the_identity(kind):
+    # at nu = 0, c = 1 the folded s is exactly 1, so k * s and b * s are k and b
     cfg = toy_dense_config() if kind == "dense" else shipped_model_config("default_recon")
     model = build_model(cfg, 10)
-    excite_scales(model, np.random.default_rng(10))
-    x = rand_x(cfg, batch=5)
-    z = Tensor(np.random.default_rng(11).standard_normal((5, 2 * cfg.bandwidth)))
+    rng = np.random.default_rng(10)
+    for name, t in model.named_parameters():
+        if name.endswith("b0"):
+            t.data = rng.uniform(-0.3, 0.3, t.shape)
     for om in (0.0, 7.3, 20.0):
-        per_sample = np.full(5, om)
-        assert np.array_equal(encode(model, x, om).values.data, encode(model, x, per_sample).values.data)
-        assert np.array_equal(decode(model, z, om).data, decode(model, z, per_sample).data)
+        for folded, per_sample in scalar_and_per_sample(model, cfg, 11, om):
+            assert np.array_equal(folded, per_sample)
 
 
 def test_range_midpoint_maps_to_zero_omega():

@@ -476,23 +476,27 @@ class TestScaleAct:
     """The head of linear, conv2d and upconv2d: its scale and activation, in the op's one node."""
 
     @staticmethod
-    def fused_and_composed(base, act, scaled):
+    def fused_and_composed(base, act, scaled, folded=False):
         """[output, gradients of x, k, b, nu, c] of the fused op, then of the composed ops.
 
         The composed reference is activation(act, scale_channels(y, affine_outer(omega,
         nu, c))) on the op's plain result y, or activation(act, y) without a scale.
+        Folded, every sample has one omega, which the fused op is handed as a 0-d array.
         """
         op, xshape, kshape = BASE_OPS[base]
         rng = np.random.default_rng(len(base) * 10 + len(act))
         arrays = [rng.standard_normal(xshape), rng.standard_normal(kshape), rng.standard_normal(5),
                   rng.normal(0.0, 0.3, 5), rng.uniform(0.5, 1.5, 5)]
         omega = rng.uniform(-1.0, 1.0, 3)
+        handed = np.asarray(omega[0]) if folded else omega
+        if folded:
+            omega = np.full(3, omega[0])
         g = None
         results = []
         for fused in (True, False):
             x, k, b, nu, c = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             if fused:
-                out = op(x, k, b, act=act, scale=(omega, nu, c) if scaled else None)
+                out = op(x, k, b, act=act, scale=(handed, nu, c) if scaled else None)
             else:
                 y = op(x, k, b)
                 out = T.activation(act, T.scale_channels(y, T.affine_outer(omega, nu, c)) if scaled else y)
@@ -526,6 +530,14 @@ class TestScaleAct:
     def test_dense_softmax_matches_the_composed_ops(self, scaled):
         self.check("dense", "softmax", scaled)
 
+    @pytest.mark.parametrize(
+        "base,act", [(base, act) for base in sorted(BASE_OPS) for act in T.CONV_ACTIVATIONS] + [("dense", "softmax")]
+    )
+    def test_a_0d_omega_folded_into_the_weights_matches_the_composed_ops_up_to_rounding(self, base, act):
+        (got, *got_grads), (want, *want_grads) = self.fused_and_composed(base, act, scaled=True, folded=True)
+        for got_a, want_a in zip([got] + got_grads, [want] + want_grads):
+            np.testing.assert_allclose(got_a, want_a, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("base", sorted(BASE_OPS))
     def test_output_and_input_gradient_are_views_of_a_batch_last_array(self, base):
         # conv outputs and their gradients are NCHW views of [C, H, W, B] memory;
@@ -557,6 +569,8 @@ class TestScaleAct:
             T.conv2d(x, k, b, act="tanh", scale=(np.zeros(3), ones, ones))  # one omega per sample
         with pytest.raises(ConfigError, match="conv2d: scale"):
             T.conv2d(x, k, b, act="tanh", scale=(np.zeros(2), t(np.ones(4)), t(np.ones(4))))
+        with pytest.raises(ConfigError, match="conv2d: scale"):
+            T.conv2d(x, k, b, act="tanh", scale=(np.asarray(0.5), t(np.ones(4)), t(np.ones(4))))  # folded
         for head in ({"scale": (np.zeros(2), ones, ones)}, {}):
             with pytest.raises(ConfigError, match="conv2d: activation 'softmax'"):
                 T.conv2d(x, k, b, act="softmax", **head)

@@ -308,6 +308,22 @@ class TestTrainStep:
         with pytest.raises(ConfigError):
             train_step(self.model, self.x, None, np.full(3, 10.0), "mse", opt, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("name", ["toy_dense", "default_recon"])
+    def test_scalar_snr_step_trains_the_folded_scales(self, name):
+        # one SNR for a batch of 1 folds s into every layer's weights, on the tape
+        cfg = toy_dense_config() if name == "toy_dense" else shipped_model_config("default_recon")
+        x = np.random.default_rng(3).uniform(-0.9, 0.9, (1,) + tuple(cfg.input_shape))
+        grads = []
+        for snr in (15.0, np.full(1, 15.0)):  # 15 dB maps to omega_t = 0.5, so nu has a gradient
+            model = build_model(cfg, 0)
+            opt = Adam(model.parameters(), lr=1e-3)
+            scales = [(p, p.data.copy()) for n, p in model.named_parameters() if n.endswith((".nu", ".c"))]
+            train_step(model, x, None, snr, "mse", opt, np.random.default_rng(4))
+            assert scales and all(not np.array_equal(p.data, before) for p, before in scales)
+            grads.append(opt.grad.copy())
+        folded, per_sample = grads
+        np.testing.assert_allclose(folded, per_sample, rtol=1e-10, atol=1e-13 * np.abs(per_sample).max())
+
     def test_single_sample_linear_model_hand_mse(self):
         from hyperajscc.models import LayerSpec, ModelConfig
 
@@ -418,8 +434,12 @@ class TestTrain:
             (TrainConfig(epochs=5, batch_size=8, val_every=3), 0, "validation dataset with samples"),
             (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=()), 8, "empty SNR grid"),
             (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(5.0, 5.0)), 8, "strictly increasing"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(float("nan"),)), 8, "must be finite"),
+            (TrainConfig(epochs=1, batch_size=8, val_every=1, val_grid=(-5000.0, 0.0)), 8, "below -100 dB"),
         ],
-        ids=["no-val-dataset", "empty-val-dataset", "empty-grid", "repeated-grid-point"],
+        ids=[
+            "no-val-dataset", "empty-val-dataset", "empty-grid", "repeated-grid-point", "nan-grid-point", "below-floor",
+        ],
     )
     def test_bad_validation_setup_rejected_before_the_first_step(self, cfg, n_val, message, monkeypatch):
         from hyperajscc import training
