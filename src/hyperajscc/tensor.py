@@ -195,9 +195,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "linear", scale=None) -> 
         g, grads = head(g)
         if x._track:
             grads.append((x, g @ ws))
-        dw = g.T @ x.data if w._track or s is not None else None
-        db = g.sum(axis=0) if b._track or s is not None else None
-        return _weight_grads(grads, w, b, dw, db, scale, s)
+        if w._track or s is not None:
+            grads.append((w, g.T @ x.data))
+        if b._track or s is not None:
+            grads.append((b, g.sum(axis=0)))
+        return grads if s is None else _unfold(grads, scale, s)
 
     return _make(out, (x, w, b) + scale_params, backward)
 
@@ -429,28 +431,24 @@ def _fold(op: str, scale, C: int) -> tuple:
     if scale is None:
         return None, ()
     omega_t, nu, c = scale
-    if np.ndim(omega_t):
+    if getattr(omega_t, "ndim", 0):  # not np.ndim, whose dispatch is about 1% of a dense train step
         return None, (nu, c)
     if nu.data.shape != (C,) or c.data.shape != (C,):
         raise ConfigError(f"{op}: scale nu {nu.data.shape}, c {c.data.shape} vs {C} output channels")
-    return omega_t * nu.data + c.data, (nu, c)
+    return float(omega_t) * nu.data + c.data, (nu, c)  # float() refuses a list, which has no ndim
 
 
-def _weight_grads(grads: list, k: Tensor, b: Tensor, dk, db, scale, s) -> list:
-    """grads, plus (k, dk) and (b, db) for those tracked; for a folded s (see _fold), mapped back first.
+def _unfold(grads: list, scale, s) -> list:
+    """grads, its last two entries (k, dk) and (b, db) mapped from the folded weights to k, b, nu and c.
 
-    dk and db are the gradients of the weights the op ran, in k's and b's
-    layouts.  Folded, those are k * s and b * s with s along k's first
-    axis, so k's gradient is dk * s, b's db * s, and with ds = sum(dk * k)
-    over every axis of k but the first, plus db * b, nu's is omega_t * ds
-    and c's ds.
+    A folded op (see _fold) runs k * s and b * s, s along k's first axis,
+    and appends their gradients dk and db, in k's and b's layouts, last.
+    So k's gradient is dk * s, b's db * s, and with ds = sum(dk * k) over
+    every axis of k but the first, plus db * b, nu's is omega_t * ds and
+    c's ds.  Each is kept if its tensor is tracked.
     """
-    if s is None:
-        if k._track:
-            grads.append((k, dk))
-        if b._track:
-            grads.append((b, db))
-        return grads
+    (k, dk), (b, db) = grads[-2:]
+    del grads[-2:]
     omega_t, nu, c = scale
     if k._track:
         grads.append((k, dk * s.reshape(s.shape + (1,) * (dk.ndim - 1))))
@@ -604,9 +602,11 @@ def conv2d(
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
             grads.append((x, _tap_sum(kf, gm, inv, B).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
-        dk = (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2) if k._track or s is not None else None
-        db = gm.sum(axis=1) if b._track or s is not None else None
-        return _weight_grads(grads, k, b, dk, db, scale, s)
+        if k._track or s is not None:
+            grads.append((k, (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2)))
+        if b._track or s is not None:
+            grads.append((b, gm.sum(axis=1)))
+        return grads if s is None else _unfold(grads, scale, s)
 
     return _make(out, (x, k, b) + scale_params, backward)
 
@@ -643,11 +643,11 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
         cols = _zero_row_below(g.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cout, H * W * B)
         if x._track:
             grads.append((x, (kf @ cols).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
-        dk = None
         if k._track or s is not None:
-            dk = (xm @ cols.T).reshape(Cin, KH, KW, Cout).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]
-        db = g.sum(axis=(0, 2, 3)) if b._track or s is not None else None
-        return _weight_grads(grads, k, b, dk, db, scale, s)
+            grads.append((k, (xm @ cols.T).reshape(Cin, KH, KW, Cout).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]))
+        if b._track or s is not None:
+            grads.append((b, g.sum(axis=(0, 2, 3))))
+        return grads if s is None else _unfold(grads, scale, s)
 
     return _make(out, (x, k, b) + scale_params, backward)
 
