@@ -4,7 +4,7 @@ Layout, format version 2 (little-endian):
     magic  4s      b"HAJ1"
     u16            format version (2)
     u32            config text length, then UTF-8 bytes
-    f64, f64       omega map (gain, offset); load_model checks it against the config
+    f64, f64       omega map (gain, offset); load_model checks it against models._OMEGA_GAIN, _OMEGA_OFFSET
     u32            tensor count
     per tensor:    u16 name length, name bytes, u8 rank, u32 dims..., f32 values
     32s            sha256 of every byte before it
@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import parse_run_config
 from .errors import ConfigError, CorruptArtifactError
-from .models import HyperAJSCCModel, build_model
+from .models import _OMEGA_GAIN, _OMEGA_OFFSET, HyperAJSCCModel, build_model
 
 MAGIC = b"HAJ1"
 VERSION = 2
@@ -43,7 +43,7 @@ def save_checkpoint(path: str, model: HyperAJSCCModel, config_text: str) -> None
         MAGIC,
         struct.pack("<HI", VERSION, len(cfg_bytes)),
         cfg_bytes,
-        struct.pack("<ddI", model.config.omega_gain, model.config.omega_offset, len(named)),
+        struct.pack("<ddI", _OMEGA_GAIN, _OMEGA_OFFSET, len(named)),
     ]
     for name, t in named:
         nb = name.encode()
@@ -72,7 +72,7 @@ class _Cursor:
 
 
 def read_checkpoint(path: str) -> tuple[str, tuple[float, float], dict[str, np.ndarray]]:
-    """Returns (config_text, (omega_gain, omega_offset), name -> float64 array)."""
+    """Returns (config_text, (omega gain, omega offset), name -> float64 array)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -114,10 +114,9 @@ def load_model(path: str, expected_config_text: str | None = None):
         run_cfg = parse_run_config(config_text)
     except ConfigError as exc:
         raise CorruptArtifactError(f"{path}: embedded config does not parse ({exc})") from None
-    expected_map = (run_cfg.model.omega_gain, run_cfg.model.omega_offset)
-    if omega_map != expected_map:
+    if omega_map != (_OMEGA_GAIN, _OMEGA_OFFSET):
         raise CorruptArtifactError(
-            f"{path}: stored omega map {omega_map} differs from the config's {expected_map}"
+            f"{path}: stored omega map {omega_map} differs from the model's {(_OMEGA_GAIN, _OMEGA_OFFSET)}"
         )
     model = build_model(run_cfg.model, seed=run_cfg.train.seed)
     named = dict(model.named_parameters())

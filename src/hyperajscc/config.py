@@ -3,16 +3,18 @@
 Plain sectioned text: `[section]` headers, `key = value` lines, `#`
 comments.  Unknown sections or keys are rejected with the line number, so
 typos fail loudly instead of silently using a default.  A key that is left
-out keeps the default of the dataclass field it sets; [model] task,
-input_shape, bandwidth, encoder and decoder have none and are required.
+out keeps the default of the dataclass field it sets; the five [model]
+keys, task, input_shape, bandwidth, encoder and decoder, have none and are
+required.  Of a [model], the parser checks only the text;
+ModelConfig.validate decides what a valid model is, and
+TrainConfig.validate what a valid prior is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
-from .channel import SNR_FLOOR_DB
 from .data import load_cifar10, synthetic_dataset
 from .errors import ConfigError
 from .metrics import check_snr_grid
@@ -64,8 +66,6 @@ def _parse_shape(value: str) -> tuple[int, ...]:
         shape = tuple(int(p) for p in value.lower().split("x"))
     except ValueError:
         raise ConfigError(f"bad shape {value!r}, expected like 3x8x8") from None
-    if any(dim < 1 for dim in shape):
-        raise ConfigError(f"bad shape {value!r}: sizes must be positive")
     return shape
 
 
@@ -100,10 +100,6 @@ def _parse_layer(item: str) -> LayerSpec:
             raise ConfigError(f"layer {item!r} sets {field} twice ({tok!r})")
         seen.add(field)
         setattr(spec, field, value)
-    if spec.out < 1:
-        raise ConfigError(f"layer {item!r} needs an output width (oN)")
-    if min(spec.kernel, spec.stride, spec.upsample) < 1:
-        raise ConfigError(f"layer {item!r}: k, s and u must be positive")
     return spec
 
 
@@ -123,8 +119,6 @@ def _parse_prior(value: str) -> tuple[float, float]:
             raise ValueError
     except (ValueError, IndexError):
         raise ConfigError(f"bad prior {value!r}; expected 'uniform LO HI' or 'fixed V'") from None
-    if min(prior) < SNR_FLOOR_DB:
-        raise ConfigError(f"bad prior {value!r}: SNRs below {SNR_FLOOR_DB:g} dB are not supported")
     return prior
 
 
@@ -182,9 +176,7 @@ def parse_seeds(value: str) -> tuple[int, ...]:
 _KEYS = {
     "model": {
         "task": ("task", str), "input_shape": ("input_shape", _parse_shape), "bandwidth": ("bandwidth", int),
-        "num_classes": ("num_classes", int), "omega_lo_db": ("omega_lo_db", float),
-        "omega_hi_db": ("omega_hi_db", float), "encoder": ("encoder", _parse_layers),
-        "decoder": ("decoder", _parse_layers),
+        "encoder": ("encoder", _parse_layers), "decoder": ("decoder", _parse_layers),
     },
     "data": {
         "kind": ("data_kind", str), "n_train": ("n_train", int), "n_val": ("n_val", int),
@@ -218,11 +210,8 @@ def _section(sections: dict, name: str) -> dict:
 def parse_run_config(text: str) -> RunConfig:
     sections = _raw_sections(text)
     m = _section(sections, "model")
-    # [model] keys are named after their fields
-    missing = [
-        f.name for f in fields(ModelConfig)
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in m
-    ]
+    # [model] keys are named after their fields, and none has a default
+    missing = [f.name for f in fields(ModelConfig) if f.name not in m]
     if missing:
         raise ConfigError(f"section [model] must define {', '.join(missing)}")
     model = ModelConfig(**m)
@@ -243,7 +232,7 @@ def load_datasets(cfg: RunConfig):
     if cfg.data_kind == "cifar10":
         return load_cifar10(cfg.cifar_dir)
     kind = "gaussian-blobs-images" if cfg.data_kind == "synthetic-recon" else "pattern-classes"
-    k = max(cfg.model.num_classes, 2)
+    k = cfg.model.decoder[-1].out if kind == "pattern-classes" else 2  # the class count, the softmax head's width
     train = synthetic_dataset(kind, cfg.n_train, cfg.model.input_shape, k, cfg.data_seed)
     val = synthetic_dataset(kind, cfg.n_val, cfg.model.input_shape, k, cfg.data_seed + 1)
     return train, val

@@ -27,8 +27,9 @@ and bias instead (tensor._fold).  A deconv is a transposed conv computed
 over the real pixels of its input (tensor.upconv2d); no zero-inserted
 upsampled input is built.
 
-omega_t is the channel SNR mapped affinely into [-1, 1] over the configured
-training range; the model maps it once per pass (models.forward_pipeline), so
+omega_t is the channel SNR mapped affinely into [-1, 1] over the fixed
+0..20 dB range (models.OMEGA_LO_DB..OMEGA_HI_DB), and saturated at 1 above
+it; the model maps it once per pass (models.forward_pipeline), so
 layers receive omega_t, [B] or 0-d for one SNR, and know nothing of dB.
 With nu = 0 and c = 1 every layer is bit-identical to its unscaled base.
 """
@@ -38,7 +39,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -80,7 +80,7 @@ class Conv2dLayer:
 
     A deconv is defined as zero-insertion upsampling followed by a stride-1
     convolution, and computed as a transposed conv over the real pixels
-    (tensor.upconv2d), so it takes no stride of its own.
+    (tensor.upconv2d), so it takes no stride of its own (ModelConfig.validate refuses one).
     """
 
     def __init__(
@@ -92,8 +92,6 @@ class Conv2dLayer:
         upsample: int = 1,
         act: str = "linear",
     ):
-        if upsample > 1 and stride != 1:
-            raise ConfigError(f"Conv2dLayer: a deconv (upsample {upsample}) takes no stride, got {stride}")
         self.c0 = c0
         self.b0 = b0
         self.stride = stride

@@ -6,10 +6,15 @@ off, the built model is a plain fixed-condition codec whose outputs do not
 depend on omega at all.
 
 The channel SNR in dB is mapped to the layer condition
-omega_t = min(omega_gain * snr + omega_offset, 1) ([-1, 1] over the
-configured training range; above it, a better channel is coded as the
-best one trained for) once per pass: once per encode or decode call, and
-once for both halves of forward_pipeline.  Every layer receives omega_t.
+omega_t = min(gain * snr + offset, 1) once per pass: once per encode or
+decode call, and once for both halves of forward_pipeline.  gain =
+2 / (hi - lo) and offset = -(hi + lo) / (hi - lo) map the fixed range
+OMEGA_LO_DB..OMEGA_HI_DB = 0..20 dB to [-1, 1]; above it, a better channel
+is coded as the best one trained for.  Every layer receives omega_t.
+
+ModelConfig.validate, with the _propagate it calls, is the one check of a
+model: the parser checks only the text, and the layers check nothing.  A
+classification model's class count is the width of its softmax head.
 """
 
 from __future__ import annotations
@@ -21,8 +26,13 @@ import numpy as np
 from .channel import ChannelSymbols, awgn_transmit, power_normalize
 from .errors import ConfigError
 from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, Reshape, ResNetBlock
-from .tensor import Tensor
+from .tensor import ACTIVATIONS, Tensor
 from . import tensor as T
+
+# the SNR range in dB that omega_t maps to [-1, 1]; a checkpoint stores the gain and offset
+OMEGA_LO_DB, OMEGA_HI_DB = 0.0, 20.0
+_OMEGA_GAIN = 2.0 / (OMEGA_HI_DB - OMEGA_LO_DB)
+_OMEGA_OFFSET = -(OMEGA_HI_DB + OMEGA_LO_DB) / (OMEGA_HI_DB - OMEGA_LO_DB)
 
 
 @dataclass
@@ -55,35 +65,18 @@ class ModelConfig:
     bandwidth: int  # d complex symbols
     encoder: list[LayerSpec]
     decoder: list[LayerSpec]
-    num_classes: int = 0
-    omega_lo_db: float = 0.0
-    omega_hi_db: float = 20.0
 
     @property
     def n(self) -> int:
         return int(np.prod(self.input_shape))
 
-    @property
-    def omega_gain(self) -> float:
-        return 2.0 / (self.omega_hi_db - self.omega_lo_db)
-
-    @property
-    def omega_offset(self) -> float:
-        return -(self.omega_hi_db + self.omega_lo_db) / (self.omega_hi_db - self.omega_lo_db)
-
     def validate(self) -> None:
         if self.task not in ("reconstruction", "classification"):
             raise ConfigError(f"unknown task: {self.task!r}")
-        if len(self.input_shape) != 3:
-            raise ConfigError(f"input shape must be CxHxW, got {self.input_shape}")
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise ConfigError(f"input shape must be CxHxW with positive sizes, got {self.input_shape}")
         if self.bandwidth < 1:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.task == "classification" and self.num_classes < 2:
-            raise ConfigError(f"classification needs num_classes >= 2, got {self.num_classes}")
-        lo, hi = self.omega_lo_db, self.omega_hi_db
-        # an overflowing width, gain or offset breaks the SNR map; an infinite width maps every SNR to 0
-        if not (lo < hi and np.isfinite([hi - lo, self.omega_gain, self.omega_offset]).all()):
-            raise ConfigError(f"omega range must be finite with lo < hi, got {lo} .. {hi} dB")
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
         acting = [(i, s) for i, s in enumerate(self.encoder) if s.kind not in ("flatten", "reshape")]
         if acting:
@@ -108,23 +101,34 @@ class ModelConfig:
                 raise ConfigError(
                     f"decoder output shape {dec_out} != input shape {self.input_shape}"
                 )
-        else:
-            if dec_out != (self.num_classes,):
-                raise ConfigError(
-                    f"decoder final width {dec_out} != num_classes {self.num_classes}"
-                )
-            # cross-entropy reads the decoder output as probabilities
-            if not self.decoder or self.decoder[-1].act != "softmax":
-                raise ConfigError("a classification decoder must end in a softmax layer")
+        elif not self.decoder or self.decoder[-1].act != "softmax" or dec_out[0] < 2:
+            # cross-entropy reads the output as probabilities over its width, the class count;
+            # softmax is a dense layer's activation only, so that width is decoder[-1].out
+            raise ConfigError(
+                f"a classification decoder must end in a softmax layer with at least 2 outputs, got {dec_out}"
+            )
 
 
 def _propagate(shape, specs: list[LayerSpec], half: str):
-    """Infer the output shape of a layer stack; errors name the layer."""
+    """Infer the output shape of a layer stack, checking every layer's fields; errors name the layer."""
     cur = tuple(shape)
     for i, s in enumerate(specs):
         where = f"{half}[{i}] ({s.kind})"
         if s.act == "softmax" and s.kind != "dense":  # it would normalize each image row over W
             raise ConfigError(f"{where}: softmax is a dense layer's activation only")
+        if s.kind in ("dense", "conv", "deconv", "resblock"):
+            if min(s.out, s.kernel, s.stride, s.upsample) < 1 or s.padding < 0:
+                raise ConfigError(
+                    f"{where}: o, k, s and u must be positive and p >= 0,"
+                    f" got o{s.out} k{s.kernel} s{s.stride} p{s.padding} u{s.upsample}"
+                )
+            if s.act not in ACTIVATIONS:
+                raise ConfigError(f"{where}: unknown activation {s.act!r}")
+            if (s.kind == "deconv" and s.stride != 1) or (s.kind == "conv" and s.upsample != 1):
+                # a deconv is computed over its input's real pixels (tensor.upconv2d), with no stride of its own
+                raise ConfigError(
+                    f"{where}: a conv takes no upsample and a deconv no stride, got s{s.stride} u{s.upsample}"
+                )
         if s.kind == "dense":
             if len(cur) != 1:
                 raise ConfigError(f"{where}: dense needs a flat input, got {cur}")
@@ -143,6 +147,8 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
         elif s.kind == "flatten":
             cur = (int(np.prod(cur)),)
         elif s.kind == "reshape":
+            if min(s.shape, default=0) < 1:
+                raise ConfigError(f"{where}: a reshape target needs positive sizes, got {s.shape}")
             if int(np.prod(s.shape)) != int(np.prod(cur)):
                 raise ConfigError(f"{where}: cannot reshape {cur} into {s.shape}")
             cur = tuple(s.shape)
@@ -216,13 +222,13 @@ def build_model(config: ModelConfig, seed: int = 0) -> HyperAJSCCModel:
     return HyperAJSCCModel(encoder, decoder, config)
 
 
-def _omega_t(cfg: ModelConfig, omega_db) -> np.ndarray:
+def _omega_t(omega_db) -> np.ndarray:
     """SNR in dB -> mapped condition omega_t, at most 1: 0-d for one SNR, [B] for one per sample.
 
     A 0-d omega_t is one condition for the whole batch, which each scaled
     layer folds into its weights (tensor._fold).
     """
-    return np.minimum(cfg.omega_gain * np.asarray(omega_db, dtype=np.float64) + cfg.omega_offset, 1.0)
+    return np.minimum(_OMEGA_GAIN * np.asarray(omega_db, dtype=np.float64) + _OMEGA_OFFSET, 1.0)
 
 
 def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
@@ -237,7 +243,7 @@ def _encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> tuple[ChannelSymbols
     expected = shape[:1] + tuple(cfg.input_shape)
     if shape != expected:
         raise ConfigError(f"encode: input {shape}, expected {expected}")
-    omega_t = _omega_t(cfg, omega_db)
+    omega_t = _omega_t(omega_db)
     f = x
     for layer in model.encoder:
         f = layer.forward(f, omega_t)
@@ -253,7 +259,7 @@ def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
     shape = z_hat.data.shape
     if len(shape) != 2 or shape[1] != 2 * cfg.bandwidth:
         raise ConfigError(f"decode: input {shape}, expected [batch, {2 * cfg.bandwidth}]")
-    return _decode(model, z_hat, _omega_t(cfg, omega_db))
+    return _decode(model, z_hat, _omega_t(omega_db))
 
 
 def _decode(model: HyperAJSCCModel, z_hat: Tensor, omega_t: np.ndarray) -> Tensor:

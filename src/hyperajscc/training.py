@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .channel import SNR_FLOOR_DB
 from .data import Dataset, batches
 from .errors import ConfigError, NumericAbortError
 from .metrics import check_snr_grid, snr_label, snr_sweep
@@ -163,8 +164,8 @@ class TrainConfig:
         if self.val_every:
             check_snr_grid(self.val_grid)
         lo, hi = self.prior
-        if not -np.inf < lo <= hi < np.inf:
-            raise ConfigError(f"SNR prior [{lo}, {hi}] dB must be finite with lo <= hi")
+        if not SNR_FLOOR_DB <= lo <= hi < np.inf:
+            raise ConfigError(f"SNR prior [{lo}, {hi}] dB must be finite, lo <= hi, and none below {SNR_FLOOR_DB:g} dB")
 
 
 def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optimizer: Adam, rng) -> float:

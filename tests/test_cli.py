@@ -241,12 +241,6 @@ def _version_1(tmp_path):
     return ["sweep", ckpt, "--csv", str(tmp_path / "s.csv")]
 
 
-def _empty_omega_range(tmp_path):
-    path = tmp_path / "omega.cfg"
-    path.write_text(GOOD.replace("bandwidth = 4", "bandwidth = 4\nomega_lo_db = 10\nomega_hi_db = 10"))
-    return ["train", str(path), "--out", str(tmp_path / "out")]
-
-
 def _empty_cifar_test_batch(tmp_path):
     # 0 bytes is a whole number of records; the sweep would divide by the 0 images
     cifar = tmp_path / "cifar"
@@ -308,7 +302,6 @@ def _binary_config(tmp_path):
         (_nan_tensor, EXIT_CORRUPT, "artifact error"),
         (_flipped_tensor_bit, EXIT_CORRUPT, "artifact error"),
         (_version_1, EXIT_CORRUPT, "artifact error"),
-        (_empty_omega_range, EXIT_CONFIG, "config error"),
         (_binary_config, EXIT_CONFIG, "config error"),
         (_edited_good("seed = 0\n", "seed = -1\n"), EXIT_CONFIG, "config error"),
         (_edited_good("seed = 1\n", "seed = -1\n"), EXIT_CONFIG, "config error"),
@@ -321,10 +314,6 @@ def _binary_config(tmp_path):
         (_edited_good("input_shape = 1x8x8", "input_shape = 8x8"), EXIT_CONFIG, "config error"),
         (_edited_good("input_shape = 1x8x8", "input_shape = 1x1x8x8"), EXIT_CONFIG, "config error"),
         (_edited_good("epochs = 2", "epochs = 2\nval_every = -1"), EXIT_CONFIG, "config error"),
-        (
-            _edited_good("bandwidth = 4", "bandwidth = 4\nomega_lo_db = -1e308\nomega_hi_db = 1e308"),
-            EXIT_CONFIG, "config error",
-        ),
         (_edited_good("dense o2 softmax hyper", "dense o2 linear hyper", DEFAULT_CLASS), EXIT_CONFIG, "config error"),
         (_empty_cifar_test_batch, EXIT_CORRUPT, "artifact error"),
         (_edited_good("dense o8 linear hyper", "dense o8 linear hyper hyper"), EXIT_CONFIG, "config error"),
@@ -346,11 +335,11 @@ def _binary_config(tmp_path):
     ids=[
         "sweep-directory", "count-params-directory", "malformed-cifar", "all-zero-symbols", "omega-map-mismatch",
         "classification-on-recon-data", "unparsable-embedded-config", "nan-tensor", "flipped-tensor-bit",
-        "version-1", "empty-omega-range",
+        "version-1",
         "binary-config",
         "data-seed-negative", "train-seed-negative", "gradcheck-seed-negative", "lr-nan", "lr-inf", "prior-fixed-nan",
         "snr-grid-below-floor", "prior-below-floor", "input-shape-2d", "input-shape-4d", "val-every-negative",
-        "omega-width-infinite", "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
+        "classifier-without-softmax", "empty-cifar-test-batch", "layer-token-twice",
         "deconv-stride", "resblock-even-kernel", "relu-last-encoder-layer", "softmax-deconv",
         "one-channel-hyper-last-encoder-layer",
     ],

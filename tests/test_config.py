@@ -101,7 +101,7 @@ class TestParseRunConfig:
 
     @pytest.mark.parametrize("token", ["k0", "s0", "u0"])
     def test_non_positive_layer_number_rejected(self, token):
-        layer = f"reshape 32x1x1 | {'deconv' if token == 'u0' else 'conv'} o32 {token} relu hyper | flatten"
+        layer = f"reshape 64x1x1 | {'deconv' if token == 'u0' else 'conv'} o32 {token} relu hyper | flatten"
         with pytest.raises(ConfigError, match="must be positive"):
             parse_run_config(GOOD.replace("dense o32 relu hyper", layer, 1))
 
@@ -140,14 +140,6 @@ class TestParseRunConfig:
     def test_data_kind_must_fit_task(self, kind):
         with pytest.raises(ConfigError, match="data kind"):
             parse_run_config(GOOD.replace("kind = synthetic-recon", f"kind = {kind}"))
-
-    @pytest.mark.parametrize(
-        "lo,hi", [("10", "10"), ("20", "0"), ("nan", "20"), ("-inf", "20"), ("-1e308", "1e308")]
-    )
-    def test_empty_or_reversed_omega_range_rejected(self, lo, hi):
-        text = GOOD.replace("bandwidth = 4", f"bandwidth = 4\nomega_lo_db = {lo}\nomega_hi_db = {hi}")
-        with pytest.raises(ConfigError, match="omega range"):
-            parse_run_config(text)
 
     def test_width_mismatch_fails_validation(self):
         bad = GOOD.replace("dense o8 linear", "dense o9 linear")

@@ -190,13 +190,11 @@ def model_sections(draw):
     if task == "classification":
         k = draw(st.integers(2, 3))
         decoder.append(dense_layer(draw, k, ("softmax",)))
-        extra = f"num_classes = {k}\n"
     else:
         n = c * h * w
         decoder.append(dense_layer(draw, n, ACTIVATIONS if n > 1 else HIDDEN_ACTS))
-        extra = ""
     return (
-        f"[model]\ntask = {task}\ninput_shape = {c}x{h}x{w}\nbandwidth = {d}\n{extra}"
+        f"[model]\ntask = {task}\ninput_shape = {c}x{h}x{w}\nbandwidth = {d}\n"
         f"encoder = {' | '.join(encoder)}\ndecoder = {' | '.join(decoder)}\n"
     )
 
@@ -213,7 +211,7 @@ def excite(model, rng):
 
 def check_layer_shapes(model, f, omegas, half, specs, shape):
     """Runs one half layer by layer; every output shape must be the one _propagate infers."""
-    omega_t = _omega_t(model.config, omegas)
+    omega_t = _omega_t(omegas)
     for i, (layer, spec) in enumerate(zip(getattr(model, half), specs)):
         shape = _propagate(shape, [spec], half)
         f = layer.forward(f, omega_t)
@@ -244,7 +242,7 @@ def test_random_architecture_oracle(workdir, text, seed):
     excite(model, rng)
     mc = cfg.model
     x = rng.uniform(-0.9, 0.9, (2,) + mc.input_shape)
-    labels = rng.integers(0, max(mc.num_classes, 1), size=2)
+    labels = rng.integers(0, mc.decoder[-1].out if mc.task == "classification" else 1, size=2)
     omegas = rng.uniform(0.0, 20.0, size=2)
 
     # every built layer's output shape is the one the config check inferred

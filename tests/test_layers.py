@@ -106,14 +106,9 @@ class TestConvForward:
         k = Tensor(rng.standard_normal((3, 2, 3, 3)))
         b = Tensor(rng.standard_normal(3))
         s = Tensor(rng.uniform(0.5, 2.0, 3))
-        via_kernels = T.conv2d(x, T.scale_rowwise(k, s), Tensor(s.data * b.data), 1, 1)
-        via_channels = T.scale_channels(T.conv2d(x, k, b, 1, 1), Tensor(s.data[None, :]))
-        np.testing.assert_allclose(via_kernels.data, via_channels.data, rtol=0, atol=1e-12)
-
-    def test_deconv_takes_no_stride(self):
-        with pytest.raises(ConfigError, match="no stride"):
-            spec = LayerSpec("deconv", out=3, stride=2, padding=1, upsample=2, act="relu", hyper=True)
-            build_layer(spec, 2, np.random.default_rng(0))
+        via_kernels = T.conv2d(x, Tensor(k.data * s.data[:, None, None, None]), Tensor(s.data * b.data), 1, 1)
+        via_channels = T.conv2d(x, k, b, 1, 1).data * s.data[None, :, None, None]
+        np.testing.assert_allclose(via_kernels.data, via_channels, rtol=0, atol=1e-12)
 
 
 # bases with 2 input and 3 output channels, given a bias of the stated width, an input for them, and their op

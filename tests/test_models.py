@@ -7,6 +7,8 @@ import pytest
 from hyperajscc.channel import awgn_transmit
 from hyperajscc.config import parse_run_config
 from hyperajscc.models import (
+    OMEGA_HI_DB,
+    OMEGA_LO_DB,
     LayerSpec,
     ModelConfig,
     build_model,
@@ -69,9 +71,12 @@ class TestBuildModel:
             assert na == nb and np.array_equal(ta.data, tb.data)
 
     def test_classification_head_width_enforced(self):
+        # the softmax head's width is the class count, so any width of at least 2 is a valid head
         cfg = shipped_model_config("default_class")
         cfg.decoder[-1].out = 5
-        with pytest.raises(ConfigError, match="num_classes"):
+        assert build_model(cfg, 0).decoder[-1].base.b0.shape == (5,)
+        cfg.decoder[-1].out = 1
+        with pytest.raises(ConfigError, match="softmax layer with at least 2 outputs"):
             build_model(cfg, 0)
 
     def test_inconsistent_widths_name_the_layer(self):
@@ -296,30 +301,29 @@ def test_scalar_omega_is_bit_equal_to_per_sample_omega_at_the_identity(kind):
 
 
 def test_range_midpoint_maps_to_zero_omega():
-    # over 10..30 dB, 20 dB maps to omega_t = 0, so s = c whatever nu is
+    # over 0..20 dB, 10 dB maps to omega_t = 0, so s = c whatever nu is
     cfg = toy_dense_config()
-    cfg.omega_lo_db, cfg.omega_hi_db = 10.0, 30.0
     model = build_model(cfg, 4)
     excite_scales(model, np.random.default_rng(4))
     x = rand_x(cfg)
-    excited = encode(model, x, 20.0).values.data
-    assert not np.array_equal(encode(model, x, 10.0).values.data, excited)  # nu matters elsewhere
+    excited = encode(model, x, 10.0).values.data
+    assert not np.array_equal(encode(model, x, 0.0).values.data, excited)  # nu matters elsewhere
     for layer in model.encoder:
         if getattr(layer, "scale", None) is not None:
             layer.scale.nu.data = np.zeros(layer.scale.nu.shape[0])
-    assert np.array_equal(encode(model, x, 20.0).values.data, excited)
+    assert np.array_equal(encode(model, x, 10.0).values.data, excited)
 
 
 def test_omega_saturates_at_the_top_of_the_range():
-    # a better channel than omega_hi_db is coded as omega_hi_db; below the range the map stays linear
+    # a better channel than OMEGA_HI_DB is coded as OMEGA_HI_DB; below the range the map stays linear
     cfg = toy_dense_config()
     model = build_model(cfg, 4)
     excite_scales(model, np.random.default_rng(4))
     x = rand_x(cfg)
-    top = encode(model, x, cfg.omega_hi_db).values.data
-    assert np.array_equal(encode(model, x, cfg.omega_hi_db + 40.0).values.data, top)
-    bottom = encode(model, x, cfg.omega_lo_db).values.data
-    assert not np.array_equal(encode(model, x, cfg.omega_lo_db - 10.0).values.data, bottom)
+    top = encode(model, x, OMEGA_HI_DB).values.data
+    assert np.array_equal(encode(model, x, OMEGA_HI_DB + 40.0).values.data, top)
+    bottom = encode(model, x, OMEGA_LO_DB).values.data
+    assert not np.array_equal(encode(model, x, OMEGA_LO_DB - 10.0).values.data, bottom)
 
 
 @pytest.mark.parametrize("kind", ["conv", "deconv", "resblock"])
@@ -329,3 +333,39 @@ def test_softmax_on_a_spatial_layer_is_refused(kind):
     cfg = ModelConfig("reconstruction", (1, 4, 4), 16, [spec], [])
     with pytest.raises(ConfigError, match=rf"^encoder\[0\] \({kind}\): softmax"):
         cfg.validate()
+
+
+def _spec(kind, **fields):
+    return LayerSpec(kind, out=fields.pop("out", 1), act=fields.pop("act", "tanh"), **fields)
+
+
+@pytest.mark.parametrize(
+    "encoder,decoder,input_shape,where",
+    [
+        ([LayerSpec("flatten"), _spec("dense", out=0)], [], (1, 8, 8), r"encoder\[1\] \(dense\): o, k, s"),
+        ([_spec("conv", kernel=0)], [], (1, 8, 8), r"encoder\[0\] \(conv\): o, k, s"),
+        ([_spec("conv", stride=0)], [], (1, 8, 8), r"encoder\[0\] \(conv\): o, k, s"),
+        ([_spec("conv", padding=-1)], [], (1, 8, 8), r"encoder\[0\] \(conv\): .*p >= 0"),
+        ([_spec("conv", padding=1, act="gelu")], [], (1, 8, 8), r"encoder\[0\] \(conv\): unknown activation 'gelu'"),
+        ([_spec("deconv", padding=1, upsample=2, stride=2)], [], (1, 8, 8), r"encoder\[0\] \(deconv\): .*no stride"),
+        ([_spec("conv", padding=1, upsample=2)], [], (1, 8, 8), r"encoder\[0\] \(conv\): .*no upsample"),
+        ([], [LayerSpec("reshape", shape=(-1, -4, 4))], (1, 8, 8), r"decoder\[0\] \(reshape\): .*positive sizes"),
+        ([], [], (0, 8, 8), "input shape .*positive sizes"),
+        ([], [], (-1, -8, 8), "input shape .*positive sizes"),
+    ],
+    ids=[
+        "dense-o0", "conv-k0", "conv-s0", "conv-p-1", "conv-gelu", "deconv-s2", "conv-u2", "reshape-negative",
+        "input-shape-zero", "input-shape-negative",
+    ],
+)
+def test_bad_layer_field_is_a_config_error_naming_the_layer(encoder, decoder, input_shape, where):
+    # a spec built in code meets the rules a config file's does, checked by validate alone;
+    # the flatten and dense tails keep every other width valid
+    n = int(np.prod(input_shape))
+    cfg = ModelConfig(
+        "reconstruction", input_shape, 8,
+        encoder + [LayerSpec("flatten"), _spec("dense", out=16)],
+        decoder + [LayerSpec("flatten"), _spec("dense", out=n)],
+    )
+    with pytest.raises(ConfigError, match="^" + where):
+        build_model(cfg, 0)

@@ -508,7 +508,8 @@ class TestTrain:
 
     def test_invalid_prior_rejected(self):
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
-        for prior in [(5.0, 1.0), (np.nan, 20.0), (0.0, np.inf), (-np.inf, 0.0)]:
+        # below the -100 dB floor the noise variance overflows, and the first step would be a NumericAbortError
+        for prior in [(5.0, 1.0), (np.nan, 20.0), (0.0, np.inf), (-np.inf, 0.0), (-5000.0, 0.0), (-100.5, -100.5)]:
             with pytest.raises(ConfigError, match="SNR prior"):
                 train(build_model(toy_dense_config(), 0), ds, TrainConfig(epochs=1, batch_size=8, prior=prior))
 
