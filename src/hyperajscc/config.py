@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .data import load_cifar10, synthetic_dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .metrics import check_snr_grid
 from .models import LayerSpec, ModelConfig
 from .tensor import ACTIVATIONS
@@ -160,9 +160,7 @@ def parse_seed(value: str) -> int:
         seed = int(value)
     except ValueError:
         raise ConfigError(f"bad seed {value!r}, expected a non-negative integer") from None
-    if seed < 0:
-        raise ConfigError(f"bad seed {value!r}: seeds must be non-negative")
-    return seed
+    return check_seed(seed)
 
 
 def parse_seeds(value: str) -> tuple[int, ...]:

@@ -9,12 +9,13 @@ with numpy alone; they match scipy.ndimage.zoom(order=3) to rounding.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorruptArtifactError
+from .errors import ConfigError, CorruptArtifactError, check_seed
 
 RECORD_BYTES = 3073  # 1 label byte + 3*32*32 pixel bytes
 
@@ -115,7 +116,9 @@ def synthetic_dataset(
     """kind: 'gaussian-blobs-images' (reconstruction) or 'pattern-classes'."""
     if n_items < 1:
         raise ConfigError("n_items must be positive")
-    rng = np.random.default_rng(seed)
+    if len(shape) != 3 or not all(isinstance(n, numbers.Integral) and n >= 1 for n in shape):
+        raise ConfigError(f"image shape {shape!r} must be three sizes >= 1")
+    rng = np.random.default_rng(check_seed(seed))
     if kind == "gaussian-blobs-images":
         samples = _smooth_images(n_items, shape, rng)
         return Dataset(samples, None, kind, "any")

@@ -1,4 +1,9 @@
-"""The exceptions a command can end in: one class for each of the CLI exit codes 2, 3 and 4."""
+"""The exceptions a command can end in: one class for each of the CLI exit codes 2, 3 and 4.
+
+`check_seed` is the one seed rule, which every entry point that takes a seed applies.
+"""
+
+import operator
 
 
 class ConfigError(ValueError):
@@ -11,3 +16,14 @@ class NumericAbortError(Exception):
 
 class CorruptArtifactError(Exception):
     """Exit 4: a checkpoint or dataset file is not what it claims to be."""
+
+
+def check_seed(seed) -> int:
+    """`seed` as an int; a ConfigError unless it is a non-negative integer (numpy's seeding rule)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"bad seed {seed!r}, expected a non-negative integer") from None
+    if value < 0:
+        raise ConfigError(f"bad seed {seed!r}: seeds must be non-negative")
+    return value

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .channel import SNR_FLOOR_DB
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .models import HyperAJSCCModel, forward_pipeline
 from .tensor import Tensor
 
@@ -59,12 +59,15 @@ def snr_label(snr_db: float) -> str:
 
 
 def check_snr_grid(snr_grid) -> list[float]:
-    """The grid as floats; a ConfigError unless it is non-empty, finite, at or above SNR_FLOOR_DB and increasing.
+    """The grid as floats; a ConfigError unless it is non-empty, numeric, finite, at or above SNR_FLOOR_DB and increasing.
 
     A NaN would pass the order check and sweep to a row of NaNs, and an SNR
     far below the floor overflows the channel's noise variance.
     """
-    grid = [float(s) for s in snr_grid]
+    try:
+        grid = [float(s) for s in snr_grid]
+    except (TypeError, ValueError):
+        raise ConfigError("SNRs must be numbers") from None
     if not grid:
         raise ConfigError("empty SNR grid")
     if not all(map(math.isfinite, grid)):
@@ -98,11 +101,12 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
 def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) -> SweepReport:
     """Full-dataset metric at each grid SNR, aggregated over noise seeds.
 
-    A ConfigError if the grid is empty or not increasing, there is no noise
-    seed, or the dataset has no samples: no such sweep has a metric.
+    A ConfigError if the grid fails `check_snr_grid`, there is no noise
+    seed or one fails `check_seed`, or the dataset has no samples: no such
+    sweep has a metric.
     """
     grid = check_snr_grid(snr_grid)
-    seeds = tuple(seeds)
+    seeds = tuple(check_seed(s) for s in seeds)
     if not seeds:
         raise ConfigError("snr_sweep: no noise seeds")
     if dataset.samples.shape[0] == 0:
@@ -112,7 +116,7 @@ def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) ->
     for gi, snr in enumerate(grid):
         vals = []
         for seed in seeds:
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), gi)))
+            rng = np.random.default_rng(np.random.SeedSequence((seed, gi)))
             vals.append(_eval_once(model, dataset, snr, rng))
         vals = np.asarray(vals)
         report.rows.append((snr, float(vals.mean()), float(vals.std()), dataset.samples.shape[0]))

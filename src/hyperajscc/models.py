@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelSymbols, awgn_transmit, power_normalize
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, Reshape, ResNetBlock
 from .tensor import ACTIVATIONS, Tensor
 from . import tensor as T
@@ -216,7 +216,7 @@ def _build_stack(shape, specs: list[LayerSpec], rng, half: str):
 def build_model(config: ModelConfig, seed: int = 0) -> HyperAJSCCModel:
     """Initialize a model: He-uniform weights, zero biases, nu=0, c=1."""
     config.validate()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     encoder = _build_stack(config.input_shape, config.encoder, rng, "encoder")
     decoder = _build_stack((2 * config.bandwidth,), config.decoder, rng, "decoder")
     return HyperAJSCCModel(encoder, decoder, config)

@@ -11,6 +11,7 @@ epoch/step.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .channel import SNR_FLOOR_DB
 from .data import Dataset, batches
-from .errors import ConfigError, NumericAbortError
+from .errors import ConfigError, NumericAbortError, check_seed
 from .metrics import check_snr_grid, snr_label, snr_sweep
 from .models import HyperAJSCCModel, forward_pipeline
 from .tensor import Tensor
@@ -155,6 +156,9 @@ class TrainConfig:
     val_every: int = 0  # validate every N epochs; 0 disables validation
 
     def validate(self) -> None:
+        for name in ("epochs", "batch_size", "val_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} {getattr(self, name)!r} must be an integer")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if not 0 < self.lr < np.inf:
@@ -163,8 +167,12 @@ class TrainConfig:
             raise ConfigError(f"val_every {self.val_every} must be >= 0")
         if self.val_every:
             check_snr_grid(self.val_grid)
-        lo, hi = self.prior
-        if not SNR_FLOOR_DB <= lo <= hi < np.inf:
+        check_seed(self.seed)
+        try:
+            lo, hi = self.prior
+        except (TypeError, ValueError):
+            raise ConfigError(f"SNR prior {self.prior!r} must be a pair (lo_db, hi_db)") from None
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and SNR_FLOOR_DB <= lo <= hi < np.inf):
             raise ConfigError(f"SNR prior [{lo}, {hi}] dB must be finite, lo <= hi, and none below {SNR_FLOOR_DB:g} dB")
 
 

@@ -2,7 +2,8 @@
 
 The heavyweight end-to-end runs (the reconstruction envelope shared by the
 adaptive-vs-fixed and graceful-degradation criteria, and the classification
-margins) use module-scoped fixtures so each model is trained exactly once.
+margins) are scripts/seed_audit.py's `recon_row` and `class_row`, called
+from module-scoped fixtures so each model is trained exactly once.
 Everything is seeded: the measured numbers reproduce bit-for-bit on every
 run of this file.
 """
@@ -17,15 +18,13 @@ from hyperajscc import tensor as T
 from hyperajscc.channel import awgn_transmit, power_normalize
 from hyperajscc.checkpoint import load_model, save_checkpoint
 from hyperajscc.cli import EXIT_OK, main
-from hyperajscc.data import synthetic_dataset
 from hyperajscc.gradcheck import _checks, _layer_checks, run_suite
-from hyperajscc.metrics import compare_adaptive_vs_fixed, psnr_from_mse, snr_sweep
+from hyperajscc.metrics import psnr_from_mse
 from hyperajscc.models import LayerSpec, ModelConfig, build_model, count_params, encode
 from hyperajscc.tensor import Tensor
-from hyperajscc.training import TrainConfig, train
 
+from seed_audit import class_row, margins, recon_row, shipped_model_config, worst_dip
 from test_config import GOOD
-from test_models import shipped_model_config
 
 
 def report(capsys, name, passed, detail):
@@ -35,65 +34,22 @@ def report(capsys, name, passed, detail):
 
 
 # ---------------------------------------------------------------------------
-# shared end-to-end experiments
-
-RECON_EPOCHS = 250  # 8 steps/epoch x 250 = 2000 steps per model
-CLASS_EPOCHS = 60
-MATCHED_SNRS = [1.0, 7.0, 13.0, 19.0]
-FULL_GRID = [float(s) for s in range(0, 21, 2)]
+# shared end-to-end experiments (scripts/seed_audit.py), each run once
 
 
 @pytest.fixture(scope="module")
 def recon_experiment():
-    """Adaptive model + four fixed-SNR baselines on 8x8 reconstruction, d=8."""
+    """Adaptive model + four fixed-SNR baselines on 8x8 reconstruction, d=8, training seed 0."""
     t0 = time.perf_counter()
-    train_ds = synthetic_dataset("gaussian-blobs-images", 256, (3, 8, 8), seed=0)
-    test_ds = synthetic_dataset("gaussian-blobs-images", 128, (3, 8, 8), seed=1)
-    grid = sorted(set(MATCHED_SNRS + FULL_GRID))
-
-    model = build_model(shipped_model_config("default_recon"), 0)
-    cfg = TrainConfig(
-        epochs=RECON_EPOCHS, batch_size=32, prior=(0.0, 20.0),
-        seed=0, val_every=0,
-    )
-    train(model, train_ds, cfg)
-    adaptive = snr_sweep(model, test_ds, grid, seeds=(0, 1))
-
-    fixed = {}
-    for snr in MATCHED_SNRS:
-        mf = build_model(shipped_model_config("default_recon", hyper=False), 0)
-        cf = TrainConfig(
-            epochs=RECON_EPOCHS, batch_size=32, prior=(snr, snr),
-            seed=0, val_every=0,
-        )
-        train(mf, train_ds, cf)
-        fixed[snr] = snr_sweep(mf, test_ds, grid, seeds=(0, 1))
-    return {"adaptive": adaptive, "fixed": fixed, "wall_s": time.perf_counter() - t0}
+    gaps, means = recon_row(0)
+    return {"gaps": gaps, "means": means, "wall_s": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
 def class_experiment():
-    """Adaptive vs fixed-1dB and fixed-19dB classifiers, d=4, 3 seeds."""
+    """Adaptive vs fixed-1dB and fixed-19dB classifiers, d=4, training seeds 0, 1, 2."""
     t0 = time.perf_counter()
-    train_ds = synthetic_dataset("pattern-classes", 256, (3, 8, 8), num_classes=2, seed=0)
-    test_ds = synthetic_dataset("pattern-classes", 128, (3, 8, 8), num_classes=2, seed=1)
-    rows = []
-    for seed in (0, 1, 2):
-        accs = {}
-        for name, hyper, prior in [
-            ("adaptive", True, (0.0, 20.0)),
-            ("fixed1", False, (1.0, 1.0)),
-            ("fixed19", False, (19.0, 19.0)),
-        ]:
-            m = build_model(shipped_model_config("default_class", hyper), seed)
-            cfg = TrainConfig(
-                epochs=CLASS_EPOCHS, batch_size=32, prior=prior,
-                seed=seed, val_every=0,
-            )
-            train(m, train_ds, cfg)
-            rep = snr_sweep(m, test_ds, [1.0, 19.0], seeds=(0,))
-            accs[name] = (rep.mean_at(1.0), rep.mean_at(19.0))
-        rows.append(accs)
+    rows = [class_row(seed) for seed in (0, 1, 2)]
     return {"rows": rows, "wall_s": time.perf_counter() - t0}
 
 
@@ -206,7 +162,7 @@ def test_p5_psnr_formula(capsys):
 
 
 def test_p6_adaptive_vs_fixed(capsys, recon_experiment):
-    gaps = compare_adaptive_vs_fixed(recon_experiment["adaptive"], recon_experiment["fixed"])
+    gaps = recon_experiment["gaps"]
     worst = max(abs(g) for _, g in gaps)
     wall = recon_experiment["wall_s"]
     ok = worst <= 1.0 and wall < 900
@@ -218,20 +174,18 @@ def test_p6_adaptive_vs_fixed(capsys, recon_experiment):
 
 
 def test_p7_graceful_degradation(capsys, recon_experiment):
-    means = [recon_experiment["adaptive"].mean_at(s) for s in FULL_GRID]
-    worst_dip = max((a - b) for a, b in zip(means, means[1:]))
-    ok = worst_dip <= 0.2
+    means = recon_experiment["means"]
+    dip = worst_dip(means)
+    ok = dip <= 0.2
     report(
         capsys, "P7 graceful degradation", ok,
         f"adaptive PSNR {means[0]:.2f}->{means[-1]:.2f} dB over 0-20 dB, "
-        f"worst adjacent dip {max(worst_dip, 0):.3f} <= 0.2",
+        f"worst adjacent dip {max(dip, 0):.3f} <= 0.2",
     )
 
 
 def test_p8_task_oriented_margins(capsys, class_experiment):
-    rows = class_experiment["rows"]
-    margin_19 = float(np.mean([r["adaptive"][1] - r["fixed1"][1] for r in rows]))
-    margin_1 = float(np.mean([r["adaptive"][0] - r["fixed19"][0] for r in rows]))
+    margin_19, margin_1 = np.mean([margins(r) for r in class_experiment["rows"]], axis=0)
     wall = class_experiment["wall_s"]
     ok = margin_19 >= 0 and margin_1 >= 0 and wall < 600
     report(

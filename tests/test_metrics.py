@@ -19,7 +19,8 @@ from hyperajscc.metrics import (
 from hyperajscc.models import build_model, forward_pipeline
 from hyperajscc.tensor import Tensor
 
-from test_models import shipped_model_config, toy_dense_config
+from seed_audit import shipped_model_config
+from test_models import toy_dense_config
 
 
 class TestPsnr:

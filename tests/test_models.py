@@ -1,11 +1,9 @@
 import hashlib
-import os
 
 import numpy as np
 import pytest
 
 from hyperajscc.channel import awgn_transmit
-from hyperajscc.config import parse_run_config
 from hyperajscc.models import (
     OMEGA_HI_DB,
     OMEGA_LO_DB,
@@ -21,14 +19,7 @@ from hyperajscc.models import (
 from hyperajscc.errors import ConfigError
 from hyperajscc.tensor import Tensor
 
-from test_config import CONFIGS
-
-
-def shipped_model_config(name, hyper=True):
-    """[model] of configs/<name>.cfg; hyper=False drops every ` hyper` token (the fixed-SNR baseline)."""
-    with open(os.path.join(CONFIGS, name + ".cfg")) as fh:
-        text = fh.read()
-    return parse_run_config(text if hyper else text.replace(" hyper", "")).model
+from seed_audit import shipped_model_config
 
 
 def toy_dense_config(hyper=True):

@@ -4,6 +4,7 @@ import pytest
 from hyperajscc import tensor as T
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.errors import ConfigError, NumericAbortError
+from hyperajscc.metrics import snr_sweep
 from hyperajscc.models import build_model, forward_pipeline
 from hyperajscc.tensor import Tensor, finite_diff_check
 from hyperajscc.training import (
@@ -15,7 +16,8 @@ from hyperajscc.training import (
     train_step,
 )
 
-from test_models import shipped_model_config, toy_dense_config
+from seed_audit import shipped_model_config
+from test_models import toy_dense_config
 
 
 class TestMseLoss:
@@ -509,7 +511,9 @@ class TestTrain:
     def test_invalid_prior_rejected(self):
         ds = synthetic_dataset("gaussian-blobs-images", 16, (1, 8, 8), seed=0)
         # below the -100 dB floor the noise variance overflows, and the first step would be a NumericAbortError
-        for prior in [(5.0, 1.0), (np.nan, 20.0), (0.0, np.inf), (-np.inf, 0.0), (-5000.0, 0.0), (-100.5, -100.5)]:
+        for prior in [
+            (5.0, 1.0), (np.nan, 20.0), (0.0, np.inf), (-np.inf, 0.0), (-5000.0, 0.0), (-100.5, -100.5), (0, 1, 2), ("0", "1"),
+        ]:
             with pytest.raises(ConfigError, match="SNR prior"):
                 train(build_model(toy_dense_config(), 0), ds, TrainConfig(epochs=1, batch_size=8, prior=prior))
 
@@ -552,3 +556,31 @@ class TestObjectiveStatistics:
         se_large = large.std(ddof=1) / np.sqrt(large.size)
         assert se_large < se_small  # shrinks with draws
         assert abs(small.mean() - large.mean()) < 4 * np.hypot(se_small, se_large)
+
+
+def train_one_epoch(model, ds, **fields):
+    return train(model, ds, TrainConfig(**{"epochs": 1, "batch_size": 8, **fields}), ds)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m, ds: build_model(m.config, -1), id="build-seed-negative"),
+        pytest.param(lambda m, ds: build_model(m.config, 1.5), id="build-seed-float"),
+        pytest.param(lambda m, ds: train_one_epoch(m, ds, seed=-1), id="train-seed-negative"),
+        pytest.param(lambda m, ds: train_one_epoch(m, ds, epochs=2.5), id="epochs-float"),
+        pytest.param(lambda m, ds: train_one_epoch(m, ds, batch_size=1.5), id="batch-size-float"),
+        pytest.param(lambda m, ds: train_one_epoch(m, ds, val_every=1.5), id="val-every-float"),
+        pytest.param(lambda m, ds: snr_sweep(m, ds, [1.0], seeds=(-1,)), id="sweep-seed-negative"),
+        pytest.param(lambda m, ds: snr_sweep(m, ds, [1.0], seeds=("a",)), id="sweep-seed-string"),
+        pytest.param(lambda m, ds: snr_sweep(m, ds, ["x"]), id="sweep-snr-string"),
+        pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 4, (1, 0, 8)), id="data-shape-zero"),
+        pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 4, (8, 8)), id="data-shape-2d"),
+        pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 4, (1, 8, 8), seed=-1), id="data-seed-negative"),
+    ],
+)
+def test_a_bad_library_argument_is_a_config_error(call):
+    # the library keeps the CLI's contract: a call it cannot run as given is a ConfigError, not numpy's error
+    ds = synthetic_dataset("gaussian-blobs-images", 8, (1, 8, 8), seed=0)
+    with pytest.raises(ConfigError):
+        call(build_model(toy_dense_config(), 0), ds)
