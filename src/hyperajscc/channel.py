@@ -23,6 +23,21 @@ SNR_CAP_DB = 40.0
 SNR_FLOOR_DB = -100.0
 
 
+def check_snr(omega_db) -> np.ndarray:
+    """omega_db, one SNR in dB or an array of them, as float64; a ConfigError unless each is a number >= SNR_FLOOR_DB.
+
+    A NaN codes to NaN symbols, and an SNR far below the floor overflows
+    the noise variance.  encode, decode and metrics.check_snr_grid apply it.
+    """
+    try:  # same_kind refuses None, strings and other objects, which float64 would turn into NaN or parse
+        snr = np.asarray(omega_db).astype(np.float64, copy=False, casting="same_kind")
+    except (TypeError, ValueError):  # a ValueError: a ragged list
+        raise ConfigError("SNRs must be numbers") from None
+    if not ((SNR_FLOOR_DB <= snr) & (snr < np.inf)).all():  # a NaN fails both
+        raise ConfigError(f"SNRs must be finite numbers, none below {SNR_FLOOR_DB:g} dB")
+    return snr
+
+
 @dataclass
 class ChannelSymbols:
     """Power-normalized channel input: d complex symbols per row."""

@@ -9,13 +9,12 @@ with numpy alone; they match scipy.ndimage.zoom(order=3) to rounding.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorruptArtifactError, check_seed
+from .errors import ConfigError, CorruptArtifactError, are_counts, check_seed
 
 RECORD_BYTES = 3073  # 1 label byte + 3*32*32 pixel bytes
 
@@ -114,9 +113,9 @@ def synthetic_dataset(
     seed: int = 0,
 ) -> Dataset:
     """kind: 'gaussian-blobs-images' (reconstruction) or 'pattern-classes'."""
-    if n_items < 1:
-        raise ConfigError("n_items must be positive")
-    if len(shape) != 3 or not all(isinstance(n, numbers.Integral) and n >= 1 for n in shape):
+    if not are_counts([n_items, num_classes]):
+        raise ConfigError(f"n_items {n_items!r} and num_classes {num_classes!r} must be positive integers")
+    if not (are_counts(shape) and len(shape) == 3):
         raise ConfigError(f"image shape {shape!r} must be three sizes >= 1")
     rng = np.random.default_rng(check_seed(seed))
     if kind == "gaussian-blobs-images":

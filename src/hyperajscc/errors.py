@@ -1,8 +1,10 @@
 """The exceptions a command can end in: one class for each of the CLI exit codes 2, 3 and 4.
 
-`check_seed` is the one seed rule, which every entry point that takes a seed applies.
+`check_seed` is the one seed rule, which every entry point that takes a seed
+applies, and `are_counts` the one rule for a size or count.
 """
 
+import numbers
 import operator
 
 
@@ -27,3 +29,10 @@ def check_seed(seed) -> int:
     if value < 0:
         raise ConfigError(f"bad seed {seed!r}: seeds must be non-negative")
     return value
+
+
+def are_counts(values, least: int = 1) -> bool:
+    """Whether values is a non-empty tuple or list of integers >= least."""
+    return isinstance(values, (tuple, list)) and bool(values) and all(
+        isinstance(v, numbers.Integral) and v >= least for v in values
+    )

@@ -22,8 +22,9 @@ For convolutions, scaling output channels is mathematically identical to
 row-scaling the kernels and commutes with the convolution.  With one
 omega_t per sample the output is the side that gets scaled, because s
 differs per sample and the kernels are shared by the whole batch; with
-one omega_t for the batch, s is one vector, and the op scales its kernel
-and bias instead (tensor._fold).  A deconv is a transposed conv computed
+one omega_t for the batch, s is one vector, and inside no_tape() the op
+scales its kernel and bias instead (tensor._fold).  On the tape a 0-d
+omega_t runs as one per sample.  A deconv is a transposed conv computed
 over the real pixels of its input (tensor.upconv2d); no zero-inserted
 upsampled input is built.
 

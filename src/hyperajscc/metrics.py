@@ -9,13 +9,12 @@ as sum((x - out)**2) / 4, the same quantity.  Zero MSE is capped at
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .channel import SNR_FLOOR_DB
+from .channel import check_snr
 from .data import Dataset
 from .errors import ConfigError, check_seed
 from .models import HyperAJSCCModel, forward_pipeline
@@ -59,21 +58,14 @@ def snr_label(snr_db: float) -> str:
 
 
 def check_snr_grid(snr_grid) -> list[float]:
-    """The grid as floats; a ConfigError unless it is non-empty, numeric, finite, at or above SNR_FLOOR_DB and increasing.
+    """The grid as floats; a ConfigError unless it is a non-empty, strictly increasing list of SNRs that pass check_snr.
 
-    A NaN would pass the order check and sweep to a row of NaNs, and an SNR
-    far below the floor overflows the channel's noise variance.
+    A NaN would pass the order check and sweep to a row of NaNs.
     """
-    try:
-        grid = [float(s) for s in snr_grid]
-    except (TypeError, ValueError):
-        raise ConfigError("SNRs must be numbers") from None
-    if not grid:
-        raise ConfigError("empty SNR grid")
-    if not all(map(math.isfinite, grid)):
-        raise ConfigError("SNRs must be finite")
-    if min(grid) < SNR_FLOOR_DB:
-        raise ConfigError(f"SNRs below {SNR_FLOOR_DB:g} dB are not supported")
+    grid = check_snr(snr_grid)
+    if grid.ndim != 1 or not grid.size:
+        raise ConfigError(f"empty SNR grid, or not a flat list: {snr_grid!r}")
+    grid = grid.tolist()
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("SNRs must be strictly increasing")
     return grid
@@ -101,12 +93,15 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
 def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) -> SweepReport:
     """Full-dataset metric at each grid SNR, aggregated over noise seeds.
 
-    A ConfigError if the grid fails `check_snr_grid`, there is no noise
-    seed or one fails `check_seed`, or the dataset has no samples: no such
-    sweep has a metric.
+    A ConfigError if the grid fails `check_snr_grid`, seeds is not a sequence,
+    there is no noise seed or one fails `check_seed`, or the dataset has no
+    samples: no such sweep has a metric.
     """
     grid = check_snr_grid(snr_grid)
-    seeds = tuple(check_seed(s) for s in seeds)
+    try:
+        seeds = tuple(map(check_seed, seeds))
+    except TypeError:
+        raise ConfigError(f"snr_sweep: noise seeds {seeds!r} are not a sequence") from None
     if not seeds:
         raise ConfigError("snr_sweep: no noise seeds")
     if dataset.samples.shape[0] == 0:

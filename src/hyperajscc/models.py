@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelSymbols, awgn_transmit, power_normalize
-from .errors import ConfigError, check_seed
+from .channel import ChannelSymbols, awgn_transmit, check_snr, power_normalize
+from .errors import ConfigError, are_counts, check_seed
 from .layers import Conv2dLayer, DenseLayer, HyperLayer, HyperScale, Reshape, ResNetBlock
 from .tensor import ACTIVATIONS, Tensor
 from . import tensor as T
@@ -73,10 +73,10 @@ class ModelConfig:
     def validate(self) -> None:
         if self.task not in ("reconstruction", "classification"):
             raise ConfigError(f"unknown task: {self.task!r}")
-        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
-            raise ConfigError(f"input shape must be CxHxW with positive sizes, got {self.input_shape}")
-        if self.bandwidth < 1:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (are_counts(self.input_shape) and len(self.input_shape) == 3):
+            raise ConfigError(f"input shape must be CxHxW with positive sizes, got {self.input_shape!r}")
+        if not are_counts([self.bandwidth]):
+            raise ConfigError(f"bandwidth must be a positive integer, got {self.bandwidth!r}")
         enc_out = _propagate(self.input_shape, self.encoder, "encoder")
         acting = [(i, s) for i, s in enumerate(self.encoder) if s.kind not in ("flatten", "reshape")]
         if acting:
@@ -117,10 +117,10 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
         if s.act == "softmax" and s.kind != "dense":  # it would normalize each image row over W
             raise ConfigError(f"{where}: softmax is a dense layer's activation only")
         if s.kind in ("dense", "conv", "deconv", "resblock"):
-            if min(s.out, s.kernel, s.stride, s.upsample) < 1 or s.padding < 0:
+            if not (are_counts([s.out, s.kernel, s.stride, s.upsample]) and are_counts([s.padding], least=0)):
                 raise ConfigError(
-                    f"{where}: o, k, s and u must be positive and p >= 0,"
-                    f" got o{s.out} k{s.kernel} s{s.stride} p{s.padding} u{s.upsample}"
+                    f"{where}: o, k, s and u must be positive and p >= 0, all integers,"
+                    f" got o{s.out!r} k{s.kernel!r} s{s.stride!r} p{s.padding!r} u{s.upsample!r}"
                 )
             if s.act not in ACTIVATIONS:
                 raise ConfigError(f"{where}: unknown activation {s.act!r}")
@@ -147,8 +147,8 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
         elif s.kind == "flatten":
             cur = (int(np.prod(cur)),)
         elif s.kind == "reshape":
-            if min(s.shape, default=0) < 1:
-                raise ConfigError(f"{where}: a reshape target needs positive sizes, got {s.shape}")
+            if not are_counts(s.shape):
+                raise ConfigError(f"{where}: a reshape target needs integer positive sizes, got {s.shape!r}")
             if int(np.prod(s.shape)) != int(np.prod(cur)):
                 raise ConfigError(f"{where}: cannot reshape {cur} into {s.shape}")
             cur = tuple(s.shape)
@@ -225,15 +225,16 @@ def build_model(config: ModelConfig, seed: int = 0) -> HyperAJSCCModel:
 def _omega_t(omega_db) -> np.ndarray:
     """SNR in dB -> mapped condition omega_t, at most 1: 0-d for one SNR, [B] for one per sample.
 
-    A 0-d omega_t is one condition for the whole batch, which each scaled
-    layer folds into its weights (tensor._fold).
+    A 0-d omega_t is one condition for the whole batch.  Inside no_tape()
+    each scaled layer folds it into its weights (tensor._fold); on the
+    tape it runs as omega_t repeated to [B] (tensor._head).
     """
     return np.minimum(_OMEGA_GAIN * np.asarray(omega_db, dtype=np.float64) + _OMEGA_OFFSET, 1.0)
 
 
 def encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> ChannelSymbols:
-    """Run the encoder stack and power-normalize into d complex symbols."""
-    return _encode(model, x, omega_db)[0]
+    """Run the encoder stack and power-normalize into d complex symbols; omega_db must pass check_snr."""
+    return _encode(model, x, check_snr(omega_db))[0]
 
 
 def _encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> tuple[ChannelSymbols, np.ndarray]:
@@ -255,11 +256,12 @@ def _encode(model: HyperAJSCCModel, x: Tensor, omega_db) -> tuple[ChannelSymbols
 
 
 def decode(model: HyperAJSCCModel, z_hat: Tensor, omega_db) -> Tensor:
+    """Run the decoder stack on z_hat [B, 2d]; omega_db must pass check_snr."""
     cfg = model.config
     shape = z_hat.data.shape
     if len(shape) != 2 or shape[1] != 2 * cfg.bandwidth:
         raise ConfigError(f"decode: input {shape}, expected [batch, {2 * cfg.bandwidth}]")
-    return _decode(model, z_hat, _omega_t(omega_db))
+    return _decode(model, z_hat, _omega_t(check_snr(omega_db)))
 
 
 def _decode(model: HyperAJSCCModel, z_hat: Tensor, omega_t: np.ndarray) -> Tensor:
@@ -273,7 +275,11 @@ def _decode(model: HyperAJSCCModel, z_hat: Tensor, omega_t: np.ndarray) -> Tenso
 
 
 def forward_pipeline(model: HyperAJSCCModel, x: Tensor, omega_db, rng: np.random.Generator) -> Tensor:
-    """encode -> AWGN at omega -> decode, on one tape, mapping the SNR once. Returns the decoder output."""
+    """encode -> AWGN at omega -> decode, on one tape, mapping the SNR once. Returns the decoder output.
+
+    It does not check omega_db: it is the inner loop of training and of a
+    sweep, whose callers have checked it (train's prior, check_snr_grid).
+    """
     symbols, omega_t = _encode(model, x, omega_db)
     return _decode(model, awgn_transmit(symbols, omega_db, rng), omega_t)
 

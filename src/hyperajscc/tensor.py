@@ -194,12 +194,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "linear", scale=None) -> 
     def backward(g):
         g, grads = head(g)
         if x._track:
-            grads.append((x, g @ ws))
-        if w._track or s is not None:
+            grads.append((x, g @ w.data))
+        if w._track:
             grads.append((w, g.T @ x.data))
-        if b._track or s is not None:
+        if b._track:
             grads.append((b, g.sum(axis=0)))
-        return grads if s is None else _unfold(grads, scale, s)
+        return grads
 
     return _make(out, (x, w, b) + scale_params, backward)
 
@@ -380,9 +380,10 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
     rows or an NCHW view, back), where back maps z's gradient to y's and
     the nu/c gradients, in z's layout.  Unscaled, y is activated in place.
     The float operations and their order are those of activation(act,
-    scale_channels(y, affine_outer(omega_t, nu, c))).  omega_t is [B]: an
-    op folds a 0-d one into its weights instead (see _fold).  A conv
-    refuses softmax, which would normalize NCHW data over W.
+    scale_channels(y, affine_outer(omega_t, nu, c))).  omega_t is [B]; a
+    0-d one, which an op hands on only on the tape (see _fold), is
+    repeated to [B].  A conv refuses softmax, which would normalize NCHW
+    data over W.
     """
     spatial = y.ndim == 4
     if act not in (CONV_ACTIVATIONS if spatial else ACTIVATIONS):
@@ -395,6 +396,8 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
     omega_t, nu, c = scale
     omega_t = np.asarray(omega_t, dtype=np.float64)
     C, B = (y.shape[0], y.shape[3]) if spatial else (y.shape[1], y.shape[0])
+    if omega_t.ndim == 0:
+        omega_t = np.full(B, omega_t)
     if omega_t.shape != (B,) or nu.data.shape != (C,) or c.data.shape != (C,):
         raise ConfigError(f"{op}: scale omega {omega_t.shape}, nu {nu.data.shape}, c {c.data.shape} vs {B}x{C}")
     s = omega_t[:, None] * nu.data + c.data
@@ -418,49 +421,25 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
 
 
 def _fold(op: str, scale, C: int) -> tuple:
-    """(s, params) of an op's scale: s = omega_t * nu + c [C] for a 0-d omega_t, else None.
+    """(s, params) of an op's scale: s = omega_t * nu + c [C] for a 0-d omega_t inside no_tape(), else None.
 
     params, (nu, c) or () without a scale, are the node's parents beside
     its input, kernel and bias.  At one condition, a 0-d omega_t, a scaled
     layer is a plain layer with kernel k * s and bias b * s, s along the
-    output channels: the op multiplies its weights by s before its GEMM
-    and hands _head no scale, so the head is the activation alone.  A
-    per-sample omega_t [B] leaves the scale to _head.  The two agree up to
-    rounding: here s scales each product before the sum, there the sum.
+    output channels: inside no_tape(), where no backward runs, the op
+    multiplies its weights by s before its GEMM and hands _head no scale.
+    Elsewhere _head applies the scale, so no backward reads folded
+    weights.  The two agree up to rounding: here s scales each product
+    before the sum, there the sum.
     """
     if scale is None:
         return None, ()
     omega_t, nu, c = scale
-    if getattr(omega_t, "ndim", 0):  # not np.ndim, whose dispatch is about 1% of a dense train step
+    if getattr(omega_t, "ndim", 0) or _recording.get():  # not np.ndim, whose dispatch is ~1% of a dense step
         return None, (nu, c)
     if nu.data.shape != (C,) or c.data.shape != (C,):
         raise ConfigError(f"{op}: scale nu {nu.data.shape}, c {c.data.shape} vs {C} output channels")
     return float(omega_t) * nu.data + c.data, (nu, c)  # float() refuses a list, which has no ndim
-
-
-def _unfold(grads: list, scale, s) -> list:
-    """grads, its last two entries (k, dk) and (b, db) mapped from the folded weights to k, b, nu and c.
-
-    A folded op (see _fold) runs k * s and b * s, s along k's first axis,
-    and appends their gradients dk and db, in k's and b's layouts, last.
-    So k's gradient is dk * s, b's db * s, and with ds = sum(dk * k) over
-    every axis of k but the first, plus db * b, nu's is omega_t * ds and
-    c's ds.  Each is kept if its tensor is tracked.
-    """
-    (k, dk), (b, db) = grads[-2:]
-    del grads[-2:]
-    omega_t, nu, c = scale
-    if k._track:
-        grads.append((k, dk * s.reshape(s.shape + (1,) * (dk.ndim - 1))))
-    if b._track:
-        grads.append((b, db * s))
-    if nu._track or c._track:
-        ds = (dk * k.data).sum(axis=tuple(range(1, dk.ndim))) + db * b.data
-        if nu._track:
-            grads.append((nu, omega_t * ds))
-        if c._track:
-            grads.append((c, ds))
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +581,11 @@ def conv2d(
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
             grads.append((x, _tap_sum(kf, gm, inv, B).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
-        if k._track or s is not None:
+        if k._track:
             grads.append((k, (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2)))
-        if b._track or s is not None:
+        if b._track:
             grads.append((b, gm.sum(axis=1)))
-        return grads if s is None else _unfold(grads, scale, s)
+        return grads
 
     return _make(out, (x, k, b) + scale_params, backward)
 
@@ -643,11 +622,11 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
         cols = _zero_row_below(g.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cout, H * W * B)
         if x._track:
             grads.append((x, (kf @ cols).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
-        if k._track or s is not None:
+        if k._track:
             grads.append((k, (xm @ cols.T).reshape(Cin, KH, KW, Cout).transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]))
-        if b._track or s is not None:
+        if b._track:
             grads.append((b, g.sum(axis=(0, 2, 3))))
-        return grads if s is None else _unfold(grads, scale, s)
+        return grads
 
     return _make(out, (x, k, b) + scale_params, backward)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .channel import SNR_FLOOR_DB
 from .data import Dataset, batches
-from .errors import ConfigError, NumericAbortError, check_seed
+from .errors import ConfigError, NumericAbortError, are_counts, check_seed
 from .metrics import check_snr_grid, snr_label, snr_sweep
 from .models import HyperAJSCCModel, forward_pipeline
 from .tensor import Tensor
@@ -156,15 +156,12 @@ class TrainConfig:
     val_every: int = 0  # validate every N epochs; 0 disables validation
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "val_every"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} {getattr(self, name)!r} must be an integer")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError(f"learning rate {self.lr} must be positive and finite")
-        if self.val_every < 0:
-            raise ConfigError(f"val_every {self.val_every} must be >= 0")
+        if not are_counts([self.epochs, self.batch_size]):
+            raise ConfigError(f"epochs {self.epochs!r} and batch_size {self.batch_size!r} must be positive integers")
+        if not (isinstance(self.lr, numbers.Real) and 0 < self.lr < np.inf):
+            raise ConfigError(f"learning rate {self.lr!r} must be positive and finite")
+        if not are_counts([self.val_every], least=0):
+            raise ConfigError(f"val_every {self.val_every!r} must be an integer >= 0")
         if self.val_every:
             check_snr_grid(self.val_grid)
         check_seed(self.seed)

@@ -1,11 +1,14 @@
 """Fuzzed inputs keep the CLI's exit-code contract: a documented code, no traceback.
 
 An exception that escapes `main` fails the test with its traceback, so each
-case checks both the returned code and that nothing escaped.  The last test
-is an end-to-end oracle over random architectures drawn from the layer grammar.
+case checks both the returned code and that nothing escaped.  The library
+entry points keep the same contract: a caller catches the exception classes
+of the exit codes, plus OSError.  The last test is an end-to-end oracle over
+random architectures drawn from the layer grammar.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -20,14 +23,16 @@ from hyperajscc import tensor as T
 from hyperajscc.checkpoint import load_model, save_checkpoint
 from hyperajscc.cli import EXIT_CONFIG, EXIT_CORRUPT, EXIT_NUMERIC, EXIT_OK, main
 from hyperajscc.config import parse_run_config
-from hyperajscc.data import RECORD_BYTES
-from hyperajscc.errors import ConfigError
-from hyperajscc.models import _omega_t, _propagate, build_model, count_params, forward_pipeline
+from hyperajscc.data import RECORD_BYTES, synthetic_dataset
+from hyperajscc.errors import ConfigError, CorruptArtifactError, NumericAbortError
+from hyperajscc.metrics import snr_sweep
+from hyperajscc.models import _omega_t, _propagate, build_model, count_params, decode, encode, forward_pipeline
 from hyperajscc.tensor import ACTIVATIONS, Tensor, finite_diff_check
-from hyperajscc.training import cross_entropy_loss, mse_loss
+from hyperajscc.training import TrainConfig, cross_entropy_loss, mse_loss
 
 from test_cli import _malformed_cifar
 from test_config import GOOD
+from test_models import toy_dense_config
 
 FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -128,6 +133,86 @@ def test_fuzzed_cifar_batch_exits_2_or_4(tmp_path_factory, record):
     code, err = run_main(argv)
     assert code in (EXIT_CONFIG, EXIT_CORRUPT), err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the library's own entry points, each with one argument out of its domain
+
+CONTRACT_ERRORS = (ConfigError, NumericAbortError, CorruptArtifactError, OSError)
+OUT_OF_DOMAIN = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -1e6, None, 2.5, 3.0]),
+    st.text(max_size=3),
+    st.floats(-1e3, 1e3),
+)
+
+
+def sweep_rows(report):
+    return np.asarray([row[1:3] for row in report.rows])
+
+
+def library_calls():
+    """name -> call(value): one public entry point with one argument set to value, the rest valid and small.
+
+    A call returns the numbers it computed, or None.
+    """
+    cfg = toy_dense_config()
+    model = build_model(cfg, 0)
+    ds = synthetic_dataset("gaussian-blobs-images", 2, (1, 8, 8), seed=0)
+    x, z = Tensor(ds.samples), Tensor(np.zeros((2, 2 * cfg.bandwidth)))
+
+    def dataset(*args, **kwargs):
+        return synthetic_dataset(*args, **kwargs).samples
+
+    def built(seed=0, **fields):
+        build_model(dataclasses.replace(cfg, **fields), seed)
+
+    def first_layer_with(**fields):
+        return [cfg.encoder[0], dataclasses.replace(cfg.encoder[1], **fields), *cfg.encoder[2:]]
+
+    calls = {
+        "encode": lambda v: encode(model, x, v).values.data,
+        "encode-per-sample": lambda v: encode(model, x, [5.0, v]).values.data,
+        "decode": lambda v: decode(model, z, v).data,
+        "dataset-kind": lambda v: dataset(v, 2, (1, 4, 4)),
+        "dataset-n-items": lambda v: dataset("pattern-classes", v, (1, 4, 4)),
+        "dataset-shape": lambda v: dataset("gaussian-blobs-images", 2, v),
+        "dataset-size": lambda v: dataset("gaussian-blobs-images", 2, (1, v, 4)),
+        "dataset-classes": lambda v: dataset("pattern-classes", 2, (1, 4, 4), num_classes=v),
+        "dataset-seed": lambda v: dataset("pattern-classes", 2, (1, 4, 4), seed=v),
+        "train-prior-lo": lambda v: TrainConfig(prior=(v, 20.0)).validate(),
+        "train-prior-hi": lambda v: TrainConfig(prior=(0.0, v)).validate(),
+        "train-val-grid": lambda v: TrainConfig(val_every=1, val_grid=(v,)).validate(),
+        "sweep-grid": lambda v: sweep_rows(snr_sweep(model, ds, v)),
+        "sweep-grid-point": lambda v: sweep_rows(snr_sweep(model, ds, [v])),
+        "sweep-seeds": lambda v: sweep_rows(snr_sweep(model, ds, [5.0], seeds=v)),
+        "sweep-seed": lambda v: sweep_rows(snr_sweep(model, ds, [5.0], seeds=(v,))),
+        "build-seed": lambda v: built(seed=v),
+        "build-task": lambda v: built(task=v),
+        "build-bandwidth": lambda v: built(bandwidth=v),
+        "build-input-shape": lambda v: built(input_shape=v),
+        "build-input-size": lambda v: built(input_shape=(1, v, 8)),
+    }
+    for name in ("epochs", "batch_size", "lr", "prior", "seed", "val_grid", "val_every"):
+        calls[f"train-{name}"] = lambda v, name=name: TrainConfig(**{"val_every": 1, name: v}).validate()
+    for name in ("out", "kernel", "stride", "padding", "upsample", "act"):
+        calls[f"build-layer-{name}"] = lambda v, name=name: built(encoder=first_layer_with(**{name: v}))
+    return calls
+
+
+LIBRARY_CALLS = library_calls()
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+@FUZZ
+@given(value=OUT_OF_DOMAIN)
+def test_a_library_call_raises_only_the_contracts_errors(name, value):
+    # NaN, infinities, -1e6, strings, None and floats where integers are due are refused
+    # with a ConfigError, or run to finite numbers; numpy's or Python's own errors break the contract
+    try:
+        result = LIBRARY_CALLS[name](value)
+    except CONTRACT_ERRORS:
+        return
+    assert result is None or np.isfinite(result).all(), f"{name}({value!r}) returned {result}"
 
 
 # ---------------------------------------------------------------------------

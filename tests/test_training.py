@@ -5,7 +5,7 @@ from hyperajscc import tensor as T
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.errors import ConfigError, NumericAbortError
 from hyperajscc.metrics import snr_sweep
-from hyperajscc.models import build_model, forward_pipeline
+from hyperajscc.models import build_model, decode, encode, forward_pipeline
 from hyperajscc.tensor import Tensor, finite_diff_check
 from hyperajscc.training import (
     Adam,
@@ -311,20 +311,27 @@ class TestTrainStep:
             train_step(self.model, self.x, None, np.full(3, 10.0), "mse", opt, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["toy_dense", "default_recon"])
-    def test_scalar_snr_step_trains_the_folded_scales(self, name):
-        # one SNR for a batch of 1 folds s into every layer's weights, on the tape
+    def test_a_scalar_snr_on_the_tape_is_the_repeated_snr_bit_for_bit(self, name):
+        # on the tape nothing folds: one SNR for the batch runs the per-sample path with the SNR repeated
         cfg = toy_dense_config() if name == "toy_dense" else shipped_model_config("default_recon")
-        x = np.random.default_rng(3).uniform(-0.9, 0.9, (1,) + tuple(cfg.input_shape))
-        grads = []
-        for snr in (15.0, np.full(1, 15.0)):  # 15 dB maps to omega_t = 0.5, so nu has a gradient
+        x = np.random.default_rng(3).uniform(-0.9, 0.9, (3,) + tuple(cfg.input_shape))
+        results = []
+        for snr in (15.0, np.full(3, 15.0)):  # 15 dB maps to omega_t = 0.5, so nu has a gradient
             model = build_model(cfg, 0)
+            rng = np.random.default_rng(5)
+            for n, p in model.named_parameters():  # every scale and bias off its initial value
+                if n.endswith((".nu", ".c", ".b0")):
+                    p.data = p.data + rng.uniform(-0.3, 0.3, p.shape)
             opt = Adam(model.parameters(), lr=1e-3)
-            scales = [(p, p.data.copy()) for n, p in model.named_parameters() if n.endswith((".nu", ".c"))]
-            train_step(model, x, None, snr, "mse", opt, np.random.default_rng(4))
-            assert scales and all(not np.array_equal(p.data, before) for p, before in scales)
-            grads.append(opt.grad.copy())
-        folded, per_sample = grads
-        np.testing.assert_allclose(folded, per_sample, rtol=1e-10, atol=1e-13 * np.abs(per_sample).max())
+            opt.zero_grad()
+            out = forward_pipeline(model, Tensor(x), snr, np.random.default_rng(4))
+            mse_loss(Tensor(x), out).backward()
+            scale_grads = [p.grad for n, p in model.named_parameters() if n.endswith((".nu", ".c"))]
+            assert scale_grads and all(np.any(g != 0) for g in scale_grads)
+            results.append((out.data, opt.grad.copy()))
+        (out, grad), (out_repeated, grad_repeated) = results
+        np.testing.assert_array_equal(out, out_repeated)
+        np.testing.assert_array_equal(grad, grad_repeated)
 
     def test_single_sample_linear_model_hand_mse(self):
         from hyperajscc.models import LayerSpec, ModelConfig
@@ -577,6 +584,16 @@ def train_one_epoch(model, ds, **fields):
         pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 4, (1, 0, 8)), id="data-shape-zero"),
         pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 4, (8, 8)), id="data-shape-2d"),
         pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 4, (1, 8, 8), seed=-1), id="data-seed-negative"),
+        pytest.param(lambda m, ds: synthetic_dataset("pattern-classes", 4, (1, 8, 8), num_classes=0), id="classes-zero"),
+        pytest.param(lambda m, ds: synthetic_dataset("pattern-classes", 4, (1, 8, 8), num_classes=2.5), id="classes-float"),
+        pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", 2.5, (1, 8, 8)), id="n-items-float"),
+        pytest.param(lambda m, ds: synthetic_dataset("gaussian-blobs-images", "3", (1, 8, 8)), id="n-items-string"),
+        pytest.param(lambda m, ds: TrainConfig(lr="x").validate(), id="lr-string"),
+        pytest.param(lambda m, ds: TrainConfig(lr=None).validate(), id="lr-none"),
+        pytest.param(lambda m, ds: encode(m, Tensor(ds.samples), float("nan")), id="encode-snr-nan"),
+        pytest.param(lambda m, ds: encode(m, Tensor(ds.samples), None), id="encode-snr-none"),
+        pytest.param(lambda m, ds: encode(m, Tensor(ds.samples), "abc"), id="encode-snr-string"),
+        pytest.param(lambda m, ds: decode(m, Tensor(np.zeros((2, 8))), float("nan")), id="decode-snr-nan"),
     ],
 )
 def test_a_bad_library_argument_is_a_config_error(call):
