@@ -5,15 +5,20 @@ compares tape gradients against central differences.  The checks are a
 fixed list, not a registry of ops:
 - ops: matmul, linear, mul, add and sub, scale_rowwise, mul_rowvec,
   scale_channels (2-d and 4-d), affine_outer, relu, tanh, sigmoid, softmax
-  under cross_entropy_loss, conv2d (stride 1, stride 2, a 3x2 kernel),
-  upconv2d (a 3x3 and a 2x3 kernel), power_normalize, mse_loss and tmean;
-- layers: a resblock, and a dense, conv and deconv layer, its bias off
-  zero, for every activation in CONV_ACTIVATIONS twice: with a scale
-  whose nu and c are off the identity, at one condition per sample
-  (omega_t [B]), and without a scale; and a dense softmax with a scale
-  under cross_entropy_loss.  A 0-d condition on the tape runs the same
-  per-sample path, and an op folds one into its weights only inside
-  no_tape(), where no gradient exists to check;
+  under cross_entropy_loss, conv2d (stride 1, stride 2, a 3x2 kernel at
+  stride 2 and on a 2x2 map), upconv2d (a 3x3 and a 2x3 kernel),
+  power_normalize, mse_loss and tmean;
+- layers: a resblock, and a dense layer, a conv layer on a 3x3 and on a
+  4x4 map and a deconv layer, its bias off zero, for every activation in
+  CONV_ACTIVATIONS twice: with a scale whose nu and c are off the
+  identity, at one condition per sample (omega_t [B]), and without a
+  scale; and a dense softmax with a scale under cross_entropy_loss.
+  conv2d runs a map no larger than its kernel window as one dense GEMM
+  and a larger one on its taps: conv2d_s2, conv2d_2x2_k3x2 and the conv
+  layer on a 3x3 map take the dense path; the other conv2d cases, the
+  4x4 conv layer and the resblock take the taps.  A 0-d condition on the
+  tape runs the same per-sample path, and an op folds one into its
+  weights only inside no_tape(), where no gradient exists to check;
 - the end-to-end training objective of a tiny model with frozen noise.
 tsum (as most cases' reduction) and reshape (in the model's flatten) are
 checked only inside other cases; scale and upsample_zero have no case.  Inputs
@@ -109,6 +114,10 @@ def _checks(rng: np.random.Generator, cases: int):
         yield "conv2d_s2_k3x2", (
             lambda xn=xn, k32=k32, kb=kb: T.tsum(T.tanh(T.conv2d(xn, k32, kb, 2, 1)))
         ), [xn, k32, kb]
+        x22 = _param(rng, 2, 2, 2, 2)  # a map smaller than the kernel window
+        yield "conv2d_2x2_k3x2", (
+            lambda x22=x22, k32=k32, kb=kb: T.tsum(T.tanh(T.conv2d(x22, k32, kb, 1, 1)))
+        ), [x22, k32, kb]
         k23 = _param(rng, 3, 2, 2, 3)
         yield "upsample_conv_k2x3", (
             lambda xi=xi, k23=k23, kb=kb: T.tsum(T.tanh(T.upconv2d(xi, k23, kb, 2, 1)))
@@ -135,10 +144,10 @@ def _layer_checks(rng: np.random.Generator, cases: int):
 
         # the head each base op applies: scaled per sample, and plain
         heads = (("scaled_", True), ("", False))
-        for kind, act, (tag, hyper) in itertools.product(("dense", "conv", "deconv"), T.CONV_ACTIVATIONS, heads):
-            layer, xs = _head_layer(rng, kind, act, hyper, om)
+        for name, act, (tag, hyper) in itertools.product(HEAD_INPUTS, T.CONV_ACTIVATIONS, heads):
+            layer, xs = _head_layer(rng, name, act, hyper, om)
             params = [xs] + [t for _, t in layer.named_params()]
-            yield f"{kind}_{tag}{act}", (
+            yield f"{name}_{tag}{act}", (
                 lambda layer=layer, xs=xs, om=om: T.tsum(T.tanh(layer.forward(xs, om)))
             ), params
         layer, xs = _head_layer(rng, "dense", "softmax", True, om)
@@ -150,9 +159,12 @@ def _layer_checks(rng: np.random.Generator, cases: int):
 
 
 RELU_MARGIN = 1e-3  # a relu input this close to 0 may cross the kink under a finite-difference step
+# the layer-head checks: layer kind (the name up to "_") -> the shape of one input sample; the
+# 3x3 kernel takes conv2d's dense path on a 3x3 map and its taps on a 4x4 one
+HEAD_INPUTS = {"dense": (4,), "conv": (2, 3, 3), "conv_4x4": (2, 4, 4), "deconv": (2, 3, 3)}
 
 
-def _head_layer(rng, kind: str, act: str, hyper: bool, om):
+def _head_layer(rng, name: str, act: str, hyper: bool, om):
     """A layer, with its bias off zero and nu and c off the identity if it has a scale, and an input for it.
 
     The scale multiplies the bias too, so a zero bias would hide an op
@@ -161,12 +173,10 @@ def _head_layer(rng, kind: str, act: str, hyper: bool, om):
     For relu the draw is repeated until no pre-activation (the layer's
     output with a linear activation) is within RELU_MARGIN of the kink.
     """
+    kind, shape = name.split("_")[0], HEAD_INPUTS[name]
     spec = LayerSpec(kind, out=3, padding=1, upsample=2 if kind == "deconv" else 1, hyper=hyper)
     while True:
-        if kind == "dense":
-            layer, xs = build_layer(spec, 4, rng), _param(rng, 2, 4)
-        else:
-            layer, xs = build_layer(spec, 2, rng), _param(rng, 2, 2, 3, 3)
+        layer, xs = build_layer(spec, shape[0], rng), _param(rng, 2, *shape)
         layer.base.b0.data = rng.uniform(-0.3, 0.3, 3)
         if hyper:
             layer.scale.nu.data = rng.uniform(-0.3, 0.3, 3)

@@ -124,6 +124,8 @@ def _propagate(shape, specs: list[LayerSpec], half: str):
                 )
             if s.act not in ACTIVATIONS:
                 raise ConfigError(f"{where}: unknown activation {s.act!r}")
+            if not isinstance(s.hyper, bool):  # any truthy value would build a scale
+                raise ConfigError(f"{where}: hyper must be True or False, got {s.hyper!r}")
             if (s.kind == "deconv" and s.stride != 1) or (s.kind == "conv" and s.upsample != 1):
                 # a deconv is computed over its input's real pixels (tensor.upconv2d), with no stride of its own
                 raise ConfigError(

@@ -511,10 +511,43 @@ def _tap_plan(C: int, H: int, W: int, KH: int, KW: int, h: int, w: int, step: in
     q = ow + step * np.arange(w) + np.arange(KW)[:, None]  # [KW, w]
     r, q = r[:, None, None, :, None], q[None, :, None, None, :]
     rows = (np.arange(C)[:, None, None] * H + r) * W + q
-    idx = np.where((0 <= r) & (r < H) & (0 <= q) & (q < W), rows, C * H * W).ravel()
-    counts = np.bincount(idx, minlength=C * H * W + 1)[:-1]
-    kept = np.argsort(idx, kind="stable")[: counts.sum()]  # the taps on the image, by the row they read
-    inv = np.full((counts.max(initial=1), C * H * W), idx.size)
+    return _with_inverse(np.where((0 <= r) & (r < H) & (0 <= q) & (q < W), rows, C * H * W).ravel(), C * H * W)
+
+
+@functools.lru_cache(maxsize=256)
+def _dense_plan(Cout: int, Cin: int, H: int, W: int, KH: int, KW: int, Ho: int, Wo: int, stride: int, padding: int):
+    """(idx, inv): a conv kernel [Cout, Cin, KH, KW] as the dense matrix [Cout*Ho*Wo, Cin*H*W] over an H x W map.
+
+    Entry (o, i, j, c, r, q) is the weight output pixel (i, j) of channel o
+    gives input pixel (r, q) of channel c: element (o, c, r - stride*i +
+    padding, q - stride*j + padding) of the kernel, or 0 where that is off
+    the kernel.  idx [Cout*Ho*Wo*Cin*H*W] is the entry's index into the
+    raveled kernel with a zero appended, and inv [M, Cout*Cin*KH*KW] its
+    inverse: inv[m, n] is the m-th entry in ascending order that holds
+    kernel element n, or, past the last, the index of a zero appended to
+    the entries.  Built once per geometry, as _tap_plan; both arrays are
+    read-only, and int32, which halves what the cache keeps: idx is as
+    large as the dense matrix, 128 KiB for a 4x4 kernel from 16 to 32
+    channels on a 4x4 map.
+    """
+    a = padding + np.arange(H) - stride * np.arange(Ho)[:, None]  # [Ho, H]: the kernel row
+    e = padding + np.arange(W) - stride * np.arange(Wo)[:, None]  # [Wo, W]: the kernel column
+    a, e = a[:, None, None, :, None], e[None, :, None, None, :]
+    n = (np.arange(Cout)[:, None, None, None, None, None] * Cin + np.arange(Cin)[:, None, None]) * KH * KW + a * KW + e
+    size = Cout * Cin * KH * KW
+    idx = np.where((0 <= a) & (a < KH) & (0 <= e) & (e < KW), n, size).astype(np.int32).ravel()
+    return _with_inverse(idx, size)
+
+
+def _with_inverse(idx, n: int) -> tuple:
+    """(idx, inv) made read-only, where inv [M, n] (idx's dtype) lists, for each target r < n, where idx holds r.
+
+    inv[m, r] is the m-th such position in ascending order, or, past the
+    last, idx.size; idx holds n where it points at no target.
+    """
+    counts = np.bincount(idx, minlength=n + 1)[:-1]
+    kept = np.argsort(idx, kind="stable")[: counts.sum()]  # the positions that point at a target, by target
+    inv = np.full((counts.max(initial=1), n), idx.size, dtype=idx.dtype)
     inv[np.arange(kept.size) - (np.cumsum(counts) - counts)[idx[kept]], idx[kept]] = kept
     idx.flags.writeable = inv.flags.writeable = False
     return idx, inv
@@ -528,14 +561,17 @@ def _zero_row_below(a):
     return z
 
 
-def _tap_sum(kf, g, inv, B: int):
-    """Image rows [N, B]: the taps kf.T @ g [KH*KW*C, h*w*B], each summed onto the row it reads by inv.
+def _tap_sum(a, b, inv, width: int):
+    """Rows [N, width]: the product a @ b, viewed as rows of `width`, each summed onto its row of inv.
 
-    One take per slot of inv, each added in turn, so a row's taps are summed
-    in ascending order.
+    For a conv's input gradient the product is the taps [KH*KW*C, h*w*B]
+    and the rows are the image's, width B; for a dense-path kernel
+    gradient it is the dense matrix's gradient and the rows are the
+    kernel's elements, width 1.  One take per slot of inv, each added in
+    turn, so a row's products are summed in ascending order.
     """
-    taps = np.empty((kf.shape[1] * (g.shape[1] // B) + 1, B))
-    np.matmul(kf.T, g, out=taps[:-1].reshape(kf.shape[1], g.shape[1]))
+    taps = np.empty((a.shape[0] * b.shape[1] // width + 1, width))
+    np.matmul(a, b, out=taps[:-1].reshape(a.shape[0], b.shape[1]))
     taps[-1] = 0.0
     out = taps.take(inv[0], axis=0)
     for slot in inv[1:]:
@@ -548,29 +584,52 @@ def conv2d(
 ) -> Tensor:
     """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout], then _fold and _head.
 
-    Computed batch-last, on one memoized _tap_plan: the columns
-    [KH*KW*Cin, Ho*Wo*B] are one take of the input's rows through idx (a
-    tap on the padding reads the zero row), and the forward is one GEMM of
-    the kernel flattened as [Cout, KH*KW*Cin] with them.  The backward
-    reuses both: dk is one GEMM with the columns, and dx one GEMM into tap
-    rows, summed onto the input's pixels through inv.  The output is an
-    NCHW view of the [Cout, Ho*Wo*B] result.  The columns stay live from
-    the forward to the backward (inside no_tape() only until the head),
-    KH*KW/stride**2 times the input, and dx's tap rows are as large, so
-    forward plus backward peak at 20.9x the input's bytes for a 3x3 conv
-    from 16 channels.
+    Computed batch-last, and the output is an NCHW view of the
+    [Cout, Ho*Wo*B] result.  The geometry alone picks one of two paths.
+
+    A map larger than the kernel window (H*W > KH*KW) runs on one memoized
+    _tap_plan: the columns [KH*KW*Cin, Ho*Wo*B] are one take of the
+    input's rows through idx (a tap on the padding reads the zero row), and
+    the forward is one GEMM of the kernel flattened as [Cout, KH*KW*Cin]
+    with them.  The backward reuses both: dk is one GEMM with the columns,
+    and dx one GEMM into tap rows, summed onto the input's pixels through
+    inv.  The columns stay live from the forward to the backward (inside
+    no_tape() only until the head), KH*KW/stride**2 times the input, and
+    dx's tap rows are as large, so forward plus backward peak at 20.9x the
+    input's bytes for a 3x3 conv from 16 channels.
+
+    A map no larger than the window (H*W <= KH*KW), where many taps would
+    read the padding, runs on one memoized _dense_plan: the kernel is one
+    take into the dense matrix [Cout*Ho*Wo, Cin*H*W], and the forward is
+    one GEMM of it with the input's batch-last rows [Cin*H*W, B]: no
+    column matrix, and no more multiply-adds than the taps.  dx is one
+    GEMM with its transpose, and dk one GEMM into the matrix's shape,
+    summed onto the kernel through inv.  Its scratch does not grow with
+    the batch: the raveled kernel, the dense matrix (kept to the
+    backward), and in the backward the matrix's gradient, each at most
+    Ho*Wo times the kernel; the input's rows are a view of a batch-last
+    input, as a conv's output is, and a copy of any other.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv2d: bad stride/padding ({stride}, {padding})")
     Ho, Wo = conv_output_size("conv2d", H, W, KH, KW, stride, padding)
-    idx, inv = _tap_plan(Cin, H, W, KH, KW, Ho, Wo, stride, -padding, -padding)
-    cols = _zero_row_below(x.data.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cin, Ho * Wo * B)
     s, scale_params = _fold("conv2d", scale, Cout)
-    kt = k.data.transpose(0, 2, 3, 1)
-    kf = kt if s is None else np.multiply(kt, s[:, None, None, None], out=np.empty(kt.shape))
-    kf = kf.reshape(Cout, KH * KW * Cin)
-    y = kf @ cols
+    dense = H * W <= KH * KW
+    if dense:
+        idx, inv = _dense_plan(Cout, Cin, H, W, KH, KW, Ho, Wo, stride, padding)
+        kz = np.empty(k.data.size + 1)  # the raveled kernel and a zero, which entries off the kernel read
+        kz[-1] = 0.0
+        np.multiply(k.data, 1.0 if s is None else s[:, None, None, None], out=kz[:-1].reshape(k.data.shape))
+        kf = kz.take(idx).reshape(Cout * Ho * Wo, Cin * H * W)
+        cols = x.data.transpose(1, 2, 3, 0).reshape(Cin * H * W, B)
+    else:
+        idx, inv = _tap_plan(Cin, H, W, KH, KW, Ho, Wo, stride, -padding, -padding)
+        cols = _zero_row_below(x.data.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cin, Ho * Wo * B)
+        kt = k.data.transpose(0, 2, 3, 1)
+        kf = kt if s is None else np.multiply(kt, s[:, None, None, None], out=np.empty(kt.shape))
+        kf = kf.reshape(Cout, KH * KW * Cin)
+    y = (kf @ cols).reshape(Cout, Ho * Wo * B)
     y += (b.data if s is None else b.data * s)[:, None]
     if not _recording.get():
         cols = None  # no backward will read them
@@ -580,9 +639,14 @@ def conv2d(
         g, grads = head(g)
         gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
         if x._track:
-            grads.append((x, _tap_sum(kf, gm, inv, B).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
+            dx = kf.T @ gm.reshape(Cout * Ho * Wo, B) if dense else _tap_sum(kf.T, gm, inv, B)
+            grads.append((x, dx.reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
         if k._track:
-            grads.append((k, (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2)))
+            if dense:  # the dense matrix's gradient, summed onto the kernel's elements
+                dk = _tap_sum(gm.reshape(Cout * Ho * Wo, B), cols.T, inv, 1).reshape(Cout, Cin, KH, KW)
+            else:
+                dk = (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2)
+            grads.append((k, dk))
         if b._track:
             grads.append((b, gm.sum(axis=1)))
         return grads
@@ -613,7 +677,7 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
     s, scale_params = _fold("upconv2d", scale, Cout)
     kt = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)  # [Cin, KH, KW, Cout]: s runs along the last axis
     kf = (kt if s is None else np.multiply(kt, s, out=np.empty(kt.shape))).reshape(Cin, KH * KW * Cout)
-    y = _tap_sum(kf, xm, inv, B).reshape(Cout, Ho * Wo * B)
+    y = _tap_sum(kf.T, xm, inv, B).reshape(Cout, Ho * Wo * B)
     y += (b.data if s is None else b.data * s)[:, None]
     out, head = _head("upconv2d", y.reshape(Cout, Ho, Wo, B), act, scale if s is None else None)
 

@@ -8,6 +8,7 @@ Everything is seeded: the measured numbers reproduce bit-for-bit on every
 run of this file.
 """
 
+import itertools
 import os
 import time
 
@@ -73,6 +74,30 @@ def test_p1_gradient_oracle(capsys):
         f"{n_cases} cases over {len(results)} checks, worst {worst.op} "
         f"rel err {worst.max_rel_err:.2e} < 1e-5, {wall:.1f}s < 120s",
     )
+
+
+def test_p1_checks_conv2d_on_both_of_its_paths(monkeypatch):
+    """P1 runs conv2d on a map no larger than its kernel window (one dense GEMM) and on a larger one (its taps).
+
+    On each side there is an op check, and a scaled conv layer head for
+    every conv activation.
+    """
+    conv2d, current, seen = T.conv2d, [""], {True: set(), False: set()}
+
+    def spy(x, k, *args, **kwargs):
+        seen[x.shape[2] * x.shape[3] <= k.shape[2] * k.shape[3]].add(current[0])
+        return conv2d(x, k, *args, **kwargs)
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    rng = np.random.default_rng(0)
+    for name, f, _ in itertools.chain(_checks(rng, 1), _layer_checks(rng, 1)):
+        current[0] = name  # the checks' own draws, between two checks, run under ""
+        f()
+        current[0] = ""
+    for dense, names in seen.items():
+        assert any(name.startswith("conv2d") for name in names), (dense, sorted(names))
+        heads = {name.rsplit("_", 1)[1] for name in names if name.startswith("conv") and "_scaled_" in name}
+        assert heads == set(T.CONV_ACTIVATIONS), (dense, sorted(names))
 
 
 def test_p2_identity_recovery(capsys):

@@ -348,13 +348,17 @@ def _spec(kind, **fields):
         ([_spec("conv", padding=1, act="gelu")], [], (1, 8, 8), r"encoder\[0\] \(conv\): unknown activation 'gelu'"),
         ([_spec("deconv", padding=1, upsample=2, stride=2)], [], (1, 8, 8), r"encoder\[0\] \(deconv\): .*no stride"),
         ([_spec("conv", padding=1, upsample=2)], [], (1, 8, 8), r"encoder\[0\] \(conv\): .*no upsample"),
+        ([LayerSpec("flatten"), _spec("dense", out=32, hyper="no")], [], (1, 8, 8),
+         r"encoder\[1\] \(dense\): hyper must be True or False, got 'no'"),
+        ([], [LayerSpec("reshape", shape=(1, 4, 4)), _spec("conv", padding=1, hyper=1)], (1, 8, 8),
+         r"decoder\[1\] \(conv\): hyper must be True or False, got 1"),
         ([], [LayerSpec("reshape", shape=(-1, -4, 4))], (1, 8, 8), r"decoder\[0\] \(reshape\): .*positive sizes"),
         ([], [], (0, 8, 8), "input shape .*positive sizes"),
         ([], [], (-1, -8, 8), "input shape .*positive sizes"),
     ],
     ids=[
-        "dense-o0", "conv-k0", "conv-s0", "conv-p-1", "conv-gelu", "deconv-s2", "conv-u2", "reshape-negative",
-        "input-shape-zero", "input-shape-negative",
+        "dense-o0", "conv-k0", "conv-s0", "conv-p-1", "conv-gelu", "deconv-s2", "conv-u2", "dense-hyper-no",
+        "conv-hyper-1", "reshape-negative", "input-shape-zero", "input-shape-negative",
     ],
 )
 def test_bad_layer_field_is_a_config_error_naming_the_layer(encoder, decoder, input_shape, where):

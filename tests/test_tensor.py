@@ -235,6 +235,56 @@ def test_conv2d_matches_einsum_reference(dims, kernel, stride, padding, seed):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+# (Cin, H, W, Cout, KH, KW, stride, padding): the shipped convs at the channel bottleneck, whose map is
+# no larger than the kernel window (H*W <= KH*KW), and two maps just past that rule
+SMALL_MAP_CONVS = {
+    "enc1_4x4_k4_s2_16to32": (16, 4, 4, 32, 4, 4, 2, 1),
+    "enc2_2x2_k3_32to4": (32, 2, 2, 4, 3, 3, 1, 1),
+    "dec1_2x2_k3_4to32": (4, 2, 2, 32, 3, 3, 1, 1),
+    "resblock_2x2_k3_16to16": (16, 2, 2, 16, 3, 3, 1, 1),
+    "past_rule_3x3_k2": (3, 3, 3, 5, 2, 2, 1, 0),
+    "past_rule_5x2_k3": (3, 5, 2, 4, 3, 3, 1, 1),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(SMALL_MAP_CONVS))
+def test_conv2d_at_the_bottleneck_maps_matches_the_reference(geometry, monkeypatch):
+    """Output and gradients of conv2d against the einsum reference, on the path the geometry picks.
+
+    The dense path sums each kernel element's gradient over up to Ho*Wo
+    entries of its dense matrix: dropping one slot of that sum moves dk.
+    """
+    Cin, H, W, Cout, KH, KW, stride, padding = SMALL_MAP_CONVS[geometry]
+    dense_plans = []
+    plan = T._dense_plan
+    monkeypatch.setattr(T, "_dense_plan", lambda *key: dense_plans.append(key) or plan(*key))
+    rng = np.random.default_rng(len(geometry))
+    x = Tensor(rng.standard_normal((5, Cin, H, W)), requires_grad=True)
+    k = Tensor(rng.standard_normal((Cout, Cin, KH, KW)), requires_grad=True)
+    b = Tensor(rng.standard_normal(Cout), requires_grad=True)
+    out = T.conv2d(x, k, b, stride, padding)
+    g = rng.standard_normal(out.shape)
+    T.tsum(T.mul(out, Tensor(g))).backward()  # the output gradient is exactly g
+    assert len(dense_plans) == (H * W <= KH * KW)
+    expected = conv2d_reference(x.data, k.data, b.data, g, stride, padding)
+    for got, want in zip((out.data, x.grad, k.grad, b.grad), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_dense_plan_lists_every_kernel_element_as_often_as_the_taps_reach_it():
+    """A 4x4 kernel at stride 2 as the dense matrix over a 4x4 map: each element once per output it reaches."""
+    idx, inv = T._dense_plan(2, 3, 4, 4, 4, 4, 2, 2, 2, 1)
+    assert idx.shape == (2 * 2 * 2 * 3 * 4 * 4,) and inv.shape == (4, 2 * 3 * 4 * 4)
+    # kernel row a reaches the outputs i with 0 <= 2*i + a - 1 < 4, and a kernel column likewise
+    reach = np.array([1, 2, 2, 1])
+    counts = np.sum(inv < idx.size, axis=0).reshape(2, 3, 4, 4)
+    assert np.array_equal(counts, np.broadcast_to(np.outer(reach, reach), counts.shape))
+    assert np.sum(idx == 2 * 3 * 4 * 4) == idx.size - counts.sum() > 0  # entries off the kernel read the zero
+    for n, entries in enumerate(inv.T):
+        m = np.sum(entries < idx.size)
+        assert np.array_equal(entries[:m], np.flatnonzero(idx == n)) and np.all(entries[m:] == idx.size)
+
+
 @FUZZ
 @given(
     dims=st.tuples(*[st.integers(1, 4)] * 7),  # C, M, KH, KW, h, w, B
@@ -260,7 +310,7 @@ def test_tap_sum_is_the_adjoint_of_the_take(dims, step, origin, size, seed):
     kf = k.transpose(0, 2, 3, 1).reshape(M, KH * KW * C)  # the engine's flattened kernel
     cols = T._zero_row_below(a).take(idx, axis=0).reshape(KH * KW * C, h * w * B)
     y, dk = kf @ cols, g @ cols.T
-    dst = T._tap_sum(kf, g, inv, B)
+    dst = T._tap_sum(kf.T, g, inv, B)
     np.testing.assert_allclose(np.vdot(dst, a.reshape(-1, B)), np.vdot(g, y), rtol=1e-12)
     assert not cols.reshape(-1, B)[idx == C * H * W].any()
     for r, taps in enumerate(inv.T):
@@ -465,10 +515,12 @@ def pulled(out: Tensor, g: np.ndarray) -> Tensor:
 
 
 # (base op, input shape, kernel shape): a dense output, a conv2d output (an NCHW
-# view of its batch-last accumulator) and an upconv2d output (a strided crop)
+# view of its batch-last accumulator) on its taps and on its dense path (a map
+# no larger than the kernel window), and an upconv2d output (a strided crop)
 BASE_OPS = {
     "dense": (T.linear, (3, 4), (5, 4)),
     "conv2d": (lambda x, k, b, **head: T.conv2d(x, k, b, 1, 1, **head), (3, 2, 4, 5), (5, 2, 3, 3)),
+    "conv2d_small_map": (lambda x, k, b, **head: T.conv2d(x, k, b, 1, 1, **head), (3, 2, 2, 2), (5, 2, 3, 3)),
     "upconv2d": (lambda x, k, b, **head: T.upconv2d(x, k, b, 2, 1, **head), (3, 2, 3, 4), (5, 2, 3, 3)),
 }
 
@@ -615,6 +667,8 @@ OMEGA = np.array([-0.7, 0.2, 0.9])
 LAYOUT_OPS = {
     "linear": (T.linear, [(3, 4), (5, 4), (5,)]),
     "conv2d": (lambda x, k, b: T.conv2d(x, k, b, 2, 1), [(3, 2, 5, 4), (5, 2, 3, 2), (5,)]),
+    # a map no larger than the kernel window: conv2d's dense path
+    "conv2d_small_map": (lambda x, k, b: T.conv2d(x, k, b, 1, 1), [(3, 2, 2, 2), (5, 2, 3, 2), (5,)]),
     "upconv2d": (lambda x, k, b: T.upconv2d(x, k, b, 2, 1), [(3, 2, 3, 4), (5, 2, 3, 2), (5,)]),
     # scale_act_*: an op with its head, a scale and an activation
     "scale_act_dense": (
