@@ -47,10 +47,12 @@ class ChannelSymbols:
 
 
 def snr_to_sigma2(omega_db):
-    """Noise variance per complex symbol under unit signal power."""
+    """Noise variance per complex symbol under unit signal power: a float at one SNR, an array at several."""
     om = np.asarray(omega_db, dtype=np.float64)
-    sigma2 = np.where(om >= SNR_CAP_DB, 0.0, 10.0 ** (-om / 10.0))
-    return float(sigma2) if sigma2.ndim == 0 else sigma2
+    if om.ndim == 0:  # in Python floats, but numpy's power: libm's pow differs from it in the last bit at some SNRs
+        om = float(om)
+        return 0.0 if om >= SNR_CAP_DB else float(np.power(10.0, -om / 10.0))
+    return np.where(om >= SNR_CAP_DB, 0.0, 10.0 ** (-om / 10.0))
 
 
 def power_normalize(z_raw: Tensor) -> ChannelSymbols:
@@ -84,10 +86,13 @@ def awgn_transmit(symbols: ChannelSymbols, omega_db, rng: np.random.Generator) -
     backward (reparameterization): gradients pass through z unchanged.
     """
     z = symbols.values
-    sigma2 = np.atleast_1d(np.asarray(snr_to_sigma2(omega_db), dtype=np.float64))
+    sigma2 = snr_to_sigma2(omega_db)
     shape = z.data.shape
-    if sigma2.size not in (1, shape[0]):
+    one = isinstance(sigma2, float)
+    if not one and sigma2.size not in (1, shape[0]):
         raise ConfigError(f"awgn_transmit: {sigma2.size} conditions for batch of {shape[0]}")
-    noise = rng.standard_normal(shape) * np.sqrt(sigma2 / 2.0)[:, None]
-    return _make(z.data + noise, (z,), lambda g: [(z, g)])
+    noise = rng.standard_normal(shape)
+    noise *= math.sqrt(sigma2 / 2.0) if one else np.sqrt(sigma2 / 2.0)[:, None]
+    noise += z.data
+    return _make(noise, (z,), lambda g: [(z, g)])
 

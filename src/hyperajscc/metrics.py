@@ -84,7 +84,8 @@ def _eval_once(model: HyperAJSCCModel, dataset: Dataset, omega_db: float, rng) -
             out = forward_pipeline(model, Tensor(xb), omega_db, rng).data
         if recon:
             d = xb - out  # (xb + 1) / 2 - (out + 1) / 2, times 2
-            total += float(np.add.reduce(d * d, axis=None) / 4.0)
+            d *= d
+            total += float(np.add.reduce(d, axis=None) / 4.0)
         else:
             total += int((out.argmax(axis=1) == np.asarray(dataset.labels[start : start + EVAL_CHUNK])).sum())
     return psnr_from_mse(total / dataset.samples.size) if recon else total / dataset.samples.shape[0]

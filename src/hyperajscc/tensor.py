@@ -501,11 +501,10 @@ def _tap_plan(C: int, H: int, W: int, KH: int, KW: int, h: int, w: int, step: in
     Tap (ki, kj, c, i, j) reads row oh + step*i + ki, column ow + step*j + kj
     of channel c: row idx[tap] of the image viewed as [C*H*W, B] with a zero
     row appended, which a tap off the image reads.  Taps are numbered in the
-    order of the flattened [KH, KW, C, h, w] grid.  inv [M, C*H*W] is the
-    inverse: inv[m, n] is the m-th tap in ascending order that reads image
-    row n, or, past the last, the index of a zero row appended to the taps.
-    The plan depends on the geometry alone, so it is built once per
-    geometry; both arrays are read-only.
+    order of the flattened [KH, KW, C, h, w] grid.  inv is _with_inverse's
+    trimmed inverse over the C*H*W image rows: the taps that read each row,
+    in ascending order.  The plan depends on the geometry alone, so it is
+    built once per geometry; all its arrays are read-only.
     """
     r = oh + step * np.arange(h) + np.arange(KH)[:, None]  # [KH, h]
     q = ow + step * np.arange(w) + np.arange(KW)[:, None]  # [KW, w]
@@ -522,13 +521,12 @@ def _dense_plan(Cout: int, Cin: int, H: int, W: int, KH: int, KW: int, Ho: int, 
     gives input pixel (r, q) of channel c: element (o, c, r - stride*i +
     padding, q - stride*j + padding) of the kernel, or 0 where that is off
     the kernel.  idx [Cout*Ho*Wo*Cin*H*W] is the entry's index into the
-    raveled kernel with a zero appended, and inv [M, Cout*Cin*KH*KW] its
-    inverse: inv[m, n] is the m-th entry in ascending order that holds
-    kernel element n, or, past the last, the index of a zero appended to
-    the entries.  Built once per geometry, as _tap_plan; both arrays are
-    read-only, and int32, which halves what the cache keeps: idx is as
-    large as the dense matrix, 128 KiB for a 4x4 kernel from 16 to 32
-    channels on a 4x4 map.
+    raveled kernel with a zero appended, and inv _with_inverse's trimmed
+    inverse over the Cout*Cin*KH*KW kernel elements: the entries that hold
+    each element, in ascending order.  Built once per geometry, as
+    _tap_plan; all its arrays are read-only, and int32, which halves what
+    the cache keeps: idx is as large as the dense matrix, 128 KiB for a
+    4x4 kernel from 16 to 32 channels on a 4x4 map.
     """
     a = padding + np.arange(H) - stride * np.arange(Ho)[:, None]  # [Ho, H]: the kernel row
     e = padding + np.arange(W) - stride * np.arange(Wo)[:, None]  # [Wo, W]: the kernel column
@@ -540,17 +538,26 @@ def _dense_plan(Cout: int, Cin: int, H: int, W: int, KH: int, KW: int, Ho: int, 
 
 
 def _with_inverse(idx, n: int) -> tuple:
-    """(idx, inv) made read-only, where inv [M, n] (idx's dtype) lists, for each target r < n, where idx holds r.
+    """(idx, inv) made read-only, where inv = (slots, perm) lists, for each target r < n, where idx holds r.
 
-    inv[m, r] is the m-th such position in ascending order, or, past the
-    last, idx.size; idx holds n where it points at no target.
+    A target's taps are the positions where idx holds it, in ascending
+    order; idx holds n where it points at no target.  The targets are
+    ordered by their tap count, most first (a stable sort), and slots[m]
+    (idx's dtype) holds the (m+1)-th tap of each target in that order that
+    has one: a prefix of the order, as long as the number of targets with
+    more than m taps.  slots[0] alone covers every target, and a target
+    with no tap reads idx.size there.  perm takes the order back to target
+    order.
     """
     counts = np.bincount(idx, minlength=n + 1)[:-1]
-    kept = np.argsort(idx, kind="stable")[: counts.sum()]  # the positions that point at a target, by target
-    inv = np.full((counts.max(initial=1), n), idx.size, dtype=idx.dtype)
-    inv[np.arange(kept.size) - (np.cumsum(counts) - counts)[idx[kept]], idx[kept]] = kept
-    idx.flags.writeable = inv.flags.writeable = False
-    return idx, inv
+    order = np.argsort(-counts, kind="stable")  # the targets, most taps first
+    taps = np.append(np.argsort(idx, kind="stable")[: counts.sum()], idx.size).astype(idx.dtype)  # by target; the fill
+    first = np.where(counts > 0, np.cumsum(counts) - counts, taps.size - 1)[order]  # each target's first tap, or fill
+    slots = tuple(taps[first[: np.count_nonzero(counts > m) if m else n] + m] for m in range(max(1, counts.max())))
+    perm = np.argsort(order).astype(idx.dtype)
+    for a in (idx, perm, *slots):
+        a.flags.writeable = False
+    return idx, (slots, perm)
 
 
 def _zero_row_below(a):
@@ -567,16 +574,22 @@ def _tap_sum(a, b, inv, width: int):
     For a conv's input gradient the product is the taps [KH*KW*C, h*w*B]
     and the rows are the image's, width B; for a dense-path kernel
     gradient it is the dense matrix's gradient and the rows are the
-    kernel's elements, width 1.  One take per slot of inv, each added in
-    turn, so a row's products are summed in ascending order.
+    kernel's elements, width 1.  One take per slot of inv: slot 0 for
+    every row (a row with no tap reads the zero row), each further slot
+    added onto the prefix of rows that has that many taps, so a row's
+    products are summed in ascending order and no row adds a zero.  One
+    more take puts the rows back in order.  Scratch: the product and two
+    output-sized arrays, the sorted sum and a slot's take or the rows
+    restored.
     """
     taps = np.empty((a.shape[0] * b.shape[1] // width + 1, width))
     np.matmul(a, b, out=taps[:-1].reshape(a.shape[0], b.shape[1]))
     taps[-1] = 0.0
-    out = taps.take(inv[0], axis=0)
-    for slot in inv[1:]:
-        out += taps.take(slot, axis=0)
-    return out
+    slots, perm = inv
+    out = taps.take(slots[0], axis=0)
+    for slot in slots[1:]:
+        out[: slot.size] += taps.take(slot, axis=0)
+    return out.take(perm, axis=0)
 
 
 def conv2d(
@@ -593,10 +606,12 @@ def conv2d(
     the forward is one GEMM of the kernel flattened as [Cout, KH*KW*Cin]
     with them.  The backward reuses both: dk is one GEMM with the columns,
     and dx one GEMM into tap rows, summed onto the input's pixels through
-    inv.  The columns stay live from the forward to the backward (inside
-    no_tape() only until the head), KH*KW/stride**2 times the input, and
-    dx's tap rows are as large, so forward plus backward peak at 20.9x the
-    input's bytes for a 3x3 conv from 16 channels.
+    inv by _tap_sum.  The columns stay live from the forward to the
+    backward (inside no_tape() only until the head), KH*KW/stride**2 times
+    the input, and dx's tap rows are as large; the sum's take that
+    restores the row order adds one input-sized array where the last
+    slot's take has been freed, so forward plus backward still peak at
+    20.9x the input's bytes for a 3x3 conv from 16 channels.
 
     A map no larger than the window (H*W <= KH*KW), where many taps would
     read the padding, runs on one memoized _dense_plan: the kernel is one
@@ -604,11 +619,12 @@ def conv2d(
     one GEMM of it with the input's batch-last rows [Cin*H*W, B]: no
     column matrix, and no more multiply-adds than the taps.  dx is one
     GEMM with its transpose, and dk one GEMM into the matrix's shape,
-    summed onto the kernel through inv.  Its scratch does not grow with
-    the batch: the raveled kernel, the dense matrix (kept to the
+    summed onto the kernel through inv by _tap_sum.  Its scratch does not
+    grow with the batch: the raveled kernel, the dense matrix (kept to the
     backward), and in the backward the matrix's gradient, each at most
-    Ho*Wo times the kernel; the input's rows are a view of a batch-last
-    input, as a conv's output is, and a copy of any other.
+    Ho*Wo times the kernel, and the sum's two kernel-sized arrays; the
+    input's rows are a view of a batch-last input, as a conv's output is,
+    and a copy of any other.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
@@ -662,11 +678,13 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
     upsample*i + padding - (KH-1) + a (columns likewise).  That is conv2d
     mirrored, batch-last on one _tap_plan over the output: the forward is
     one GEMM of the flipped kernel, flattened as [Cin, KH*KW*Cout], into
-    tap rows, summed onto the output's pixels through inv, plus the bias;
-    the backward is one take of the output gradient's rows through idx and
-    two GEMMs, dx and dk.  Forward plus backward peak at 5.4x the output's
-    bytes for a 4 -> 32 channel deconv (k3, u2), while the zero-inserted
-    conv's input alone is upsample**2 times x.
+    tap rows, summed onto the output's pixels through inv by _tap_sum,
+    plus the bias; the backward is one take of the output gradient's rows
+    through idx and two GEMMs, dx and dk.  The forward's scratch is the
+    tap rows and two outputs, one sorted by tap count and one restored to
+    pixel order.  Forward plus backward peak at 5.4x the output's bytes
+    for a 4 -> 32 channel deconv (k3, u2), while the zero-inserted conv's
+    input alone is upsample**2 times x.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("upconv2d", x, k, b)
     if upsample < 1 or padding < 0:

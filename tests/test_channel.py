@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hyperajscc.channel import awgn_transmit, power_normalize, snr_to_sigma2
 from hyperajscc.errors import NumericAbortError
 from hyperajscc.tensor import Tensor, finite_diff_check
 from hyperajscc import tensor as T
 
+from test_fuzz import FUZZ
 from test_training import drawn_snrs
 
 
@@ -92,6 +95,18 @@ class TestAwgnTransmit:
         a = awgn_transmit(sym, 5.0, np.random.default_rng(42)).data
         b = awgn_transmit(sym, 5.0, np.random.default_rng(42)).data
         assert np.array_equal(a, b)
+
+    @FUZZ
+    @given(omega=st.floats(-100.0, 50.0), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(omega=40.0, rows=3, seed=0)  # the cap: noiseless
+    @example(omega=15.878363134861843, rows=2, seed=0)  # libm's pow and numpy's differ in the last bit here
+    def test_one_snr_is_the_same_snr_repeated_per_row(self, omega, rows, seed):
+        """The scalar path (Python floats) and the per-sample path (arrays) agree bit for bit."""
+        sym = power_normalize(Tensor(np.random.default_rng(seed).standard_normal((rows, 6))))
+        one = awgn_transmit(sym, omega, np.random.default_rng(seed)).data
+        each = awgn_transmit(sym, np.full(rows, omega), np.random.default_rng(seed)).data
+        assert np.array_equal(one.view(np.int64), each.view(np.int64))
+        assert isinstance(snr_to_sigma2(omega), float) and snr_to_sigma2(np.full(rows, omega)).shape == (rows,)
 
     def test_per_sample_conditions(self):
         sym = power_normalize(Tensor(np.ones((2, 4))))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hyperajscc import tensor as T
@@ -271,18 +271,113 @@ def test_conv2d_at_the_bottleneck_maps_matches_the_reference(geometry, monkeypat
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def taps_by_target(idx, inv):
+    """Each target's taps, read off a plan's trimmed inverse (slots, perm), after checking its layout.
+
+    perm is a permutation whose inverse orders the targets by tap count,
+    most first.  slots[0] covers every target, and slots[m] the prefix of
+    that order with more than m taps.  The fill idx.size appears only
+    where a target with no tap reads slot 0.
+    """
+    slots, perm = inv
+    n = slots[0].size
+    order = np.argsort(perm)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    taps = [None] * n
+    for pos, target in enumerate(order):
+        listed = [int(slot[pos]) for slot in slots if pos < slot.size]
+        taps[target] = [] if listed == [idx.size] else listed
+    lengths = [len(taps[target]) for target in order]
+    assert lengths == sorted(lengths, reverse=True)
+    assert [slot.size for slot in slots[1:]] == [sum(length > m for length in lengths) for m in range(1, len(slots))]
+    assert all(tap < idx.size for t in taps for tap in t)
+    return taps
+
+
 def test_dense_plan_lists_every_kernel_element_as_often_as_the_taps_reach_it():
     """A 4x4 kernel at stride 2 as the dense matrix over a 4x4 map: each element once per output it reaches."""
     idx, inv = T._dense_plan(2, 3, 4, 4, 4, 4, 2, 2, 2, 1)
-    assert idx.shape == (2 * 2 * 2 * 3 * 4 * 4,) and inv.shape == (4, 2 * 3 * 4 * 4)
+    slots = inv[0]
+    assert idx.shape == (2 * 2 * 2 * 3 * 4 * 4,) and len(slots) == 4 and slots[0].shape == (2 * 3 * 4 * 4,)
     # kernel row a reaches the outputs i with 0 <= 2*i + a - 1 < 4, and a kernel column likewise
     reach = np.array([1, 2, 2, 1])
-    counts = np.sum(inv < idx.size, axis=0).reshape(2, 3, 4, 4)
+    taps = taps_by_target(idx, inv)
+    counts = np.array([len(t) for t in taps]).reshape(2, 3, 4, 4)
     assert np.array_equal(counts, np.broadcast_to(np.outer(reach, reach), counts.shape))
+    assert [slot.size for slot in slots] == [96, 72, 24, 24]  # the elements with at least 1, 2, 3 and 4 entries
     assert np.sum(idx == 2 * 3 * 4 * 4) == idx.size - counts.sum() > 0  # entries off the kernel read the zero
-    for n, entries in enumerate(inv.T):
-        m = np.sum(entries < idx.size)
-        assert np.array_equal(entries[:m], np.flatnonzero(idx == n)) and np.all(entries[m:] == idx.size)
+    for n, entries in enumerate(taps):
+        assert np.array_equal(entries, np.flatnonzero(idx == n))
+
+
+def untrimmed_tap_sum(a, b, idx, n, width):
+    """_tap_sum as a full per-slot loop: every target reads every slot, one short of taps the zero row past the last."""
+    taps = [np.flatnonzero(idx == r) for r in range(n)]
+    inv = np.full((max(1, *map(len, taps)), n), idx.size)
+    for r, t in enumerate(taps):
+        inv[: t.size, r] = t
+    rows = np.concatenate([(a @ b).reshape(-1, width), np.zeros((1, width))])
+    out = rows.take(inv[0], axis=0)
+    for slot in inv[1:]:
+        out += rows.take(slot, axis=0)
+    return out
+
+
+def assert_trimmed_sum_is_the_untrimmed_one(idx, inv, n, a, b, width):
+    """_tap_sum bit-equal to untrimmed_tap_sum, and inv's slot lengths the plan's tap-count histogram."""
+    counts = np.bincount(idx, minlength=n + 1)[:-1]
+    slots, _ = inv
+    assert len(slots) == max(1, counts.max()) and slots[0].size == n
+    assert [slot.size for slot in slots[1:]] == [np.count_nonzero(counts > m) for m in range(1, len(slots))]
+    got, want = T._tap_sum(a, b, inv, width), untrimmed_tap_sum(a, b, idx, n, width)
+    assert got.shape == want.shape == (n, width)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
+@FUZZ
+@given(
+    dims=st.tuples(*[st.integers(1, 4)] * 7),  # C, M, KH, KW, h, w, B
+    step=st.integers(1, 5),
+    origin=st.tuples(st.integers(-3, 2), st.integers(-3, 2)),  # (oh, ow)
+    size=st.tuples(st.integers(1, 9), st.integers(1, 9)),  # H, W
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(2, 3, 2, 2, 3, 3, 2), step=2, origin=(0, 0), size=(6, 6), seed=0)  # every row has one tap: no fill
+@example(dims=(2, 3, 2, 3, 3, 2, 2), step=4, origin=(0, 0), size=(9, 8), seed=0)  # stride > kernel: rows with none
+def test_trimmed_tap_sum_is_the_untrimmed_slot_loop_on_tap_plans(dims, step, origin, size, seed):
+    """The input gradient of any _tap_plan, summed through the trimmed inverse and through every slot.
+
+    Each row still adds its taps in ascending order from the same first
+    term, so the sums are equal bit for bit: the only products trimming
+    drops are the zero row's, and the operands are drawn nonzero.
+    """
+    C, M, KH, KW, h, w, B = dims
+    (oh, ow), (H, W) = origin, size
+    idx, inv = T._tap_plan(C, H, W, KH, KW, h, w, step, oh, ow)
+    rng = np.random.default_rng(seed)
+    kf, g = rng.standard_normal((M, KH * KW * C)), rng.standard_normal((M, h * w * B))
+    assert_trimmed_sum_is_the_untrimmed_one(idx, inv, C * H * W, kf.T, g, B)
+
+
+@FUZZ
+@given(
+    dims=st.tuples(*[st.integers(1, 3)] * 3),  # Cout, Cin, B
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    out_size=st.tuples(st.integers(1, 3), st.integers(1, 3)),  # Ho, Wo
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trimmed_tap_sum_is_the_untrimmed_slot_loop_on_dense_plans(dims, kernel, stride, padding, out_size, seed):
+    """The kernel gradient of any _dense_plan, summed through the trimmed inverse and through every slot."""
+    Cout, Cin, B = dims
+    (KH, KW), (Ho, Wo) = kernel, out_size
+    H, W = stride * (Ho - 1) + KH - 2 * padding, stride * (Wo - 1) + KW - 2 * padding
+    assume(H >= 1 and W >= 1)
+    idx, inv = T._dense_plan(Cout, Cin, H, W, KH, KW, Ho, Wo, stride, padding)
+    rng = np.random.default_rng(seed)
+    gm, xr = rng.standard_normal((Cout * Ho * Wo, B)), rng.standard_normal((B, Cin * H * W))
+    assert_trimmed_sum_is_the_untrimmed_one(idx, inv, Cout * Cin * KH * KW, gm, xr, 1)
 
 
 @FUZZ
@@ -299,8 +394,9 @@ def test_tap_sum_is_the_adjoint_of_the_take(dims, step, origin, size, seed):
     The image is drawn small or large against the grid, so the origins and
     the far edge put taps off it: they read the zero row, and their
     products are dropped from the sum.  inv lists exactly the taps on each
-    row, in ascending order.  The operands are nonnegative, so no sum
-    cancels and rtol 1e-12 measures only rounding.
+    row, in ascending order, in taps_by_target's trimmed layout.  The
+    operands are nonnegative, so no sum cancels and rtol 1e-12 measures
+    only rounding.
     """
     C, M, KH, KW, h, w, B = dims
     (oh, ow), (H, W) = origin, size
@@ -313,9 +409,8 @@ def test_tap_sum_is_the_adjoint_of_the_take(dims, step, origin, size, seed):
     dst = T._tap_sum(kf.T, g, inv, B)
     np.testing.assert_allclose(np.vdot(dst, a.reshape(-1, B)), np.vdot(g, y), rtol=1e-12)
     assert not cols.reshape(-1, B)[idx == C * H * W].any()
-    for r, taps in enumerate(inv.T):
-        m = np.sum(taps < idx.size)
-        assert np.array_equal(taps[:m], np.flatnonzero(idx == r)) and np.all(taps[m:] == idx.size)
+    for r, taps in enumerate(taps_by_target(idx, inv)):
+        assert np.array_equal(taps, np.flatnonzero(idx == r))
     # the image padded on every side by more than any tap reaches past it
     P = 3 * max(KH, KW, h, w) + 3
     ap = np.pad(a, ((0, 0), (P, P), (P, P), (0, 0)))
