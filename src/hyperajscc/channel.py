@@ -82,15 +82,16 @@ def power_normalize(z_raw: Tensor) -> ChannelSymbols:
 def awgn_transmit(symbols: ChannelSymbols, omega_db, rng: np.random.Generator) -> Tensor:
     """z_hat = z + eps with per-real-component variance sigma^2/2.
 
-    omega_db is a scalar or one value per row.  The noise is a constant in
-    backward (reparameterization): gradients pass through z unchanged.
+    omega_db is a scalar, or a flat array of one value or one per row.
+    The noise is a constant in backward (reparameterization): gradients
+    pass through z unchanged.
     """
     z = symbols.values
     sigma2 = snr_to_sigma2(omega_db)
     shape = z.data.shape
     one = isinstance(sigma2, float)
-    if not one and sigma2.size not in (1, shape[0]):
-        raise ConfigError(f"awgn_transmit: {sigma2.size} conditions for batch of {shape[0]}")
+    if not one and sigma2.shape not in ((1,), shape[:1]):
+        raise ConfigError(f"awgn_transmit: SNRs of shape {sigma2.shape} for a batch of {shape[0]}")
     noise = rng.standard_normal(shape)
     noise *= math.sqrt(sigma2 / 2.0) if one else np.sqrt(sigma2 / 2.0)[:, None]
     noise += z.data

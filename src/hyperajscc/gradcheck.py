@@ -17,8 +17,9 @@ fixed list, not a registry of ops:
   and a larger one on its taps: conv2d_s2, conv2d_2x2_k3x2 and the conv
   layer on a 3x3 map take the dense path; the other conv2d cases, the
   4x4 conv layer and the resblock take the taps.  A 0-d condition on the
-  tape runs the same per-sample path, and an op folds one into its
-  weights only inside no_tape(), where no gradient exists to check;
+  tape runs the same per-sample path: only a layer folds one into its
+  weights (layers.HyperLayer.forward), and only inside no_tape(), where
+  no gradient exists to check;
 - the end-to-end training objective of a tiny model with frozen noise.
 tsum (as most cases' reduction) and reshape (in the model's flatten) are
 checked only inside other cases; scale and upsample_zero have no case.  Inputs

@@ -18,15 +18,15 @@ Conv activations are NCHW tensors over batch-last memory: conv2d and
 upconv2d work on [C, H, W, B] arrays and hand on NCHW views of them, so
 the next conv reads its input without a transposing copy.
 Dense activations are plain [B, C] rows.
-For convolutions, scaling output channels is mathematically identical to
-row-scaling the kernels and commutes with the convolution.  With one
-omega_t per sample the output is the side that gets scaled, because s
-differs per sample and the kernels are shared by the whole batch; with
-one omega_t for the batch, s is one vector, and inside no_tape() the op
-scales its kernel and bias instead (tensor._fold).  On the tape a 0-d
-omega_t runs as one per sample.  A deconv is a transposed conv computed
-over the real pixels of its input (tensor.upconv2d); no zero-inserted
-upsampled input is built.
+Scaling a layer's output channels is scaling its kernel's output-channel
+rows and its bias.  With one omega_t per sample the output is the side
+that gets scaled, because s differs per sample and the kernels are shared
+by the whole batch.  With one omega_t for the batch, s is one vector, and
+inside no_tape() HyperLayer.forward, the one place a condition folds,
+runs its op on the kernel and bias times s, with no scale; on the tape a
+0-d omega_t runs as one per sample.  A deconv is a transposed conv
+computed over the real pixels of its input (tensor.upconv2d); no
+zero-inserted upsampled input is built.
 
 omega_t is the channel SNR mapped affinely into [-1, 1] over the fixed
 0..20 dB range (models.OMEGA_LO_DB..OMEGA_HI_DB), and saturated at 1 above
@@ -112,14 +112,28 @@ class HyperLayer:
         self.scale = scale
 
     def forward(self, f: Tensor, omega_t) -> Tensor:
-        """omega_t is the mapped condition: [B], one per sample, or 0-d, one for the batch."""
-        base = self.base
-        scale = None if self.scale is None else (omega_t, self.scale.nu, self.scale.c)
+        """One call of the base op; omega_t is the mapped condition: [B], one per sample, or 0-d, one for the batch.
+
+        The op is handed (omega_t, nu, c) and scales its own result, but at a
+        0-d omega_t inside no_tape(), where no backward runs, s = omega_t * nu
+        + c is one vector: the op runs with no scale on W0 * s and b0 * s, s
+        along the output channels.  The two agree up to rounding.
+        """
+        base, scale = self.base, self.scale
+        w, b = (base.w0 if isinstance(base, DenseLayer) else base.c0), base.b0
+        head = None if scale is None else (omega_t, scale.nu, scale.c)
+        # getattr, not np.ndim, whose dispatch is ~1% of a dense step; a float has no ndim and is 0-d
+        if head and not getattr(omega_t, "ndim", 0) and not T._recording.get() and (
+            scale.nu.data.shape == scale.c.data.shape == b.data.shape == w.data.shape[:1]  # else the op refuses them
+        ):
+            s = float(omega_t) * scale.nu.data + scale.c.data  # float() refuses a list, which has no ndim
+            w = Tensor(w.data * s.reshape(-1, *(1,) * (w.data.ndim - 1)))
+            b, head = Tensor(b.data * s), None
         if isinstance(base, DenseLayer):
-            return T.linear(f, base.w0, base.b0, act=base.act, scale=scale)
+            return T.linear(f, w, b, act=base.act, scale=head)
         if base.upsample > 1:
-            return T.upconv2d(f, base.c0, base.b0, base.upsample, base.padding, act=base.act, scale=scale)
-        return T.conv2d(f, base.c0, base.b0, base.stride, base.padding, act=base.act, scale=scale)
+            return T.upconv2d(f, w, b, base.upsample, base.padding, act=base.act, scale=head)
+        return T.conv2d(f, w, b, base.stride, base.padding, act=base.act, scale=head)
 
     def named_params(self):
         out = list(self.base.named_params())

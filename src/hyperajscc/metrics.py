@@ -95,8 +95,9 @@ def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) ->
     """Full-dataset metric at each grid SNR, aggregated over noise seeds.
 
     A ConfigError if the grid fails `check_snr_grid`, seeds is not a sequence,
-    there is no noise seed or one fails `check_seed`, or the dataset has no
-    samples: no such sweep has a metric.
+    there is no noise seed or one fails `check_seed`, the dataset has no
+    samples, or a classification model's has no labels: no such sweep has a
+    metric.
     """
     grid = check_snr_grid(snr_grid)
     try:
@@ -107,6 +108,8 @@ def snr_sweep(model: HyperAJSCCModel, dataset: Dataset, snr_grid, seeds=(0,)) ->
         raise ConfigError("snr_sweep: no noise seeds")
     if dataset.samples.shape[0] == 0:
         raise ConfigError("snr_sweep: dataset is empty")
+    if model.config.task == "classification" and dataset.labels is None:
+        raise ConfigError("snr_sweep: a classification model needs a labeled dataset")
     metric = "psnr_db" if model.config.task == "reconstruction" else "top1_accuracy"
     report = SweepReport(metric=metric)
     for gi, snr in enumerate(grid):

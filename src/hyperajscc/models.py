@@ -228,8 +228,8 @@ def _omega_t(omega_db) -> np.ndarray:
     """SNR in dB -> mapped condition omega_t, at most 1: 0-d for one SNR, [B] for one per sample.
 
     A 0-d omega_t is one condition for the whole batch.  Inside no_tape()
-    each scaled layer folds it into its weights (tensor._fold); on the
-    tape it runs as omega_t repeated to [B] (tensor._head).
+    each scaled layer folds it into its weights (layers.HyperLayer.forward);
+    on the tape it runs as omega_t repeated to [B] (tensor._head).
     """
     return np.minimum(_OMEGA_GAIN * np.asarray(omega_db, dtype=np.float64) + _OMEGA_OFFSET, 1.0)
 

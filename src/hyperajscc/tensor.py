@@ -181,15 +181,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "linear", scale=None) -> Tensor:
-    """act((x @ w.T + b) * s) for x [B,Din], w [Dout,Din], b [Dout]; s is 1 or the scale's (see _fold, _head)."""
+    """act((x @ w.T + b) * s) for x [B,Din], w [Dout,Din], b [Dout]; s is 1 or the scale's (see _head)."""
     sx, sw = x.data.shape, w.data.shape
     if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[1]:
         raise ConfigError(f"linear: input {sx} does not match weight {sw}")
     if b.data.shape != (sw[0],):
         raise ConfigError(f"linear: bias {b.data.shape} does not match weight {sw}")
-    s, scale_params = _fold("linear", scale, sw[0])
-    ws, bs = (w.data, b.data) if s is None else (w.data * s[:, None], b.data * s)
-    out, head = _head("linear", x.data @ ws.T + bs, act, scale if s is None else None)
+    out, head = _head("linear", x.data @ w.data.T + b.data, act, scale)
 
     def backward(g):
         g, grads = head(g)
@@ -201,7 +199,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "linear", scale=None) -> 
             grads.append((b, g.sum(axis=0)))
         return grads
 
-    return _make(out, (x, w, b) + scale_params, backward)
+    return _make(out, (x, w, b) if scale is None else (x, w, b, *scale[1:]), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +379,10 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
     the nu/c gradients, in z's layout.  Unscaled, y is activated in place.
     The float operations and their order are those of activation(act,
     scale_channels(y, affine_outer(omega_t, nu, c))).  omega_t is [B]; a
-    0-d one, which an op hands on only on the tape (see _fold), is
-    repeated to [B].  A conv refuses softmax, which would normalize NCHW
-    data over W.
+    0-d one is repeated to [B], on the tape or off it (a layer at one
+    condition off the tape hands its op no scale: layers.HyperLayer.forward
+    folds s into the weights).  A conv refuses softmax, which would
+    normalize NCHW data over W.
     """
     spatial = y.ndim == 4
     if act not in (CONV_ACTIVATIONS if spatial else ACTIVATIONS):
@@ -418,28 +417,6 @@ def _head(op: str, y: np.ndarray, act: str, scale) -> tuple:
         return nchw(ga), grads
 
     return nchw(z), back
-
-
-def _fold(op: str, scale, C: int) -> tuple:
-    """(s, params) of an op's scale: s = omega_t * nu + c [C] for a 0-d omega_t inside no_tape(), else None.
-
-    params, (nu, c) or () without a scale, are the node's parents beside
-    its input, kernel and bias.  At one condition, a 0-d omega_t, a scaled
-    layer is a plain layer with kernel k * s and bias b * s, s along the
-    output channels: inside no_tape(), where no backward runs, the op
-    multiplies its weights by s before its GEMM and hands _head no scale.
-    Elsewhere _head applies the scale, so no backward reads folded
-    weights.  The two agree up to rounding: here s scales each product
-    before the sum, there the sum.
-    """
-    if scale is None:
-        return None, ()
-    omega_t, nu, c = scale
-    if getattr(omega_t, "ndim", 0) or _recording.get():  # not np.ndim, whose dispatch is ~1% of a dense step
-        return None, (nu, c)
-    if nu.data.shape != (C,) or c.data.shape != (C,):
-        raise ConfigError(f"{op}: scale nu {nu.data.shape}, c {c.data.shape} vs {C} output channels")
-    return float(omega_t) * nu.data + c.data, (nu, c)  # float() refuses a list, which has no ndim
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +572,7 @@ def _tap_sum(a, b, inv, width: int):
 def conv2d(
     x: Tensor, k: Tensor, b: Tensor, stride: int = 1, padding: int = 0, act: str = "linear", scale=None
 ) -> Tensor:
-    """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout], then _fold and _head.
+    """Batched cross-correlation: x [B,Cin,H,W], k [Cout,Cin,KH,KW], b [Cout], then _head.
 
     Computed batch-last, and the output is an NCHW view of the
     [Cout, Ho*Wo*B] result.  The geometry alone picks one of two paths.
@@ -630,26 +607,21 @@ def conv2d(
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv2d: bad stride/padding ({stride}, {padding})")
     Ho, Wo = conv_output_size("conv2d", H, W, KH, KW, stride, padding)
-    s, scale_params = _fold("conv2d", scale, Cout)
     dense = H * W <= KH * KW
     if dense:
         idx, inv = _dense_plan(Cout, Cin, H, W, KH, KW, Ho, Wo, stride, padding)
-        kz = np.empty(k.data.size + 1)  # the raveled kernel and a zero, which entries off the kernel read
-        kz[-1] = 0.0
-        np.multiply(k.data, 1.0 if s is None else s[:, None, None, None], out=kz[:-1].reshape(k.data.shape))
+        kz = np.concatenate((k.data.ravel(), (0.0,)))  # the raveled kernel and a zero, which entries off it read
         kf = kz.take(idx).reshape(Cout * Ho * Wo, Cin * H * W)
         cols = x.data.transpose(1, 2, 3, 0).reshape(Cin * H * W, B)
     else:
         idx, inv = _tap_plan(Cin, H, W, KH, KW, Ho, Wo, stride, -padding, -padding)
         cols = _zero_row_below(x.data.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cin, Ho * Wo * B)
-        kt = k.data.transpose(0, 2, 3, 1)
-        kf = kt if s is None else np.multiply(kt, s[:, None, None, None], out=np.empty(kt.shape))
-        kf = kf.reshape(Cout, KH * KW * Cin)
+        kf = k.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * Cin)
     y = (kf @ cols).reshape(Cout, Ho * Wo * B)
-    y += (b.data if s is None else b.data * s)[:, None]
+    y += b.data[:, None]
     if not _recording.get():
         cols = None  # no backward will read them
-    out, head = _head("conv2d", y.reshape(Cout, Ho, Wo, B), act, scale if s is None else None)
+    out, head = _head("conv2d", y.reshape(Cout, Ho, Wo, B), act, scale)
 
     def backward(g):
         g, grads = head(g)
@@ -667,7 +639,7 @@ def conv2d(
             grads.append((b, gm.sum(axis=1)))
         return grads
 
-    return _make(out, (x, k, b) + scale_params, backward)
+    return _make(out, (x, k, b) if scale is None else (x, k, b, *scale[1:]), backward)
 
 
 def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: str = "linear", scale=None) -> Tensor:
@@ -692,12 +664,10 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
     Ho, Wo = conv_output_size("upconv2d", upsample * H, upsample * W, KH, KW, 1, padding)
     idx, inv = _tap_plan(Cout, Ho, Wo, KH, KW, H, W, upsample, padding - KH + 1, padding - KW + 1)
     xm = x.data.transpose(1, 2, 3, 0).reshape(Cin, H * W * B)
-    s, scale_params = _fold("upconv2d", scale, Cout)
-    kt = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)  # [Cin, KH, KW, Cout]: s runs along the last axis
-    kf = (kt if s is None else np.multiply(kt, s, out=np.empty(kt.shape))).reshape(Cin, KH * KW * Cout)
+    kf = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(Cin, KH * KW * Cout)
     y = _tap_sum(kf.T, xm, inv, B).reshape(Cout, Ho * Wo * B)
-    y += (b.data if s is None else b.data * s)[:, None]
-    out, head = _head("upconv2d", y.reshape(Cout, Ho, Wo, B), act, scale if s is None else None)
+    y += b.data[:, None]
+    out, head = _head("upconv2d", y.reshape(Cout, Ho, Wo, B), act, scale)
 
     def backward(g):
         g, grads = head(g)
@@ -710,7 +680,7 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return grads
 
-    return _make(out, (x, k, b) + scale_params, backward)
+    return _make(out, (x, k, b) if scale is None else (x, k, b, *scale[1:]), backward)
 
 
 def upsample_zero(x: Tensor, factor: int) -> Tensor:

@@ -174,8 +174,8 @@ class TrainConfig:
 
 
 def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optimizer: Adam, rng) -> float:
-    if len(np.atleast_1d(omegas)) != xb.shape[0]:
-        raise ConfigError(f"{len(np.atleast_1d(omegas))} conditions for batch of {xb.shape[0]}")
+    if np.shape(omegas) != xb.shape[:1]:
+        raise ConfigError(f"train_step: SNRs of shape {np.shape(omegas)}, not one per sample of {xb.shape[0]}")
     optimizer.zero_grad()
     x = Tensor(xb)
     out = forward_pipeline(model, x, omegas, rng)
@@ -204,6 +204,9 @@ def train(
         raise ConfigError("dataset is empty")
     if config.val_every and (val_dataset is None or val_dataset.samples.shape[0] == 0):
         raise ConfigError(f"val_every = {config.val_every} needs a validation dataset with samples")
+    unlabeled = dataset.labels is None or (config.val_every and val_dataset.labels is None)
+    if model.config.task == "classification" and unlabeled:
+        raise ConfigError("a classification model trains and validates on labeled datasets only")
     ss = np.random.SeedSequence(config.seed)
     s_prior, s_noise = ss.spawn(2)
     rng_prior = np.random.default_rng(s_prior)

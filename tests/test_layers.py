@@ -125,26 +125,71 @@ BASES = {
 }
 
 
+@pytest.mark.parametrize("one_snr", [False, True], ids=["per_sample", "one_snr_off_the_tape"])
 @pytest.mark.parametrize("kind", sorted(BASES))
 class TestShapesCheckedByTheOps:
-    """A layer is built without checks; the op it calls refuses a mismatch on the first forward."""
+    """A layer is built without checks; the op it calls refuses a mismatch on the first forward.
 
-    def run(self, kind, bias_width, scale=None):
+    That holds at one SNR off the tape too, where a well-formed layer folds its scale into its weights.
+    """
+
+    def run(self, kind, bias_width, scale=None, one_snr=False):
         make_base, x_shape, _ = BASES[kind]
         layer = HyperLayer(make_base(bias_width), scale)
-        return layer.forward(Tensor(np.ones(x_shape)), om_t(1, 0.0))
+        if not one_snr:
+            return layer.forward(Tensor(np.ones(x_shape)), om_t(1, 0.0))
+        with T.no_tape():
+            return layer.forward(Tensor(np.ones(x_shape)), np.asarray(-1.0))
 
-    def test_bias_mismatch(self, kind):
+    def test_bias_mismatch(self, kind, one_snr):
         with pytest.raises(ConfigError, match="bias"):
-            self.run(kind, 4)
+            self.run(kind, 4, scale_from([0, 0, 0], [1, 1, 1]) if one_snr else None, one_snr)
 
-    def test_scale_width_mismatch(self, kind):
+    def test_scale_width_mismatch(self, kind, one_snr):
         with pytest.raises(ConfigError, match=f"^{BASES[kind][2]}: scale"):
-            self.run(kind, 3, scale_from([0, 0], [1, 1]))
+            self.run(kind, 3, scale_from([0, 0], [1, 1]), one_snr)
 
-    def test_nu_and_c_widths_differ(self, kind):
+    def test_nu_and_c_widths_differ(self, kind, one_snr):
         with pytest.raises(ConfigError, match=f"^{BASES[kind][2]}: scale"):
-            self.run(kind, 3, scale_from([0, 0, 0], [1, 1]))
+            self.run(kind, 3, scale_from([0, 0, 0], [1, 1]), one_snr)
+
+
+# (layer spec, input shape, its op with no scale): a dense layer, a conv on its dense path (a 3x3 map, no
+# larger than the kernel window) and on its taps (a 4x4 map), and a deconv
+FOLD_LAYERS = {
+    "dense": (LayerSpec("dense", out=5, act="tanh", hyper=True), (6, 8), T.linear),
+    "conv_3x3_map": (
+        LayerSpec("conv", out=5, padding=1, act="sigmoid", hyper=True), (6, 4, 3, 3),
+        lambda x, k, b, act: T.conv2d(x, k, b, 1, 1, act=act),
+    ),
+    "conv_4x4_map": (
+        LayerSpec("conv", out=5, padding=1, act="relu", hyper=True), (6, 4, 4, 4),
+        lambda x, k, b, act: T.conv2d(x, k, b, 1, 1, act=act),
+    ),
+    "deconv": (
+        LayerSpec("deconv", out=5, padding=1, upsample=2, act="linear", hyper=True), (6, 4, 3, 3),
+        lambda x, k, b, act: T.upconv2d(x, k, b, 2, 1, act=act),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOLD_LAYERS))
+def test_one_snr_off_the_tape_is_the_op_on_the_folded_weights_bit_for_bit(kind):
+    # HyperLayer.forward is the one place a condition folds: at a 0-d omega_t inside no_tape() it runs
+    # its op, with no scale, on W0 * s and b0 * s; handing the op the scale instead differs in rounding
+    spec, x_shape, op = FOLD_LAYERS[kind]
+    rng = np.random.default_rng(8)
+    layer = build_layer(spec, x_shape[1], rng)
+    layer.base.b0.data = rng.uniform(-0.5, 0.5, 5)
+    layer.scale.nu.data = rng.uniform(-0.5, 0.5, 5)
+    layer.scale.c.data = rng.uniform(0.5, 1.5, 5)
+    x = Tensor(rng.standard_normal(x_shape))
+    s = 0.37 * layer.scale.nu.data + layer.scale.c.data
+    w0 = layer.base.w0 if kind == "dense" else layer.base.c0
+    want = op(x, Tensor(w0.data * s.reshape(-1, *(1,) * (w0.data.ndim - 1))), Tensor(layer.base.b0.data * s), spec.act)
+    with T.no_tape():
+        got = layer.forward(x, np.asarray(0.37))
+    np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestParamCounts:

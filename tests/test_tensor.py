@@ -624,29 +624,23 @@ class TestScaleAct:
     """The head of linear, conv2d and upconv2d: its scale and activation, in the op's one node."""
 
     @staticmethod
-    def fused_and_composed(base, act, scaled, folded=False):
+    def fused_and_composed(base, act, scaled):
         """[output, gradients of x, k, b, nu, c] of the fused op, then of the composed ops.
 
         The composed reference is activation(act, scale_channels(y, affine_outer(omega,
         nu, c))) on the op's plain result y, or activation(act, y) without a scale.
-        Folded, every sample has one omega, which the fused op is handed as a 0-d array
-        inside no_tape(), where it folds it into its weights; its gradients are then None.
         """
         op, xshape, kshape = BASE_OPS[base]
         rng = np.random.default_rng(len(base) * 10 + len(act))
         arrays = [rng.standard_normal(xshape), rng.standard_normal(kshape), rng.standard_normal(5),
                   rng.normal(0.0, 0.3, 5), rng.uniform(0.5, 1.5, 5)]
         omega = rng.uniform(-1.0, 1.0, 3)
-        handed = np.asarray(omega[0]) if folded else omega
-        if folded:
-            omega = np.full(3, omega[0])
         g = None
         results = []
         for fused in (True, False):
             x, k, b, nu, c = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             if fused:
-                with T.no_tape() if folded else contextlib.nullcontext():
-                    out = op(x, k, b, act=act, scale=(handed, nu, c) if scaled else None)
+                out = op(x, k, b, act=act, scale=(omega, nu, c) if scaled else None)
             else:
                 y = op(x, k, b)
                 out = T.activation(act, T.scale_channels(y, T.affine_outer(omega, nu, c)) if scaled else y)
@@ -683,30 +677,30 @@ class TestScaleAct:
     @pytest.mark.parametrize(
         "base,act", [(base, act) for base in sorted(BASE_OPS) for act in T.CONV_ACTIVATIONS] + [("dense", "softmax")]
     )
-    def test_a_0d_omega_folded_into_the_weights_matches_the_composed_ops_up_to_rounding(self, base, act):
-        (got, *got_grads), (want, *_) = self.fused_and_composed(base, act, scaled=True, folded=True)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert got_grads == [None] * 5  # a folded op records no node
-
-    @pytest.mark.parametrize("act", ["tanh", "linear"])
-    @pytest.mark.parametrize("base", sorted(BASE_OPS))
-    def test_a_0d_omega_on_the_tape_is_the_repeated_omega_bit_for_bit(self, base, act):
-        # on the tape nothing folds: a 0-d omega runs the per-sample head with omega repeated to [B]
+    def test_a_0d_omega_is_the_repeated_omega_bit_for_bit(self, base, act):
+        # an op never folds: a 0-d omega, on the tape or off it, runs the per-sample head with omega repeated to [B]
         op, xshape, kshape = BASE_OPS[base]
         rng = np.random.default_rng(4)
         arrays = [rng.standard_normal(xshape), rng.standard_normal(kshape), rng.standard_normal(5),
                   rng.normal(0.0, 0.3, 5), rng.uniform(0.5, 1.5, 5)]
         g = None
         results = []
-        for omega in (np.asarray(0.3), np.full(3, 0.3)):
+        # the repeated omega, then a 0-d one on the tape and off it
+        runs = [(np.full(3, 0.3), contextlib.nullcontext()), (np.asarray(0.3), contextlib.nullcontext()),
+                (np.asarray(0.3), T.no_tape())]
+        for omega, recording in runs:
             x, k, b, nu, c = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-            out = op(x, k, b, act=act, scale=(omega, nu, c))
+            with recording:
+                out = op(x, k, b, act=act, scale=(omega, nu, c))
             if g is None:
                 g = rng.standard_normal(out.shape)
             pulled(out, g).backward()
             results.append([out.data] + [p.grad for p in (x, k, b, nu, c)])
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+        want, on_tape, off_tape = results
+        for got, expected in zip(on_tape, want):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(off_tape[0], want[0])
+        assert off_tape[1:] == [None] * 5  # off the tape the op records no node
 
     @pytest.mark.parametrize("base", sorted(BASE_OPS))
     def test_output_and_input_gradient_are_views_of_a_batch_last_array(self, base):
@@ -739,7 +733,7 @@ class TestScaleAct:
             T.conv2d(x, k, b, act="tanh", scale=(np.zeros(3), ones, ones))  # one omega per sample
         with pytest.raises(ConfigError, match="conv2d: scale"):
             T.conv2d(x, k, b, act="tanh", scale=(np.zeros(2), t(np.ones(4)), t(np.ones(4))))
-        for recording in (contextlib.nullcontext(), T.no_tape()):  # a 0-d omega per sample, then folded
+        for recording in (contextlib.nullcontext(), T.no_tape()):  # a 0-d omega, on the tape and off it
             with recording, pytest.raises(ConfigError, match="conv2d: scale"):
                 T.conv2d(x, k, b, act="tanh", scale=(np.asarray(0.5), t(np.ones(4)), t(np.ones(4))))
         for head in ({"scale": (np.zeros(2), ones, ones)}, {}):

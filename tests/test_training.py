@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperajscc import tensor as T
+from hyperajscc.channel import awgn_transmit
 from hyperajscc.data import synthetic_dataset
 from hyperajscc.errors import ConfigError, NumericAbortError
 from hyperajscc.metrics import snr_sweep
@@ -569,6 +570,14 @@ def train_one_epoch(model, ds, **fields):
     return train(model, ds, TrainConfig(**{"epochs": 1, "batch_size": 8, **fields}), ds)
 
 
+def unlabeled_images():
+    return synthetic_dataset("gaussian-blobs-images", 8, (3, 8, 8), seed=0)
+
+
+def labeled_patterns():
+    return synthetic_dataset("pattern-classes", 8, (3, 8, 8), num_classes=2, seed=0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -594,6 +603,22 @@ def train_one_epoch(model, ds, **fields):
         pytest.param(lambda m, ds: encode(m, Tensor(ds.samples), None), id="encode-snr-none"),
         pytest.param(lambda m, ds: encode(m, Tensor(ds.samples), "abc"), id="encode-snr-string"),
         pytest.param(lambda m, ds: decode(m, Tensor(np.zeros((2, 8))), float("nan")), id="decode-snr-nan"),
+        pytest.param(lambda m, ds: awgn_transmit(encode(m, Tensor(ds.samples[:1]), 5.0), np.full((1, 1), 5.0),
+                                                 np.random.default_rng(0)), id="awgn-snr-2d"),
+        pytest.param(lambda m, ds: awgn_transmit(encode(m, Tensor(ds.samples[:3]), 5.0), np.full(2, 5.0),
+                                                 np.random.default_rng(0)), id="awgn-snr-count"),
+        pytest.param(lambda m, ds: train_step(build_model(toy_dense_config(hyper=False), 0), ds.samples[:2], None,
+                                              np.full((2, 1), 5.0), "mse", Adam([]), np.random.default_rng(0)),
+                     id="train-step-snr-2d"),
+        pytest.param(lambda m, ds: train_step(m, ds.samples[:1], None, 5.0, "mse", Adam([]), np.random.default_rng(0)),
+                     id="train-step-snr-scalar"),
+        pytest.param(lambda m, ds: snr_sweep(build_model(shipped_model_config("default_class"), 0), unlabeled_images(),
+                                             [1.0]), id="sweep-classifier-unlabeled"),
+        pytest.param(lambda m, ds: train_one_epoch(build_model(shipped_model_config("default_class"), 0),
+                                                   unlabeled_images()), id="train-classifier-unlabeled"),
+        pytest.param(lambda m, ds: train(build_model(shipped_model_config("default_class"), 0), labeled_patterns(),
+                                         TrainConfig(epochs=1, batch_size=8, val_every=1), unlabeled_images()),
+                     id="train-classifier-unlabeled-validation"),
     ],
 )
 def test_a_bad_library_argument_is_a_config_error(call):
