@@ -6,20 +6,22 @@ fixed list, not a registry of ops:
 - ops: matmul, linear, mul, add and sub, scale_rowwise, mul_rowvec,
   scale_channels (2-d and 4-d), affine_outer, relu, tanh, sigmoid, softmax
   under cross_entropy_loss, conv2d (stride 1, stride 2, a 3x2 kernel at
-  stride 2 and on a 2x2 map), upconv2d (a 3x3 and a 2x3 kernel),
-  power_normalize, mse_loss and tmean;
+  stride 2 and on a 2x2 map, a 3x3 kernel on a 2x2 map), upconv2d (a 3x3
+  and a 2x3 kernel), power_normalize, mse_loss and tmean;
 - layers: a resblock, and a dense layer, a conv layer on a 3x3 and on a
   4x4 map and a deconv layer, its bias off zero, for every activation in
   CONV_ACTIVATIONS twice: with a scale whose nu and c are off the
   identity, at one condition per sample (omega_t [B]), and without a
   scale; and a dense softmax with a scale under cross_entropy_loss.
-  conv2d runs a map no larger than its kernel window as one dense GEMM
-  and a larger one on its taps: conv2d_s2, conv2d_2x2_k3x2 and the conv
-  layer on a 3x3 map take the dense path; the other conv2d cases, the
-  4x4 conv layer and the resblock take the taps.  A 0-d condition on the
-  tape runs the same per-sample path: only a layer folds one into its
-  weights (layers.HyperLayer.forward), and only inside no_tape(), where
-  no gradient exists to check;
+  conv2d runs a map no larger than its kernel window on each output
+  pixel's window and a larger one on its taps: conv2d_2x2_k3, whose
+  windows are all the whole map, takes one GEMM; conv2d_s2,
+  conv2d_2x2_k3x2 and the conv layer on a 3x3 map take a batched GEMM
+  over per-pixel windows; the other conv2d cases, the 4x4 conv layer and
+  the resblock take the taps.  A 0-d condition on the tape runs the same
+  per-sample path: only a layer folds one into its weights
+  (layers.HyperLayer.forward), and only inside no_tape(), where no
+  gradient exists to check;
 - the end-to-end training objective of a tiny model with frozen noise.
 tsum (as most cases' reduction) and reshape (in the model's flatten) are
 checked only inside other cases; scale and upsample_zero have no case.  Inputs
@@ -119,6 +121,8 @@ def _checks(rng: np.random.Generator, cases: int):
         yield "conv2d_2x2_k3x2", (
             lambda x22=x22, k32=k32, kb=kb: T.tsum(T.tanh(T.conv2d(x22, k32, kb, 1, 1)))
         ), [x22, k32, kb]
+        # every output pixel's window is the whole map, as at enc.2 and dec.1; it reuses the draws
+        yield "conv2d_2x2_k3", (lambda x22=x22, k=k, kb=kb: T.tsum(T.tanh(T.conv2d(x22, k, kb, 1, 1)))), [x22, k, kb]
         k23 = _param(rng, 3, 2, 2, 3)
         yield "upsample_conv_k2x3", (
             lambda xi=xi, k23=k23, kb=kb: T.tsum(T.tanh(T.upconv2d(xi, k23, kb, 2, 1)))
@@ -161,7 +165,7 @@ def _layer_checks(rng: np.random.Generator, cases: int):
 
 RELU_MARGIN = 1e-3  # a relu input this close to 0 may cross the kink under a finite-difference step
 # the layer-head checks: layer kind (the name up to "_") -> the shape of one input sample; the
-# 3x3 kernel takes conv2d's dense path on a 3x3 map and its taps on a 4x4 one
+# 3x3 kernel takes conv2d's windows on a 3x3 map and its taps on a 4x4 one
 HEAD_INPUTS = {"dense": (4,), "conv": (2, 3, 3), "conv_4x4": (2, 4, 4), "deconv": (2, 3, 3)}
 
 

@@ -491,27 +491,45 @@ def _tap_plan(C: int, H: int, W: int, KH: int, KW: int, h: int, w: int, step: in
 
 
 @functools.lru_cache(maxsize=256)
-def _dense_plan(Cout: int, Cin: int, H: int, W: int, KH: int, KW: int, Ho: int, Wo: int, stride: int, padding: int):
-    """(idx, inv): a conv kernel [Cout, Cin, KH, KW] as the dense matrix [Cout*Ho*Wo, Cin*H*W] over an H x W map.
+def _window_plan(Cin: int, H: int, W: int, KH: int, KW: int, Ho: int, Wo: int, stride: int, padding: int) -> tuple:
+    """(kidx, kinv, xidx, xinv): each output pixel's window, the taps of a KH x KW kernel that land on an H x W map.
 
-    Entry (o, i, j, c, r, q) is the weight output pixel (i, j) of channel o
-    gives input pixel (r, q) of channel c: element (o, c, r - stride*i +
-    padding, q - stride*j + padding) of the kernel, or 0 where that is off
-    the kernel.  idx [Cout*Ho*Wo*Cin*H*W] is the entry's index into the
-    raveled kernel with a zero appended, and inv _with_inverse's trimmed
-    inverse over the Cout*Cin*KH*KW kernel elements: the entries that hold
-    each element, in ascending order.  Built once per geometry, as
-    _tap_plan; all its arrays are read-only, and int32, which halves what
-    the cache keeps: idx is as large as the dense matrix, 128 KiB for a
-    4x4 kernel from 16 to 32 channels on a 4x4 map.
+    Output pixel p = (i, j) reaches the kernel rows a with 0 <= stride*i +
+    a - padding < H, a block, and the kernel columns likewise: its window
+    is that block of taps (a, e), each reading input pixel (stride*i + a -
+    padding, stride*j + e - padding).  The plan takes one of two forms.
+
+    Where every window is the whole map, its H*W pixels in order, xidx and
+    xinv are None, and kidx [P, Cin, H*W] (P = Ho*Wo) is each entry's
+    kernel element c*KH*KW + a*KW + e: the kernel's windows are then one
+    [Cout*P, Cin*H*W] matrix against the input's batch-last rows.  kinv is
+    _with_inverse's trimmed inverse over the Cin*KH*KW elements for kidx
+    transposed to [Cin, H*W, P], the layout of the kernel gradient's GEMM.
+
+    Otherwise the windows are padded to the largest, nt taps, and listed
+    as [P, nt]: kidx names each entry's tap a*KW + e, a row of the kernel's
+    Cin*Cout weights, and xidx its pixel r*W + q, a row of the input's
+    Cin*B values; a fill names the zero row below each (KH*KW and H*W).
+    kinv and xinv are the trimmed inverses over the KH*KW taps and the
+    H*W pixels.  Built once per geometry, as _tap_plan; all its arrays are
+    read-only.
     """
-    a = padding + np.arange(H) - stride * np.arange(Ho)[:, None]  # [Ho, H]: the kernel row
-    e = padding + np.arange(W) - stride * np.arange(Wo)[:, None]  # [Wo, W]: the kernel column
-    a, e = a[:, None, None, :, None], e[None, :, None, None, :]
-    n = (np.arange(Cout)[:, None, None, None, None, None] * Cin + np.arange(Cin)[:, None, None]) * KH * KW + a * KW + e
-    size = Cout * Cin * KH * KW
-    idx = np.where((0 <= a) & (a < KH) & (0 <= e) & (e < KW), n, size).astype(np.int32).ravel()
-    return _with_inverse(idx, size)
+    i, j = np.arange(Ho), np.arange(Wo)
+    a0, a1 = np.maximum(padding - stride * i, 0), np.minimum(H + padding - stride * i, KH)  # [Ho]: rows a0 <= a < a1
+    e0, e1 = np.maximum(padding - stride * j, 0), np.minimum(W + padding - stride * j, KW)
+    nh, nw = max(0, (a1 - a0).max()), max(0, (e1 - e0).max())
+    a, e = a0[:, None] + np.arange(nh), e0[:, None] + np.arange(nw)  # [Ho, nh], [Wo, nw]
+    on = ((a < a1[:, None])[:, None, :, None] & (e < e1[:, None])[None, :, None, :]).reshape(Ho * Wo, nh * nw)
+    a, e = a[:, None, :, None], e[None, :, None, :]
+    tap = (a * KW + e).reshape(on.shape)
+    if on.all() and nh * nw == H * W:  # every window is the whole map
+        kidx = (np.arange(Cin)[:, None] * KH * KW + tap[:, None]).ravel()
+        kinv = _with_inverse(kidx.reshape(Ho * Wo, Cin * H * W).T.ravel(), Cin * KH * KW)[1]
+        kidx.flags.writeable = False
+        return kidx, kinv, None, None
+    r, q = a - padding + stride * i[:, None, None, None], e - padding + stride * j[:, None, None]
+    kidx, kinv = _with_inverse(np.where(on, tap, KH * KW).ravel(), KH * KW)
+    return (kidx, kinv, *_with_inverse(np.where(on, (r * W + q).reshape(on.shape), H * W).ravel(), H * W))
 
 
 def _with_inverse(idx, n: int) -> tuple:
@@ -537,9 +555,9 @@ def _with_inverse(idx, n: int) -> tuple:
     return idx, (slots, perm)
 
 
-def _zero_row_below(a):
-    """Batch-last a [..., B] copied as rows [N, B], with a zero row N appended."""
-    z = np.empty((a.size // a.shape[-1] + 1, a.shape[-1]))
+def _zero_row_below(a, width: int):
+    """a copied as rows [N, width], with a zero row N appended."""
+    z = np.empty((a.size // width + 1, width))
     np.copyto(z[:-1].reshape(a.shape), a)
     z[-1] = 0.0
     return z
@@ -548,10 +566,14 @@ def _zero_row_below(a):
 def _tap_sum(a, b, inv, width: int):
     """Rows [N, width]: the product a @ b, viewed as rows of `width`, each summed onto its row of inv.
 
-    For a conv's input gradient the product is the taps [KH*KW*C, h*w*B]
-    and the rows are the image's, width B; for a dense-path kernel
-    gradient it is the dense matrix's gradient and the rows are the
-    kernel's elements, width 1.  One take per slot of inv: slot 0 for
+    a and b are matrices, or stacks of as many matrices (one batched
+    GEMM).  For a conv's input gradient on its taps the product is the tap
+    rows [KH*KW*C, h*w*B] and the rows are the image's, width B.  On a
+    conv's windows it is the window rows [Ho*Wo, n, B] summed onto the
+    pixels (width Cin*B) or the window kernel gradients [Ho*Wo, n, Cout]
+    summed onto the taps (width Cin*Cout), or, where every window is the
+    whole map, the kernel gradient [Cin*H*W, Ho*Wo*Cout] summed onto the
+    kernel's elements (width Cout).  One take per slot of inv: slot 0 for
     every row (a row with no tap reads the zero row), each further slot
     added onto the prefix of rows that has that many taps, so a row's
     products are summed in ascending order and no row adds a zero.  One
@@ -559,8 +581,9 @@ def _tap_sum(a, b, inv, width: int):
     output-sized arrays, the sorted sum and a slot's take or the rows
     restored.
     """
-    taps = np.empty((a.shape[0] * b.shape[1] // width + 1, width))
-    np.matmul(a, b, out=taps[:-1].reshape(a.shape[0], b.shape[1]))
+    shape = a.shape[:-1] + b.shape[-1:]
+    taps = np.empty((math.prod(shape) // width + 1, width))
+    np.matmul(a, b, out=taps[:-1].reshape(shape))
     taps[-1] = 0.0
     slots, perm = inv
     out = taps.take(slots[0], axis=0)
@@ -591,33 +614,54 @@ def conv2d(
     20.9x the input's bytes for a 3x3 conv from 16 channels.
 
     A map no larger than the window (H*W <= KH*KW), where many taps would
-    read the padding, runs on one memoized _dense_plan: the kernel is one
-    take into the dense matrix [Cout*Ho*Wo, Cin*H*W], and the forward is
-    one GEMM of it with the input's batch-last rows [Cin*H*W, B]: no
-    column matrix, and no more multiply-adds than the taps.  dx is one
-    GEMM with its transpose, and dk one GEMM into the matrix's shape,
-    summed onto the kernel through inv by _tap_sum.  Its scratch does not
-    grow with the batch: the raveled kernel, the dense matrix (kept to the
-    backward), and in the backward the matrix's gradient, each at most
-    Ho*Wo times the kernel, and the sum's two kernel-sized arrays; the
-    input's rows are a view of a batch-last input, as a conv's output is,
-    and a copy of any other.
+    read the padding, runs on one memoized _window_plan, which lists each
+    output pixel's window: the kernel taps that land on the map and the
+    input pixels they read.  Only real products are multiplied.  Where
+    every window is the whole map (a 3x3 kernel at padding 1 on a 2x2 map)
+    the windows stack into one [Cout*Ho*Wo, Cin*H*W] matrix, one take of
+    the kernel's elements, and the forward is one GEMM of it with the
+    input's batch-last rows [Cin*H*W, B], a view of a batch-last input, as
+    a conv's output is, and a copy of any other.  dx is one GEMM with its
+    transpose, and dk one GEMM [Cin*H*W, Ho*Wo*Cout] summed onto the
+    kernel's elements through kinv by _tap_sum.  Otherwise (a 4x4 kernel
+    at stride 2 on a 4x4 map, where 9 of the 16 taps reach each output
+    pixel) the windows are laid out pixel by pixel, tap-major: each
+    window's kernel is a take of tap rows of Cin*Cout weights, and its
+    input a take of pixel rows of Cin*B values, so the forward is one
+    batched GEMM of [Ho*Wo, Cout, n] kernel windows with [Ho*Wo, n, B]
+    input windows, n = Cin times the window's taps.  dx and dk are batched
+    GEMMs into window rows, summed onto the input's pixels and the
+    kernel's taps by _tap_sum, rows of Cin*B and Cin*Cout; dx is handed on
+    as an NCHW view of [H, W, Cin, B].  The input windows stay live from
+    the forward to the backward, 2.25x the input for that 4x4 case, and
+    dx's window rows are as large: forward plus backward peak at 9.2x the
+    input's bytes at B=64.
     """
     B, Cin, H, W, Cout, KH, KW = _conv_dims("conv2d", x, k, b)
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv2d: bad stride/padding ({stride}, {padding})")
     Ho, Wo = conv_output_size("conv2d", H, W, KH, KW, stride, padding)
-    dense = H * W <= KH * KW
-    if dense:
-        idx, inv = _dense_plan(Cout, Cin, H, W, KH, KW, Ho, Wo, stride, padding)
-        kz = np.concatenate((k.data.ravel(), (0.0,)))  # the raveled kernel and a zero, which entries off it read
-        kf = kz.take(idx).reshape(Cout * Ho * Wo, Cin * H * W)
-        cols = x.data.transpose(1, 2, 3, 0).reshape(Cin * H * W, B)
+    P = Ho * Wo
+    windows = H * W <= KH * KW
+    if windows:
+        kidx, kinv, xidx, xinv = _window_plan(Cin, H, W, KH, KW, Ho, Wo, stride, padding)
+        y = np.empty((Cout, P, B))
+        if xidx is None:  # one GEMM against the batch-last input's rows
+            n = Cin * H * W
+            kf = k.data.reshape(Cout, Cin * KH * KW).take(kidx, axis=1).reshape(Cout * P, n)
+            cols = x.data.transpose(1, 2, 3, 0).reshape(n, B)
+            np.matmul(kf, cols, out=y.reshape(Cout * P, B))
+        else:  # one GEMM per pixel on its window: rows of taps [Cin*Cout] and of pixels [Cin*B]
+            n = kidx.size // P * Cin
+            kf = _zero_row_below(k.data.transpose(2, 3, 1, 0), Cin * Cout).take(kidx, axis=0).reshape(P, n, Cout)
+            cols = _zero_row_below(x.data.transpose(2, 3, 1, 0), Cin * B).take(xidx, axis=0).reshape(P, n, B)
+            np.matmul(kf.transpose(0, 2, 1), cols, out=y.transpose(1, 0, 2))
     else:
         idx, inv = _tap_plan(Cin, H, W, KH, KW, Ho, Wo, stride, -padding, -padding)
-        cols = _zero_row_below(x.data.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cin, Ho * Wo * B)
+        cols = _zero_row_below(x.data.transpose(1, 2, 3, 0), B).take(idx, axis=0).reshape(KH * KW * Cin, P * B)
         kf = k.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * Cin)
-    y = (kf @ cols).reshape(Cout, Ho * Wo * B)
+        y = kf @ cols
+    y = y.reshape(Cout, P * B)
     y += b.data[:, None]
     if not _recording.get():
         cols = None  # no backward will read them
@@ -625,15 +669,25 @@ def conv2d(
 
     def backward(g):
         g, grads = head(g)
-        gm = g.transpose(1, 2, 3, 0).reshape(Cout, Ho * Wo * B)
+        gm = g.transpose(1, 2, 3, 0).reshape(Cout, P * B)
         if x._track:
-            dx = kf.T @ gm.reshape(Cout * Ho * Wo, B) if dense else _tap_sum(kf.T, gm, inv, B)
-            grads.append((x, dx.reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
+            if not windows:
+                dx = _tap_sum(kf.T, gm, inv, B).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)
+            elif xidx is None:
+                dx = (kf.T @ gm.reshape(Cout * P, B)).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)
+            else:  # each pixel's window rows, summed onto the input's pixels
+                dx = _tap_sum(kf, gm.reshape(Cout, P, B).transpose(1, 0, 2), xinv, Cin * B)
+                dx = dx.reshape(H, W, Cin, B).transpose(3, 2, 0, 1)
+            grads.append((x, dx))
         if k._track:
-            if dense:  # the dense matrix's gradient, summed onto the kernel's elements
-                dk = _tap_sum(gm.reshape(Cout * Ho * Wo, B), cols.T, inv, 1).reshape(Cout, Cin, KH, KW)
-            else:
+            if not windows:
                 dk = (gm @ cols.T).reshape(Cout, KH, KW, Cin).transpose(0, 3, 1, 2)
+            elif xidx is None:  # [Cin*H*W, P*Cout], summed onto the kernel's elements
+                gp = np.ascontiguousarray(gm.reshape(Cout, P, B).transpose(2, 1, 0)).reshape(B, P * Cout)
+                dk = _tap_sum(cols, gp, kinv, Cout).T.reshape(Cout, Cin, KH, KW)
+            else:  # each pixel's kernel window gradient [P, n, Cout], summed onto the kernel's taps
+                gp = np.ascontiguousarray(gm.reshape(Cout, P, B).transpose(1, 2, 0))  # [P, B, Cout]
+                dk = _tap_sum(cols, gp, kinv, Cin * Cout).reshape(KH, KW, Cin, Cout).transpose(3, 2, 0, 1)
             grads.append((k, dk))
         if b._track:
             grads.append((b, gm.sum(axis=1)))
@@ -671,7 +725,7 @@ def upconv2d(x: Tensor, k: Tensor, b: Tensor, upsample: int, padding: int, act: 
 
     def backward(g):
         g, grads = head(g)
-        cols = _zero_row_below(g.transpose(1, 2, 3, 0)).take(idx, axis=0).reshape(KH * KW * Cout, H * W * B)
+        cols = _zero_row_below(g.transpose(1, 2, 3, 0), B).take(idx, axis=0).reshape(KH * KW * Cout, H * W * B)
         if x._track:
             grads.append((x, (kf @ cols).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)))
         if k._track:

@@ -46,11 +46,11 @@ PROB_FLOOR = 1e-12
 
 
 def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
-    """Mean of -log probs[i, label_i], with a 1e-12 probability floor."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Mean of -log probs[i, label_i], with a 1e-12 probability floor; labels are integers, one per row."""
+    labels = np.asarray(labels)
     sp = probs.data.shape
-    if len(sp) != 2 or labels.shape != sp[:1]:
-        raise ConfigError(f"cross_entropy_loss: probs {sp}, labels {labels.shape}")
+    if len(sp) != 2 or labels.shape != sp[:1] or labels.dtype.kind not in "iu":
+        raise ConfigError(f"cross_entropy_loss: probs {sp}, labels {labels.shape} of {labels.dtype}")
     n, k = sp
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ConfigError(f"label out of range [0, {k})")
@@ -174,6 +174,8 @@ class TrainConfig:
 
 
 def train_step(model: HyperAJSCCModel, xb, labels, omegas, loss_kind: str, optimizer: Adam, rng) -> float:
+    if loss_kind not in ("mse", "cross_entropy"):
+        raise ConfigError(f"train_step: loss_kind {loss_kind!r} is neither 'mse' nor 'cross_entropy'")
     if np.shape(omegas) != xb.shape[:1]:
         raise ConfigError(f"train_step: SNRs of shape {np.shape(omegas)}, not one per sample of {xb.shape[0]}")
     optimizer.zero_grad()

@@ -77,16 +77,24 @@ def test_p1_gradient_oracle(capsys):
 
 
 def test_p1_checks_conv2d_on_both_of_its_paths(monkeypatch):
-    """P1 runs conv2d on a map no larger than its kernel window (one dense GEMM) and on a larger one (its taps).
+    """P1 runs conv2d on a map no larger than its kernel window (its windows) and on a larger one (its taps).
 
-    On each side there is an op check, and a scaled conv layer head for
-    every conv activation.
+    On each path there is an op check, and a scaled conv layer head for
+    every conv activation.  The window path has an op check in each of its
+    forms: one GEMM where every window is the whole map, and a batched GEMM
+    over per-pixel windows.
     """
-    conv2d, current, seen = T.conv2d, [""], {True: set(), False: set()}
+    conv2d, current, seen = T.conv2d, [""], {"taps": set(), "single": set(), "batched": set()}
 
-    def spy(x, k, *args, **kwargs):
-        seen[x.shape[2] * x.shape[3] <= k.shape[2] * k.shape[3]].add(current[0])
-        return conv2d(x, k, *args, **kwargs)
+    def spy(x, k, b, stride=1, padding=0, *args, **kwargs):
+        (_, Cin, H, W), (_, _, KH, KW) = x.shape, k.shape
+        if H * W > KH * KW:
+            form = "taps"
+        else:
+            Ho, Wo = T.conv_output_size("spy", H, W, KH, KW, stride, padding)
+            form = "single" if T._window_plan(Cin, H, W, KH, KW, Ho, Wo, stride, padding)[2] is None else "batched"
+        seen[form].add(current[0])
+        return conv2d(x, k, b, stride, padding, *args, **kwargs)
 
     monkeypatch.setattr(T, "conv2d", spy)
     rng = np.random.default_rng(0)
@@ -94,10 +102,11 @@ def test_p1_checks_conv2d_on_both_of_its_paths(monkeypatch):
         current[0] = name  # the checks' own draws, between two checks, run under ""
         f()
         current[0] = ""
-    for dense, names in seen.items():
-        assert any(name.startswith("conv2d") for name in names), (dense, sorted(names))
+    for form, names in seen.items():
+        assert any(name.startswith("conv2d") for name in names), (form, sorted(names))
+    for path, names in (("taps", seen["taps"]), ("windows", seen["single"] | seen["batched"])):
         heads = {name.rsplit("_", 1)[1] for name in names if name.startswith("conv") and "_scaled_" in name}
-        assert heads == set(T.CONV_ACTIVATIONS), (dense, sorted(names))
+        assert heads == set(T.CONV_ACTIVATIONS), (path, sorted(names))
 
 
 def test_p2_identity_recovery(capsys):

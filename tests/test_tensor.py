@@ -245,19 +245,28 @@ SMALL_MAP_CONVS = {
     "past_rule_3x3_k2": (3, 3, 3, 5, 2, 2, 1, 0),
     "past_rule_5x2_k3": (3, 5, 2, 4, 3, 3, 1, 1),
 }
+# the form each geometry takes: a batched GEMM over per-pixel windows, one GEMM over the whole map, or the taps
+SMALL_MAP_FORMS = {
+    "enc1_4x4_k4_s2_16to32": "batched",
+    "enc2_2x2_k3_32to4": "single",
+    "dec1_2x2_k3_4to32": "single",
+    "resblock_2x2_k3_16to16": "single",
+    "past_rule_3x3_k2": "taps",
+    "past_rule_5x2_k3": "taps",
+}
 
 
 @pytest.mark.parametrize("geometry", sorted(SMALL_MAP_CONVS))
 def test_conv2d_at_the_bottleneck_maps_matches_the_reference(geometry, monkeypatch):
-    """Output and gradients of conv2d against the einsum reference, on the path the geometry picks.
+    """Output and gradients of conv2d against the einsum reference, on the path and form the geometry picks.
 
-    The dense path sums each kernel element's gradient over up to Ho*Wo
-    entries of its dense matrix: dropping one slot of that sum moves dk.
+    The window path sums each kernel element's gradient over up to Ho*Wo
+    windows: dropping one slot of that sum moves dk.
     """
     Cin, H, W, Cout, KH, KW, stride, padding = SMALL_MAP_CONVS[geometry]
-    dense_plans = []
-    plan = T._dense_plan
-    monkeypatch.setattr(T, "_dense_plan", lambda *key: dense_plans.append(key) or plan(*key))
+    plans = []
+    plan = T._window_plan
+    monkeypatch.setattr(T, "_window_plan", lambda *key: plans.append(plan(*key)) or plans[-1])
     rng = np.random.default_rng(len(geometry))
     x = Tensor(rng.standard_normal((5, Cin, H, W)), requires_grad=True)
     k = Tensor(rng.standard_normal((Cout, Cin, KH, KW)), requires_grad=True)
@@ -265,7 +274,8 @@ def test_conv2d_at_the_bottleneck_maps_matches_the_reference(geometry, monkeypat
     out = T.conv2d(x, k, b, stride, padding)
     g = rng.standard_normal(out.shape)
     T.tsum(T.mul(out, Tensor(g))).backward()  # the output gradient is exactly g
-    assert len(dense_plans) == (H * W <= KH * KW)
+    forms = ["single" if xidx is None else "batched" for _, _, xidx, _ in plans]
+    assert forms == ([] if SMALL_MAP_FORMS[geometry] == "taps" else [SMALL_MAP_FORMS[geometry]])
     expected = conv2d_reference(x.data, k.data, b.data, g, stride, padding)
     for got, want in zip((out.data, x.grad, k.grad, b.grad), expected):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -294,20 +304,68 @@ def taps_by_target(idx, inv):
     return taps
 
 
-def test_dense_plan_lists_every_kernel_element_as_often_as_the_taps_reach_it():
-    """A 4x4 kernel at stride 2 as the dense matrix over a 4x4 map: each element once per output it reaches."""
-    idx, inv = T._dense_plan(2, 3, 4, 4, 4, 4, 2, 2, 2, 1)
-    slots = inv[0]
-    assert idx.shape == (2 * 2 * 2 * 3 * 4 * 4,) and len(slots) == 4 and slots[0].shape == (2 * 3 * 4 * 4,)
-    # kernel row a reaches the outputs i with 0 <= 2*i + a - 1 < 4, and a kernel column likewise
-    reach = np.array([1, 2, 2, 1])
-    taps = taps_by_target(idx, inv)
-    counts = np.array([len(t) for t in taps]).reshape(2, 3, 4, 4)
-    assert np.array_equal(counts, np.broadcast_to(np.outer(reach, reach), counts.shape))
-    assert [slot.size for slot in slots] == [96, 72, 24, 24]  # the elements with at least 1, 2, 3 and 4 entries
-    assert np.sum(idx == 2 * 3 * 4 * 4) == idx.size - counts.sum() > 0  # entries off the kernel read the zero
-    for n, entries in enumerate(taps):
-        assert np.array_equal(entries, np.flatnonzero(idx == n))
+def window_geometry(Cin, KH, KW, stride, padding, Ho, Wo):
+    """(H, W, plan) of the conv with a Ho x Wo output, or None where its map is empty or past the window rule."""
+    H, W = stride * (Ho - 1) + KH - 2 * padding, stride * (Wo - 1) + KW - 2 * padding
+    if H < 1 or W < 1 or H * W > KH * KW:
+        return None
+    return H, W, T._window_plan(Cin, H, W, KH, KW, Ho, Wo, stride, padding)
+
+
+WINDOW_GEOMETRY = dict(
+    Cin=st.integers(1, 3),
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 3),
+    out_size=st.tuples(st.integers(1, 4), st.integers(1, 4)),  # Ho, Wo
+)
+
+
+@FUZZ
+@given(**WINDOW_GEOMETRY)
+@example(Cin=3, kernel=(4, 4), stride=2, padding=1, out_size=(2, 2))  # enc.1: a 3x3 block of taps per pixel
+@example(Cin=2, kernel=(3, 3), stride=1, padding=1, out_size=(2, 2))  # enc.2 and dec.1: the whole map
+@example(Cin=2, kernel=(3, 2), stride=1, padding=1, out_size=(2, 3))  # P1's conv2d_2x2_k3x2: windows of 1 and 2 columns
+def test_window_plan_lists_each_tap_and_pixel_once_per_window_that_holds_it(Cin, kernel, stride, padding, out_size):
+    """Every output pixel's window is exactly the (tap, pixel) pairs of the kernel that land on the map.
+
+    So each kernel tap, and likewise each input pixel, is listed once per
+    output pixel whose window holds it, and the trimmed inverses list
+    exactly those entries.  A map whose windows all hold every pixel takes
+    the whole-map form, its entries the kernel elements c*KH*KW + tap.
+    """
+    (KH, KW), (Ho, Wo) = kernel, out_size
+    geometry = window_geometry(Cin, KH, KW, stride, padding, Ho, Wo)
+    assume(geometry is not None)
+    H, W, (kidx, kinv, xidx, xinv) = geometry
+    P = Ho * Wo
+    windows = [
+        {(ki * KW + kj, r * W + q) for ki in range(KH) for kj in range(KW)
+         for r, q in [(stride * i + ki - padding, stride * j + kj - padding)] if 0 <= r < H and 0 <= q < W}
+        for i in range(Ho) for j in range(Wo)
+    ]
+    reach = [[sum(any(t == tap for t, _ in w) for w in windows) for tap in range(KH * KW)],
+             [sum(any(x == pix for _, x in w) for w in windows) for pix in range(H * W)]]
+    if xidx is None:  # each window holds every pixel, its entries [P, Cin, H*W] the kernel's elements
+        for p, w in enumerate(windows):
+            tap = dict((x, t) for t, x in w)
+            assert len(w) == len(tap) == H * W
+            want = np.arange(Cin)[:, None] * KH * KW + [tap[x] for x in range(H * W)]
+            assert np.array_equal(kidx.reshape(P, Cin, H * W)[p], want)
+        kt = kidx.reshape(P, Cin * H * W).T.ravel()  # the kernel gradient's GEMM layout
+        for element, entries in enumerate(taps_by_target(kt, kinv)):
+            assert np.array_equal(entries, np.flatnonzero(kt == element))
+            assert len(entries) == reach[0][element % (KH * KW)]
+        return
+    nt = kidx.size // P
+    fill = kidx.reshape(P, nt) == KH * KW
+    assert np.array_equal(fill, xidx.reshape(P, nt) == H * W)
+    for p, w in enumerate(windows):
+        listed = list(zip(kidx.reshape(P, nt)[p][~fill[p]], xidx.reshape(P, nt)[p][~fill[p]]))
+        assert len(listed) == len(set(listed)) and set(listed) == w
+    for idx, inv, counts in ((kidx, kinv, reach[0]), (xidx, xinv, reach[1])):
+        for target, entries in enumerate(taps_by_target(idx, inv)):
+            assert np.array_equal(entries, np.flatnonzero(idx == target)) and len(entries) == counts[target]
 
 
 def untrimmed_tap_sum(a, b, idx, n, width):
@@ -360,24 +418,32 @@ def test_trimmed_tap_sum_is_the_untrimmed_slot_loop_on_tap_plans(dims, step, ori
 
 
 @FUZZ
-@given(
-    dims=st.tuples(*[st.integers(1, 3)] * 3),  # Cout, Cin, B
-    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
-    stride=st.integers(1, 3),
-    padding=st.integers(0, 2),
-    out_size=st.tuples(st.integers(1, 3), st.integers(1, 3)),  # Ho, Wo
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_trimmed_tap_sum_is_the_untrimmed_slot_loop_on_dense_plans(dims, kernel, stride, padding, out_size, seed):
-    """The kernel gradient of any _dense_plan, summed through the trimmed inverse and through every slot."""
-    Cout, Cin, B = dims
-    (KH, KW), (Ho, Wo) = kernel, out_size
-    H, W = stride * (Ho - 1) + KH - 2 * padding, stride * (Wo - 1) + KW - 2 * padding
-    assume(H >= 1 and W >= 1)
-    idx, inv = T._dense_plan(Cout, Cin, H, W, KH, KW, Ho, Wo, stride, padding)
-    rng = np.random.default_rng(seed)
-    gm, xr = rng.standard_normal((Cout * Ho * Wo, B)), rng.standard_normal((B, Cin * H * W))
-    assert_trimmed_sum_is_the_untrimmed_one(idx, inv, Cout * Cin * KH * KW, gm, xr, 1)
+@given(**WINDOW_GEOMETRY, widths=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+@example(Cin=3, kernel=(4, 4), stride=2, padding=1, out_size=(2, 2), widths=(2, 3), seed=0)
+@example(Cin=2, kernel=(3, 3), stride=1, padding=1, out_size=(2, 2), widths=(2, 3), seed=0)
+def test_trimmed_tap_sum_is_the_untrimmed_slot_loop_on_window_plans(Cin, kernel, stride, padding, out_size, widths, seed):
+    """The input and kernel gradients of any _window_plan, summed through the trimmed inverses and through every slot.
+
+    M stands for the output channels and N for the batch.  Per-pixel
+    windows sum rows of Cin*N onto the pixels and rows of Cin*M onto the
+    taps; whole-map windows sum the one kernel-gradient GEMM's rows of M
+    onto the kernel's elements.
+    """
+    (KH, KW), (Ho, Wo), (M, N) = kernel, out_size, widths
+    geometry = window_geometry(Cin, KH, KW, stride, padding, Ho, Wo)
+    assume(geometry is not None)
+    H, W, (kidx, kinv, xidx, xinv) = geometry
+    P, rng = Ho * Wo, np.random.default_rng(seed)
+    if xidx is None:
+        kt = kidx.reshape(P, Cin * H * W).T.ravel()
+        cols, gp = rng.standard_normal((Cin * H * W, N)), rng.standard_normal((N, P * M))
+        assert_trimmed_sum_is_the_untrimmed_one(kt, kinv, Cin * KH * KW, cols, gp, M)
+        return
+    n = kidx.size // P * Cin
+    kf, g = rng.standard_normal((P, n, M)), rng.standard_normal((P, M, N))
+    assert_trimmed_sum_is_the_untrimmed_one(xidx, xinv, H * W, kf, g, Cin * N)
+    cols, gp = rng.standard_normal((P, n, N)), rng.standard_normal((P, N, M))
+    assert_trimmed_sum_is_the_untrimmed_one(kidx, kinv, KH * KW, cols, gp, Cin * M)
 
 
 @FUZZ
@@ -404,7 +470,7 @@ def test_tap_sum_is_the_adjoint_of_the_take(dims, step, origin, size, seed):
     rng = np.random.default_rng(seed)
     a, k, g = rng.random((C, H, W, B)), rng.random((M, C, KH, KW)), rng.random((M, h * w * B))
     kf = k.transpose(0, 2, 3, 1).reshape(M, KH * KW * C)  # the engine's flattened kernel
-    cols = T._zero_row_below(a).take(idx, axis=0).reshape(KH * KW * C, h * w * B)
+    cols = T._zero_row_below(a, B).take(idx, axis=0).reshape(KH * KW * C, h * w * B)
     y, dk = kf @ cols, g @ cols.T
     dst = T._tap_sum(kf.T, g, inv, B)
     np.testing.assert_allclose(np.vdot(dst, a.reshape(-1, B)), np.vdot(g, y), rtol=1e-12)
@@ -508,6 +574,31 @@ def test_conv2d_scratch_memory_holds_one_column_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 24 * x.data.nbytes, f"traced peak {peak / x.data.nbytes:.2f}x the input"
+
+
+def test_conv2d_scratch_memory_holds_one_set_of_windows():
+    """Forward and backward of enc.1's geometry, a 4x4 kernel at stride 2 from 16 to 32 channels on a 4x4 map, B=64.
+
+    Each output pixel's window is 3x3 taps.  Live at the backward peak:
+    the input windows [Ho*Wo, 9*Cin, B] kept from the forward for dk
+    (2.25x the input), dx's window rows (another 2.25x), the kernel
+    windows (1.1x), the input gradient and one slot's take of the window
+    rows (1x each), plus the output, its gradient and small arrays: 9.2x
+    x.data.nbytes as measured, with the plan built or cached.  A second
+    copy of the input windows, or of dx's window rows, adds 2.25x: the
+    bound of 10.5x admits one of each and refuses either copy.
+    """
+    rng = np.random.default_rng(0)
+    x = Tensor(np.ascontiguousarray(rng.standard_normal((16, 4, 4, 64))).transpose(3, 0, 1, 2), requires_grad=True)
+    k = Tensor(rng.standard_normal((32, 16, 4, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal(32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        T.tsum(T.conv2d(x, k, b, 2, 1)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.5 * x.data.nbytes, f"traced peak {peak / x.data.nbytes:.2f}x the input"
 
 
 class TestUpconv2d:

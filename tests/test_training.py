@@ -612,6 +612,12 @@ def labeled_patterns():
                      id="train-step-snr-2d"),
         pytest.param(lambda m, ds: train_step(m, ds.samples[:1], None, 5.0, "mse", Adam([]), np.random.default_rng(0)),
                      id="train-step-snr-scalar"),
+        pytest.param(lambda m, ds: cross_entropy_loss(Tensor(np.full((2, 3), 1 / 3)), None), id="ce-labels-none"),
+        pytest.param(lambda m, ds: cross_entropy_loss(Tensor(np.full((2, 3), 1 / 3)), [0.5, 1.5]), id="ce-labels-float"),
+        pytest.param(lambda m, ds: cross_entropy_loss(Tensor(np.full((2, 3), 1 / 3)), ["0", "1"]), id="ce-labels-string"),
+        pytest.param(lambda m, ds: train_step(build_model(shipped_model_config("default_class"), 0),
+                                              labeled_patterns().samples[:2], [0, 1], np.full(2, 5.0), "xent",
+                                              Adam([]), np.random.default_rng(0)), id="train-step-loss-kind"),
         pytest.param(lambda m, ds: snr_sweep(build_model(shipped_model_config("default_class"), 0), unlabeled_images(),
                                              [1.0]), id="sweep-classifier-unlabeled"),
         pytest.param(lambda m, ds: train_one_epoch(build_model(shipped_model_config("default_class"), 0),
